@@ -73,7 +73,7 @@ fn measure_session_reuse(obligations: usize) -> (ReuseRun, ReuseRun) {
     let mut warm = Solver::new();
     let before = warm.stats();
     let start = Instant::now();
-    let mut session = warm.open_session(&mut bank, &wl.prefix);
+    let mut session = warm.open_session(&wl.prefix);
     for (delta, expect_sat) in &wl.obligations {
         let outcome = session.check_sat(&mut bank, delta);
         assert_eq!(matches!(outcome, CheckOutcome::Sat(_)), *expect_sat);

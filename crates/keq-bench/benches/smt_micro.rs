@@ -128,7 +128,7 @@ fn bench_session_reuse() {
     let mut warm = Solver::new();
     let warm_before = warm.stats();
     let session_start = Instant::now();
-    let mut session = warm.open_session(&mut bank, &wl.prefix);
+    let mut session = warm.open_session(&wl.prefix);
     for (delta, expect_sat) in &wl.obligations {
         let outcome = session.check_sat(&mut bank, delta);
         assert_eq!(matches!(outcome, keq_smt::CheckOutcome::Sat(_)), *expect_sat);

@@ -177,7 +177,7 @@ impl<'a> Keq<'a> {
     ) -> Result<(), FailureReason> {
         let _span = keq_trace::span(keq_trace::Phase::SyncPoint);
         let (c1, c2, assumptions) = instantiate(bank, point)?;
-        let mut session = solver.open_session(bank, &assumptions);
+        let mut session = solver.open_session(&assumptions);
         let n1 = self.frontier(bank, &mut session, sync, Side::Left, c1, deadline, stats)?;
         let n2 = self.frontier(bank, &mut session, sync, Side::Right, c2, deadline, stats)?;
         for s1 in &n1 {

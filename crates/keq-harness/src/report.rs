@@ -1,23 +1,23 @@
 //! Building the machine-readable `RUN_REPORT.json` from a corpus run.
 //!
 //! [`build_report`] joins the supervisor's [`CorpusSummary`] (the
-//! authoritative outcome of every function) with the trace journal's event
+//! authoritative outcome of every function) with the trace ring's event
 //! stream (phase spans, injected faults, attempt windows) into one
 //! [`RunReport`](keq_trace::RunReport). The summary side never depends on
-//! the journal: a run without tracing still yields a schema-valid report,
+//! the trace: a run without tracing still yields a schema-valid report,
 //! just with empty phase sections and `trace_enabled: false`.
 
 use std::collections::HashMap;
 use std::time::Duration;
 
 use keq_trace::{
-    AttemptReport, CacheCounters, Event, FunctionReport, Journal, OutcomeTable, PassSection,
-    Phase, ResumeSection, RunReport, ServerSection, SolverCounters, TraceEvent,
+    AttemptReport, CacheCounters, Event, EventRing, FunctionReport, OutcomeTable, PassSection,
+    Phase, ResumeSection, RunReport, ServerSection, TraceEvent,
 };
 
 use crate::result::{CorpusResult, CorpusSummary, ResultKind};
 
-/// Everything the journal knows about one `(func, attempt)` pair.
+/// Everything the trace knows about one `(func, attempt)` pair.
 #[derive(Default)]
 struct AttemptTrace {
     start_us: Option<u64>,
@@ -30,7 +30,7 @@ fn duration_us(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Indexes the journal snapshot by `(func, attempt)`.
+/// Indexes the trace snapshot by `(func, attempt)`.
 ///
 /// Attempt boundaries come from the worker-emitted
 /// [`Event::AttemptStart`]/[`Event::AttemptEnd`] payloads; spans and fault
@@ -61,32 +61,6 @@ fn index_attempts(events: &[TraceEvent]) -> HashMap<(u32, u32), AttemptTrace> {
         }
     }
     map
-}
-
-/// Flattens [`keq_smt::SolverStats`] into the report's stable wire shape.
-/// Shared by the run-level counters here and the per-row solver deltas of
-/// the scheduler's slow-obligation profiler.
-pub(crate) fn solver_counters_of(s: &keq_smt::SolverStats) -> SolverCounters {
-    SolverCounters {
-        queries: s.queries,
-        sat: s.sat,
-        unsat: s.unsat,
-        budget: s.budget,
-        conflicts: s.conflicts,
-        restarts: s.restarts,
-        cache_hits: s.cache_hits,
-        cache_evictions: s.cache_evictions,
-        sessions_opened: s.sessions_opened,
-        prefix_hits: s.prefix_hits,
-        clauses_retained: s.clauses_retained,
-        terms_blasted: s.terms_blasted,
-        terms_blast_reused: s.terms_blast_reused,
-        rewrite_rules_fired: s.rewrite_rules_fired,
-        rewrite_passes: s.rewrite_passes,
-        rewrite_nodes_saved: s.rewrite_nodes_saved,
-        lbd_kept: s.lbd_kept,
-        time_us: duration_us(s.time),
-    }
 }
 
 /// The report's obligation-cache section. Lookup traffic (hits, misses,
@@ -160,12 +134,12 @@ pub fn pass_sections(summary: &CorpusSummary) -> Vec<PassSection> {
     sections.into_iter().map(|(_, s)| s).collect()
 }
 
-/// Builds the aggregated run report. `journal` is the ring the harness's
+/// Builds the aggregated run report. `ring` is the ring the harness's
 /// [`TraceSink`](keq_trace::TraceSink) recorded into, or `None` for an
 /// untraced run (the report is then outcome-only, with
 /// `trace_enabled: false`).
-pub fn build_report(summary: &CorpusSummary, journal: Option<&Journal>, seed: u64) -> RunReport {
-    let events = journal.map(Journal::snapshot).unwrap_or_default();
+pub fn build_report(summary: &CorpusSummary, ring: Option<&EventRing>, seed: u64) -> RunReport {
+    let events = ring.map(EventRing::snapshot).unwrap_or_default();
     let traced = index_attempts(&events);
     let mut functions = Vec::with_capacity(summary.rows.len());
     for (unit, row) in summary.rows.iter().enumerate() {
@@ -225,10 +199,10 @@ pub fn build_report(summary: &CorpusSummary, journal: Option<&Journal>, seed: u6
     RunReport {
         seed,
         n_functions: summary.total() as u64,
-        trace_enabled: journal.is_some(),
+        trace_enabled: ring.is_some(),
         outcome: outcome_table(summary),
         passes: pass_sections(summary),
-        solver: solver_counters_of(&summary.solver),
+        solver: summary.solver,
         cache: cache_counters(summary),
         resume: ResumeSection {
             enabled: summary.resume.enabled,
@@ -240,8 +214,8 @@ pub fn build_report(summary: &CorpusSummary, journal: Option<&Journal>, seed: u6
         telemetry: summary.telemetry.clone(),
         phases: keq_trace::phase_summaries(&events),
         functions,
-        events_recorded: journal.map_or(0, Journal::recorded),
-        events_dropped: journal.map_or(0, Journal::dropped),
+        events_recorded: ring.map_or(0, EventRing::recorded),
+        events_dropped: ring.map_or(0, EventRing::dropped),
     }
 }
 
@@ -259,10 +233,10 @@ mod tests {
     #[test]
     fn traced_run_builds_a_schema_valid_report() {
         let m = parse_module(TWO_FUNCS).expect("parses");
-        let journal = Arc::new(Journal::new(1 << 14));
+        let ring = Arc::new(EventRing::new(1 << 14));
         let opts = HarnessOptions {
             workers: 1,
-            trace: Some(TraceSink::from(Arc::clone(&journal))),
+            trace: Some(TraceSink::from(Arc::clone(&ring))),
             ..HarnessOptions::default()
         };
         let summary = run_module(&m, &opts);
@@ -270,7 +244,7 @@ mod tests {
         // The instrumented solver fed the run-level counters.
         assert!(summary.solver.queries > 0, "{:?}", summary.solver);
 
-        let report = build_report(&summary, Some(&journal), 42);
+        let report = build_report(&summary, Some(&ring), 42);
         assert!(report.trace_enabled);
         assert_eq!(report.seed, 42);
         assert_eq!(report.n_functions, 2);

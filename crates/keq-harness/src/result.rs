@@ -259,11 +259,9 @@ impl CorpusSummary {
         h
     }
 
-    /// The end-of-run summary line: the Fig. 6 outcome counts plus the
-    /// run-level solver reuse counters (cache evictions, session prefix
-    /// hits, learnt clauses retained), the obligation-normalization totals
-    /// (rules fired, nodes saved), the shared obligation cache's
-    /// hit ratio and on-disk footprint, and the attempt-latency quantiles
+    /// The end-of-run summary line: the Fig. 6 outcome counts plus every
+    /// run-level solver counter, the shared obligation cache's hit ratio
+    /// and on-disk footprint, and the attempt-latency quantiles
     /// (log-bucket estimates — the same way the server reports request
     /// latency). Resume recovery and storage degradation, when they
     /// happened, are appended as extra segments so a persist failure can
@@ -271,10 +269,7 @@ impl CorpusSummary {
     pub fn summary_line(&self) -> String {
         let mut line = format!(
             "corpus: {} functions, {} attempts | succeeded {} timeout {} oom {} crashed {} \
-             quarantined {} other {} | solver: queries {} cache_hits {} cache_evictions {} \
-             prefix_hits {} clauses_retained {} | rewrite: rules_fired {} nodes_saved {} \
-             lbd_kept {} | obcache: hits {} misses {} hit_ratio {:.2} \
-             store_bytes {}",
+             quarantined {} other {} | solver:",
             self.total(),
             self.total_attempts(),
             self.count(ResultKind::Succeeded),
@@ -283,19 +278,15 @@ impl CorpusSummary {
             self.count(ResultKind::Crashed),
             self.count(ResultKind::Quarantined),
             self.count(ResultKind::Other),
-            self.solver.queries,
-            self.solver.cache_hits,
-            self.solver.cache_evictions,
-            self.solver.prefix_hits,
-            self.solver.clauses_retained,
-            self.solver.rewrite_rules_fired,
-            self.solver.rewrite_nodes_saved,
-            self.solver.lbd_kept,
-            self.solver.obligation_cache_hits,
-            self.solver.obligation_cache_misses,
+        );
+        for (name, value) in self.solver.counters() {
+            line.push_str(&format!(" {name} {value}"));
+        }
+        line.push_str(&format!(
+            " | obcache: hit_ratio {:.2} store_bytes {}",
             self.obligation_cache_hit_ratio(),
             self.cache.disk_bytes,
-        );
+        ));
         let lat = self.attempt_latency_histogram();
         if let (Some(p50), Some(p90), Some(p99)) = (lat.p50(), lat.p90(), lat.p99()) {
             line.push_str(&format!(
@@ -376,7 +367,8 @@ mod tests {
         assert!(line.contains("cache_evictions 3"), "{line}");
         assert!(line.contains("prefix_hits 17"), "{line}");
         assert!(line.contains("clauses_retained 41"), "{line}");
-        assert!(line.contains("obcache: hits 30 misses 10 hit_ratio 0.75"), "{line}");
+        assert!(line.contains("obligation_cache_hits 30 obligation_cache_misses 10"), "{line}");
+        assert!(line.contains("obcache: hit_ratio 0.75"), "{line}");
         assert!(line.contains("store_bytes 2048"), "{line}");
     }
 

@@ -1248,25 +1248,12 @@ fn supervise(
                     if info.attempt > 1 {
                         reg.counter_add(CounterId::Retries, 1);
                     }
-                    reg.counter_add(CounterId::SolverQueries, outcome.solver.queries);
-                    reg.counter_add(CounterId::CdclConflicts, outcome.solver.conflicts);
-                    reg.counter_add(CounterId::CdclRestarts, outcome.solver.restarts);
-                    reg.counter_add(
-                        CounterId::ObligationCacheHits,
-                        outcome.solver.obligation_cache_hits,
-                    );
-                    reg.counter_add(
-                        CounterId::ObligationCacheMisses,
-                        outcome.solver.obligation_cache_misses,
-                    );
-                    reg.counter_add(
-                        CounterId::ObligationCacheStores,
-                        outcome.solver.obligation_cache_stores,
-                    );
-                    // The per-family rewrite counters are emitted at source
-                    // by the rewriter itself; only the glue-retention
-                    // counter needs sampling from the solver deltas here.
-                    reg.counter_add(CounterId::LbdKept, outcome.solver.lbd_kept);
+                    // The counter table says which solver counters feed
+                    // the registry; the rewrite counters are emitted at
+                    // source by the rewriter itself.
+                    for (id, n) in outcome.solver.registry_feed() {
+                        reg.counter_add(id, n);
+                    }
                     reg.observe_us(
                         HistId::AttemptWallUs,
                         u64::try_from(outcome.time.as_micros()).unwrap_or(u64::MAX),
@@ -1521,7 +1508,7 @@ fn finalize_submission(
             attempts: st.attempts.len() as u64,
             retries: (st.attempts.len() as u64).saturating_sub(1),
             phase_us,
-            solver: crate::report::solver_counters_of(&st.solver_acc),
+            solver: st.solver_acc,
         });
     }
     {

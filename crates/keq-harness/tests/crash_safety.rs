@@ -25,7 +25,7 @@ use keq_harness::{
 };
 use keq_smt::fault::{FaultPlan, Rate};
 use keq_smt::obcache::StdStoreIo;
-use keq_trace::{Event, Journal, Json, JsonlSink, TraceSink};
+use keq_trace::{Event, EventRing, Json, JsonlSink, TraceSink};
 use keq_workload::{generate_corpus, GenConfig};
 
 /// Small all-supported corpus (no loops/calls/memory keeps validation
@@ -141,7 +141,7 @@ fn storage_faults_trip_the_breaker_and_degrade_to_memory_only() {
     let module = small_corpus(5);
     let cache_path = temp_path("degraded-store");
     let _ = std::fs::remove_file(&cache_path);
-    let trace = Arc::new(Journal::new(1 << 14));
+    let trace = Arc::new(EventRing::new(1 << 14));
     let opts = HarnessOptions {
         fault_plan: FaultPlan { enospc: Rate { num: 1, den: 1 }, ..FaultPlan::quiet(7) },
         workers: 2,
@@ -192,7 +192,7 @@ fn final_persist_failure_is_surfaced_not_swallowed() {
     let cache_dir = temp_path("persist-dir");
     let _ = std::fs::remove_dir(&cache_dir);
     std::fs::create_dir(&cache_dir).expect("create blocking directory");
-    let trace = Arc::new(Journal::new(1 << 12));
+    let trace = Arc::new(EventRing::new(1 << 12));
     let opts = HarnessOptions {
         workers: 1,
         cache_path: Some(cache_dir.clone()),

@@ -1,4 +1,4 @@
-//! Journal-level assertions of the harness's typed trace events: seeded
+//! Ring-level assertions of the harness's typed trace events: seeded
 //! fault injections appear as [`Event::FaultInjected`] with the attempt
 //! context of the attempt they fired in (including escalated retries),
 //! supervisor decisions (deadline cancellation, watchdog abandonment)
@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use keq_harness::{build_report, run_module, HarnessOptions, ResultKind, RetryPolicy};
 use keq_smt::fault::{FaultPlan, Rate};
-use keq_trace::{Event, Journal, Json, TraceSink};
+use keq_trace::{Event, EventRing, Json, TraceSink};
 use keq_workload::{generate_corpus, GenConfig};
 
 /// Small all-supported corpus (no loops/calls/memory keeps validation
@@ -51,7 +51,7 @@ j:
 #[test]
 fn injected_budget_faults_are_typed_events_with_the_right_attempt() {
     let module = small_corpus(2);
-    let journal = Arc::new(Journal::new(1 << 16));
+    let ring = Arc::new(EventRing::new(1 << 16));
     let opts = HarnessOptions {
         fault_plan: FaultPlan {
             force_conflicts: Rate { num: 1, den: 1 },
@@ -59,7 +59,7 @@ fn injected_budget_faults_are_typed_events_with_the_right_attempt() {
         },
         retry: RetryPolicy { max_attempts: 2, factor: 4, ..RetryPolicy::default() },
         workers: 2,
-        trace: Some(TraceSink::from(Arc::clone(&journal))),
+        trace: Some(TraceSink::from(Arc::clone(&ring))),
         ..HarnessOptions::default()
     };
     let summary = run_module(&module, &opts);
@@ -72,7 +72,7 @@ fn injected_budget_faults_are_typed_events_with_the_right_attempt() {
         "budget faults are retryable, so the escalated attempt also runs"
     );
 
-    let events = journal.snapshot();
+    let events = ring.snapshot();
     for func in 0..2u32 {
         for attempt in [1u32, 2] {
             assert!(
@@ -108,7 +108,7 @@ fn injected_budget_faults_are_typed_events_with_the_right_attempt() {
     }
 
     // The per-attempt fault markers also surface in the report rows.
-    let report = build_report(&summary, Some(&journal), 5);
+    let report = build_report(&summary, Some(&ring), 5);
     for f in &report.functions {
         for a in &f.attempts {
             assert!(
@@ -125,44 +125,44 @@ fn injected_budget_faults_are_typed_events_with_the_right_attempt() {
 #[test]
 fn deadline_cancellation_and_abandonment_are_typed_events() {
     let m = keq_llvm::parse_module(BRANCHY).expect("parses");
-    let journal = Arc::new(Journal::new(1 << 16));
+    let ring = Arc::new(EventRing::new(1 << 16));
     let opts = HarnessOptions {
         fault_plan: FaultPlan { hang: Rate { num: 1, den: 1 }, ..FaultPlan::quiet(0) },
         workers: 1,
         deadline: Some(Duration::from_millis(30)),
         grace: Duration::from_millis(60),
         watchdog_tick: Duration::from_millis(5),
-        trace: Some(TraceSink::from(Arc::clone(&journal))),
+        trace: Some(TraceSink::from(Arc::clone(&ring))),
         ..HarnessOptions::default()
     };
     let summary = run_module(&m, &opts);
     assert!(summary.rows[0].attempts[0].abandoned);
 
-    let events = journal.snapshot();
+    let events = ring.snapshot();
     assert!(
         events.iter().any(|ev| ev.attempt == Some(1)
             && matches!(
                 ev.event,
                 Event::FaultInjected { site: "checker_step", fault: "hang" }
             )),
-        "the hang fault must be a typed journal event"
+        "the hang fault must be a typed trace event"
     );
     assert!(
         events
             .iter()
             .any(|ev| matches!(ev.event, Event::DeadlineCancelled { func: 0, attempt: 1 })),
-        "the supervisor's deadline cancellation must be a typed journal event"
+        "the supervisor's deadline cancellation must be a typed trace event"
     );
     assert!(
         events
             .iter()
             .any(|ev| matches!(ev.event, Event::WatchdogAbandoned { func: 0, attempt: 1 })),
-        "the watchdog abandonment must be a typed journal event"
+        "the watchdog abandonment must be a typed trace event"
     );
 
     // An abandoned attempt has no end marker, yet the report stays
     // schema-valid (its window is closed from the supervisor wall time).
-    let report = build_report(&summary, Some(&journal), 0);
+    let report = build_report(&summary, Some(&ring), 0);
     assert!(report.functions[0].attempts[0].abandoned);
     let doc = Json::parse(&report.to_json()).expect("parses");
     keq_trace::validate(&doc).expect("abandoned-run report validates");
@@ -171,17 +171,17 @@ fn deadline_cancellation_and_abandonment_are_typed_events() {
 #[test]
 fn isolated_panics_keep_message_and_location_as_separate_fields() {
     let module = small_corpus(1);
-    let journal = Arc::new(Journal::new(1 << 16));
+    let ring = Arc::new(EventRing::new(1 << 16));
     let opts = HarnessOptions {
         fault_plan: FaultPlan { panic: Rate { num: 1, den: 1 }, ..FaultPlan::quiet(3) },
         workers: 1,
-        trace: Some(TraceSink::from(Arc::clone(&journal))),
+        trace: Some(TraceSink::from(Arc::clone(&ring))),
         ..HarnessOptions::default()
     };
     let summary = run_module(&module, &opts);
     assert_eq!(summary.rows[0].result.kind(), ResultKind::Crashed);
 
-    let events = journal.snapshot();
+    let events = ring.snapshot();
     let (func, attempt, message, location) = events
         .iter()
         .find_map(|ev| match &ev.event {
@@ -190,7 +190,7 @@ fn isolated_panics_keep_message_and_location_as_separate_fields() {
             }
             _ => None,
         })
-        .expect("panic capture must be a typed journal event");
+        .expect("panic capture must be a typed trace event");
     assert_eq!((func, attempt), (0, 1));
     assert!(message.contains("injected fault"), "message: {message}");
     assert!(
@@ -199,7 +199,7 @@ fn isolated_panics_keep_message_and_location_as_separate_fields() {
     );
 
     // The same split fields reach the report row.
-    let report = build_report(&summary, Some(&journal), 3);
+    let report = build_report(&summary, Some(&ring), 3);
     let a = &report.functions[0].attempts[0];
     assert_eq!(a.result, "crashed");
     assert!(a.panic_message.as_deref().is_some_and(|m| m.contains("injected fault")));

@@ -16,7 +16,7 @@ use crate::cancel::{stop_requested, CancelToken};
 use crate::eval::{eval, Assignment, Value};
 use crate::fault::{self, FaultAction, FaultSite};
 use crate::fingerprint::{fingerprint_obligation, ObligationFingerprint, ShapeMemo};
-use crate::lower::{lower, Lowerer};
+use crate::lower::Lowerer;
 use crate::obcache::{CachedVerdict, SharedObligationCache};
 use crate::rewrite::Rewriter;
 use crate::sat::{Lit, SatBudget, SatOutcome, SatSolver};
@@ -126,139 +126,16 @@ impl std::fmt::Display for Model {
     }
 }
 
-/// Cumulative statistics across queries.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolverStats {
-    /// Total queries issued.
-    pub queries: u64,
-    /// Queries answered `Sat`.
-    pub sat: u64,
-    /// Queries answered `Unsat`.
-    pub unsat: u64,
-    /// Queries that exhausted a budget.
-    pub budget: u64,
-    /// Total CDCL conflicts.
-    pub conflicts: u64,
-    /// Total CDCL restarts.
-    pub restarts: u64,
-    /// Queries answered from the memo cache.
-    pub cache_hits: u64,
-    /// Entries evicted from the bounded query cache.
-    pub cache_evictions: u64,
-    /// Sessions opened via [`Solver::open_session`].
-    pub sessions_opened: u64,
-    /// Session queries that reused an already-asserted prefix (every
-    /// session query that reached the SAT core without re-lowering or
-    /// re-asserting its prefix).
-    pub prefix_hits: u64,
-    /// Sum over session queries of the learnt clauses already in the
-    /// database when the query started — clause reuse made possible by
-    /// solving under assumptions instead of rebuilding the solver.
-    pub clauses_retained: u64,
-    /// Term nodes translated to CNF (each `blast_node` invocation, in both
-    /// scratch and session modes). The session-vs-scratch ratio of this
-    /// counter is the headline reuse metric.
-    pub terms_blasted: u64,
-    /// Term nodes whose CNF translation was served from a blast memo
-    /// (shared-subterm hits, within and across queries).
-    pub terms_blast_reused: u64,
-    /// Queries discharged by the shared obligation cache (canonical
-    /// fingerprint matched a verdict proven by another function or run).
-    pub obligation_cache_hits: u64,
-    /// Queries that consulted the shared obligation cache and missed.
-    pub obligation_cache_misses: u64,
-    /// Verdicts this solver recorded into the shared obligation cache.
-    pub obligation_cache_stores: u64,
-    /// Rewrite rules fired by obligation normalization (all families).
-    pub rewrite_rules_fired: u64,
-    /// Normalization passes run over obligation roots.
-    pub rewrite_passes: u64,
-    /// Term-DAG nodes eliminated by obligation normalization.
-    pub rewrite_nodes_saved: u64,
-    /// Learnt clauses exempted from CDCL database reduction because their
-    /// literal-block distance was glue-level (LBD ≤ 2).
-    pub lbd_kept: u64,
-    /// Total wall-clock time in the solver.
-    pub time: Duration,
-}
+/// Cumulative solver statistics, declared once in the counter table of
+/// [`keq_trace::SolverCounters`].
+pub use keq_trace::SolverCounters as SolverStats;
 
-impl SolverStats {
-    /// Field-wise accumulation `self + other`, for merging the per-run
-    /// deltas of many corpus functions into one run-level total.
-    pub fn merge(&mut self, other: &SolverStats) {
-        self.queries += other.queries;
-        self.sat += other.sat;
-        self.unsat += other.unsat;
-        self.budget += other.budget;
-        self.conflicts += other.conflicts;
-        self.restarts += other.restarts;
-        self.cache_hits += other.cache_hits;
-        self.cache_evictions += other.cache_evictions;
-        self.sessions_opened += other.sessions_opened;
-        self.prefix_hits += other.prefix_hits;
-        self.clauses_retained += other.clauses_retained;
-        self.terms_blasted += other.terms_blasted;
-        self.terms_blast_reused += other.terms_blast_reused;
-        self.obligation_cache_hits += other.obligation_cache_hits;
-        self.obligation_cache_misses += other.obligation_cache_misses;
-        self.obligation_cache_stores += other.obligation_cache_stores;
-        self.rewrite_rules_fired += other.rewrite_rules_fired;
-        self.rewrite_passes += other.rewrite_passes;
-        self.rewrite_nodes_saved += other.rewrite_nodes_saved;
-        self.lbd_kept += other.lbd_kept;
-        self.time += other.time;
-    }
-
-    /// Field-wise difference `self - earlier`, for reporting the cost of a
-    /// single run when the underlying solver is reused (warm-started)
-    /// across runs. Saturates at zero so a mismatched pair cannot panic.
-    #[must_use]
-    pub fn since(&self, earlier: &SolverStats) -> SolverStats {
-        SolverStats {
-            queries: self.queries.saturating_sub(earlier.queries),
-            sat: self.sat.saturating_sub(earlier.sat),
-            unsat: self.unsat.saturating_sub(earlier.unsat),
-            budget: self.budget.saturating_sub(earlier.budget),
-            conflicts: self.conflicts.saturating_sub(earlier.conflicts),
-            restarts: self.restarts.saturating_sub(earlier.restarts),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_evictions: self.cache_evictions.saturating_sub(earlier.cache_evictions),
-            sessions_opened: self.sessions_opened.saturating_sub(earlier.sessions_opened),
-            prefix_hits: self.prefix_hits.saturating_sub(earlier.prefix_hits),
-            clauses_retained: self.clauses_retained.saturating_sub(earlier.clauses_retained),
-            terms_blasted: self.terms_blasted.saturating_sub(earlier.terms_blasted),
-            terms_blast_reused: self
-                .terms_blast_reused
-                .saturating_sub(earlier.terms_blast_reused),
-            obligation_cache_hits: self
-                .obligation_cache_hits
-                .saturating_sub(earlier.obligation_cache_hits),
-            obligation_cache_misses: self
-                .obligation_cache_misses
-                .saturating_sub(earlier.obligation_cache_misses),
-            obligation_cache_stores: self
-                .obligation_cache_stores
-                .saturating_sub(earlier.obligation_cache_stores),
-            rewrite_rules_fired: self
-                .rewrite_rules_fired
-                .saturating_sub(earlier.rewrite_rules_fired),
-            rewrite_passes: self.rewrite_passes.saturating_sub(earlier.rewrite_passes),
-            rewrite_nodes_saved: self
-                .rewrite_nodes_saved
-                .saturating_sub(earlier.rewrite_nodes_saved),
-            lbd_kept: self.lbd_kept.saturating_sub(earlier.lbd_kept),
-            time: self.time.checked_sub(earlier.time).unwrap_or_default(),
-        }
-    }
-}
-
-/// Cache key for a closed query: the session prefix (empty for scratch
-/// queries) plus the query's own delta, both sorted and deduplicated.
+/// Cache key for a closed query: the session prefix (the whole conjunction
+/// for a scratch query) plus the query's own delta, both sorted and
+/// deduplicated.
 ///
-/// Splitting the key keeps scratch and session answers for the same total
-/// assertion set distinct only in *how* they were asked, never in what they
-/// mean — `prefix ∧ delta` is the query either way, so an outcome cached
-/// under one split is sound to reuse for the identical split. (The two
+/// `prefix ∧ delta` is the query whichever way it is split, so an outcome
+/// cached under one split is sound to reuse for the identical split. (Two
 /// splits of one conjunction could in principle share answers, but
 /// detecting that would cost a normalization pass per lookup.)
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -378,6 +255,170 @@ pub struct Solver {
     /// for benches and differential tests. Inverted so the zero-value
     /// default keeps rewriting on.
     rewrite_disabled: bool,
+}
+
+/// The query helpers of [`Solver`] and [`Session`], written once over each
+/// type's `ask`: a scratch query for the solver, a `prefix ∧ delta` query
+/// for a session.
+macro_rules! query_helpers {
+    () => {
+        /// Checks satisfiability of the conjunction of `assertions` (for a
+        /// session, together with its prefix).
+        pub fn check_sat(&mut self, bank: &mut TermBank, assertions: &[TermId]) -> CheckOutcome {
+            self.ask(bank, assertions, true)
+        }
+
+        /// Proves `⋀ hyps ⇒ goal` by refuting `⋀ hyps ∧ ¬goal`.
+        ///
+        /// Equality goals over expensive operators (division, remainder,
+        /// multiplication) first try a *congruence decomposition* fast
+        /// path: `f(a…) = f(b…)` follows from the argument equalities,
+        /// sparing the SAT core from proving two division circuits
+        /// equivalent — the "dedicated lemmas" the paper wishes Z3 had for
+        /// ISel's strength reductions (§4.7). The decomposition is sound but
+        /// incomplete, so a failed fast path falls back to the monolithic
+        /// query.
+        pub fn prove_implies(
+            &mut self,
+            bank: &mut TermBank,
+            hyps: &[TermId],
+            goal: TermId,
+        ) -> ProofOutcome {
+            if self.prove_eq_by_congruence(bank, hyps, goal, 4) {
+                return ProofOutcome::Proved;
+            }
+            let neg = bank.mk_not(goal);
+            self.refute(bank, hyps, neg)
+        }
+
+        /// Proves `a ⇔ b` under shared hypotheses.
+        pub fn prove_equiv(
+            &mut self,
+            bank: &mut TermBank,
+            hyps: &[TermId],
+            a: TermId,
+            b: TermId,
+        ) -> ProofOutcome {
+            let goal = bank.mk_eq(a, b);
+            self.prove_implies(bank, hyps, goal)
+        }
+
+        /// The §3 positive-form implication: prove `hyp ⇒ target` given that
+        /// `target ∨ ⋁ siblings` is a tautology and `target` is disjoint from
+        /// each sibling (both hold for path conditions of a deterministic
+        /// transition system). Then `hyp ∧ ¬target` is equisatisfiable with
+        /// `hyp ∧ ⋁ siblings`, which avoids negating `target`.
+        pub fn prove_implies_positive(
+            &mut self,
+            bank: &mut TermBank,
+            hyp: &[TermId],
+            siblings: &[TermId],
+        ) -> ProofOutcome {
+            let disj = bank.mk_or(siblings.iter().copied());
+            self.refute(bank, hyp, disj)
+        }
+
+        /// Is the conjunction of `assertions` satisfiable at all? Used to
+        /// prune infeasible symbolic branches. Budget exhaustion is
+        /// collapsed to `None`; callers that must classify the exhaustion
+        /// (e.g. the Fig. 6 failure rows) use `feasibility`.
+        pub fn is_feasible(&mut self, bank: &mut TermBank, assertions: &[TermId]) -> Option<bool> {
+            self.feasibility(bank, assertions).ok()
+        }
+
+        /// `is_feasible` preserving the budget kind on exhaustion, so a
+        /// term-limit hit inside a feasibility query still classifies as
+        /// the out-of-memory row rather than a conflict timeout.
+        ///
+        /// # Errors
+        ///
+        /// Returns the exhausted [`BudgetKind`] when the query ran out of
+        /// budget before deciding satisfiability.
+        pub fn feasibility(
+            &mut self,
+            bank: &mut TermBank,
+            assertions: &[TermId],
+        ) -> Result<bool, BudgetKind> {
+            // The model is discarded: a cached model-free `Sat` may answer.
+            match self.ask(bank, assertions, false) {
+                CheckOutcome::Sat(_) => Ok(true),
+                CheckOutcome::Unsat => Ok(false),
+                CheckOutcome::Budget(k) => Err(k),
+            }
+        }
+
+        /// `Proved` when `⋀ hyps ∧ extra` is unsatisfiable.
+        fn refute(&mut self, bank: &mut TermBank, hyps: &[TermId], extra: TermId) -> ProofOutcome {
+            let mut assertions = hyps.to_vec();
+            assertions.push(extra);
+            match self.check_sat(bank, &assertions) {
+                CheckOutcome::Unsat => ProofOutcome::Proved,
+                CheckOutcome::Sat(m) => ProofOutcome::Refuted(m),
+                CheckOutcome::Budget(k) => ProofOutcome::Budget(k),
+            }
+        }
+
+        /// The congruence fast path of `prove_implies`: `f(a…) = f(b…)`
+        /// follows from the argument equalities, each refuted on its own.
+        /// Sound but incomplete, so `false` only means "fall back to the
+        /// monolithic query".
+        fn prove_eq_by_congruence(
+            &mut self,
+            bank: &mut TermBank,
+            hyps: &[TermId],
+            goal: TermId,
+            depth: u32,
+        ) -> bool {
+            if depth == 0 {
+                return false;
+            }
+            let node = bank.node(goal).clone();
+            if node.op != Op::Eq {
+                return false;
+            }
+            let (a, b) = (node.args[0], node.args[1]);
+            if a == b {
+                return true;
+            }
+            let na = bank.node(a).clone();
+            let nb = bank.node(b).clone();
+            // Only worth decomposing when an expensive circuit lurks inside;
+            // otherwise the monolithic query is cheap and more complete.
+            if na.op != nb.op
+                || na.args.len() != nb.args.len()
+                || na.args.is_empty()
+                || matches!(na.op, Op::Select | Op::Store | Op::Ite)
+                || !contains_expensive(bank, a)
+            {
+                return false;
+            }
+            for (&x, &y) in na.args.iter().zip(&nb.args) {
+                // Width-parameterised ops (extract, extensions) can share an
+                // op while taking differently-sorted arguments; positional
+                // pairing is meaningless there, so leave it to the
+                // monolithic query.
+                if bank.sort(x) != bank.sort(y) {
+                    return false;
+                }
+                let eq = bank.mk_eq(x, y);
+                if bank.as_bool_const(eq) == Some(true) {
+                    continue;
+                }
+                let sub_ok = self.prove_eq_by_congruence(bank, hyps, eq, depth - 1) || {
+                    // Refutation probes only ask "unsat?": a cached
+                    // model-free `Sat` answer is as good as a computed one.
+                    let neg = bank.mk_not(eq);
+                    let mut assertions = hyps.to_vec();
+                    assertions.push(neg);
+                    matches!(self.ask(bank, &assertions, false), CheckOutcome::Unsat)
+                };
+                if !sub_ok {
+                    return false;
+                }
+            }
+            true
+        }
+    };
 }
 
 impl Solver {
@@ -508,364 +549,73 @@ impl Solver {
         keq_trace::emit(keq_trace::Event::CacheStore { fp: fp.lo64() });
     }
 
-    /// The shared per-query entry preamble: fault-injection poll first, then
-    /// cooperative cancellation. Every query entry point (scratch
-    /// [`Solver::check_sat`] and every [`Session`] query) funnels through
-    /// this one guard so a new entry point cannot forget a poll.
-    ///
-    /// Returns `Some` with the forced outcome when the query must not run.
+    /// The per-query entry guard: fault-injection poll first, then
+    /// cooperative cancellation. Returns `Some` with the forced outcome
+    /// when the query must not run.
     fn query_guard(&mut self) -> Option<CheckOutcome> {
         if let FaultAction::ForceBudget(kind) = fault::poll(FaultSite::SolverQuery) {
-            self.stats.budget += 1;
             return Some(CheckOutcome::Budget(kind));
         }
         if stop_requested(None, self.cancel.as_ref()).is_some() {
-            self.stats.budget += 1;
             return Some(CheckOutcome::Budget(BudgetKind::WallClock));
         }
         None
     }
 
-    /// Runs the saturating rewriter over one obligation's roots, folding the
-    /// rewrite deltas into [`SolverStats`]. `Err` means the rewrite pass
-    /// observed cooperative cancellation mid-obligation; the caller maps it
-    /// to a wall-clock budget outcome exactly like [`Solver::query_guard`].
+    /// Runs the saturating rewriter over one obligation's roots (returning
+    /// them unchanged while normalization is disabled), folding the rewrite
+    /// deltas into [`SolverStats`]. `None` means the rewrite pass observed
+    /// cooperative cancellation mid-obligation.
     fn normalize_obligation(
         &mut self,
         bank: &mut TermBank,
-        terms: &[TermId],
-    ) -> Result<Vec<TermId>, CheckOutcome> {
-        match self.rewriter.normalize(bank, terms, self.cancel.as_ref()) {
-            Some((out, delta)) => {
-                self.stats.rewrite_rules_fired += delta.total_fired();
-                self.stats.rewrite_passes += delta.passes;
-                self.stats.rewrite_nodes_saved += delta.nodes_saved();
-                Ok(out)
-            }
-            None => Err(CheckOutcome::Budget(BudgetKind::WallClock)),
+        terms: Vec<TermId>,
+    ) -> Option<Vec<TermId>> {
+        if self.rewrite_disabled {
+            return Some(terms);
         }
+        let (out, delta) = self.rewriter.normalize(bank, &terms, self.cancel.as_ref())?;
+        self.stats.rewrite_rules_fired += delta.total_fired();
+        self.stats.rewrite_passes += delta.passes;
+        self.stats.rewrite_nodes_saved += delta.nodes_saved();
+        Some(out)
     }
 
-    /// Checks satisfiability of the conjunction of `assertions`.
-    pub fn check_sat(&mut self, bank: &mut TermBank, assertions: &[TermId]) -> CheckOutcome {
-        self.check_sat_opts(bank, assertions, true)
-    }
-
-    /// [`Solver::check_sat`] with the model requirement explicit: callers
-    /// that discard the model (feasibility pruning, congruence refutation
-    /// probes) pass `needs_model = false` and may be answered by a cached
-    /// model-free `Sat` verdict.
-    fn check_sat_opts(
+    /// A scratch query: the empty-delta case of a one-shot session whose
+    /// prefix is the whole conjunction.
+    fn ask(
         &mut self,
         bank: &mut TermBank,
         assertions: &[TermId],
         needs_model: bool,
     ) -> CheckOutcome {
-        let start = Instant::now();
-        self.stats.queries += 1;
-        if let Some(forced) = self.query_guard() {
-            return forced;
-        }
-        let stats_before = self.stats;
-        // Normalize before key construction so the local memo, the shared
-        // fingerprint, and the blasting pipeline all see the same terms.
-        let normalized: Vec<TermId>;
-        let assertions: &[TermId] = if self.rewrite_disabled {
-            assertions
-        } else {
-            match self.normalize_obligation(bank, assertions) {
-                Ok(terms) => {
-                    normalized = terms;
-                    &normalized
-                }
-                Err(outcome) => {
-                    self.stats.budget += 1;
-                    self.stats.time += start.elapsed();
-                    trace_query(
-                        "scratch",
-                        &outcome,
-                        false,
-                        start.elapsed(),
-                        &self.stats.since(&stats_before),
-                    );
-                    return outcome;
-                }
-            }
-        };
-        let key = QueryKey::new(&[], assertions);
-        if let Some(hit) = self.cache.get(&key) {
-            self.stats.cache_hits += 1;
-            let outcome = hit.clone();
-            trace_query("scratch", &outcome, true, start.elapsed(), &self.stats.since(&stats_before));
-            return outcome;
-        }
-        // Shared obligation cache: consulted only on a local miss and
-        // strictly before lowering/bit-blasting, so a cross-function hit
-        // skips the whole pipeline.
-        let (fp, shared_hit) = self.shared_lookup(bank, &[assertions], needs_model);
-        if let Some(verdict) = shared_hit {
-            let outcome = match verdict {
-                CachedVerdict::Unsat => {
-                    // Model-free by nature: safe to memoize locally too.
-                    self.cache.insert(
-                        key,
-                        CheckOutcome::Unsat,
-                        &mut self.stats.cache_evictions,
-                    );
-                    self.stats.unsat += 1;
-                    CheckOutcome::Unsat
-                }
-                CachedVerdict::Sat => {
-                    // The empty model must not enter the local memo: a
-                    // later model-needing pose of the same key would be
-                    // served a witness-free counterexample.
-                    self.stats.sat += 1;
-                    CheckOutcome::Sat(Model::default())
-                }
-            };
-            self.stats.time += start.elapsed();
-            trace_query("scratch", &outcome, true, start.elapsed(), &self.stats.since(&stats_before));
-            return outcome;
-        }
-        let outcome = self.check_sat_inner(bank, assertions);
-        if !matches!(outcome, CheckOutcome::Budget(_)) {
-            self.cache.insert(key, outcome.clone(), &mut self.stats.cache_evictions);
-        }
-        self.shared_store(fp, &outcome);
-        match &outcome {
-            CheckOutcome::Sat(_) => self.stats.sat += 1,
-            CheckOutcome::Unsat => self.stats.unsat += 1,
-            CheckOutcome::Budget(_) => self.stats.budget += 1,
-        }
-        self.stats.time += start.elapsed();
-        trace_query("scratch", &outcome, false, start.elapsed(), &self.stats.since(&stats_before));
-        outcome
+        Session::new(self, assertions.to_vec(), "scratch").ask(bank, &[], needs_model)
     }
 
-    fn check_sat_inner(&mut self, bank: &mut TermBank, assertions: &[TermId]) -> CheckOutcome {
-        // Fast path: constant assertions.
-        let mut live = Vec::with_capacity(assertions.len());
-        for &a in assertions {
-            debug_assert!(bank.sort(a).is_bool(), "assertion must be boolean");
-            match bank.as_bool_const(a) {
-                Some(true) => {}
-                Some(false) => return CheckOutcome::Unsat,
-                None => live.push(a),
-            }
-        }
-        if live.is_empty() {
-            return CheckOutcome::Sat(Model::default());
-        }
-        let lowered = {
-            let _s = keq_trace::span(keq_trace::Phase::Lower);
-            match lower(bank, &live, self.budget.max_terms) {
-                Ok(l) => l,
-                Err(_) => return CheckOutcome::Budget(BudgetKind::Terms),
-            }
-        };
-        let mut sat = SatSolver::new();
-        let mut blast = BlastCache::new();
-        let mut lowered_asserts = Vec::new();
-        {
-            let _s = keq_trace::span(keq_trace::Phase::Blast);
-            let mut blaster = BitBlaster::new(bank, &mut sat, &mut blast);
-            for &a in lowered.assertions.iter().chain(&lowered.side_conditions) {
-                match bank.as_bool_const(a) {
-                    Some(true) => {}
-                    Some(false) => return CheckOutcome::Unsat,
-                    None => {
-                        blaster.assert_term(a);
-                        lowered_asserts.push(a);
-                    }
-                }
-            }
-        }
-        self.stats.terms_blasted += blast.terms_blasted();
-        self.stats.terms_blast_reused += blast.terms_reused();
-        let var_bits = blast.var_bits().clone();
-        let bool_vars = blast.bool_vars().clone();
-        let deadline = self.budget.max_time.map(|d| Instant::now() + d);
-        let cdcl_span = keq_trace::span(keq_trace::Phase::Cdcl);
-        let sat_outcome = sat.solve_with_limits(
-            Some(self.budget.max_conflicts),
-            deadline,
-            self.cancel.as_ref(),
-        );
-        cdcl_span.done();
-        self.stats.conflicts += sat.conflicts();
-        self.stats.restarts += sat.restarts();
-        self.stats.lbd_kept += sat.lbd_kept();
-        match sat_outcome {
-            SatOutcome::Unsat => CheckOutcome::Unsat,
-            SatOutcome::Budget(kind) => CheckOutcome::Budget(match kind {
-                SatBudget::Conflicts => BudgetKind::Conflicts,
-                SatBudget::Deadline => BudgetKind::WallClock,
-            }),
-            SatOutcome::Sat(bits) => {
-                let (model, asg) = extract_model(bank, &var_bits, &bool_vars, &bits);
-                // Validate the model against the lowered formula; a failure
-                // here indicates a bit-blasting bug and must be loud.
-                for &a in &lowered_asserts {
-                    debug_assert_eq!(
-                        eval(bank, a, &asg),
-                        Value::Bool(true),
-                        "model does not satisfy lowered assertion {}",
-                        bank.display(a)
-                    );
-                }
-                CheckOutcome::Sat(model)
-            }
-        }
-    }
+    query_helpers!();
 
-    /// Proves `⋀ hyps ⇒ goal` by refuting `⋀ hyps ∧ ¬goal`.
-    ///
-    /// Equality goals over expensive operators (division, remainder,
-    /// multiplication) first try a *congruence decomposition* fast path:
-    /// `f(a…) = f(b…)` follows from the argument equalities, sparing the
-    /// SAT core from proving two division circuits equivalent — the
-    /// "dedicated lemmas" the paper wishes Z3 had for ISel's strength
-    /// reductions (§4.7). The decomposition is sound but incomplete, so a
-    /// failed fast path falls back to the monolithic query.
-    pub fn prove_implies(
-        &mut self,
-        bank: &mut TermBank,
-        hyps: &[TermId],
-        goal: TermId,
-    ) -> ProofOutcome {
-        let mut refute =
-            |bank: &mut TermBank, solver: &mut Self, assertions: &[TermId]| {
-                // Refutation probes only ask "unsat?": a cached model-free
-                // `Sat` answer is as good as a computed one.
-                matches!(solver.check_sat_opts(bank, assertions, false), CheckOutcome::Unsat)
-            };
-        if prove_eq_by_congruence(bank, self, hyps, goal, 4, &mut refute) {
-            return ProofOutcome::Proved;
-        }
-        let neg = bank.mk_not(goal);
-        let mut assertions = hyps.to_vec();
-        assertions.push(neg);
-        match self.check_sat(bank, &assertions) {
-            CheckOutcome::Unsat => ProofOutcome::Proved,
-            CheckOutcome::Sat(m) => ProofOutcome::Refuted(m),
-            CheckOutcome::Budget(k) => ProofOutcome::Budget(k),
-        }
-    }
-
-    /// Proves `a ⇔ b` under shared hypotheses.
-    pub fn prove_equiv(
-        &mut self,
-        bank: &mut TermBank,
-        hyps: &[TermId],
-        a: TermId,
-        b: TermId,
-    ) -> ProofOutcome {
-        let goal = bank.mk_eq(a, b);
-        self.prove_implies(bank, hyps, goal)
-    }
-
-    /// The §3 positive-form implication: prove `hyp ⇒ target` given that
-    /// `target ∨ ⋁ siblings` is a tautology and `target` is disjoint from
-    /// each sibling (both hold for path conditions of a deterministic
-    /// transition system). Then `hyp ∧ ¬target` is equisatisfiable with
-    /// `hyp ∧ ⋁ siblings`, which avoids negating `target`.
-    pub fn prove_implies_positive(
-        &mut self,
-        bank: &mut TermBank,
-        hyp: &[TermId],
-        siblings: &[TermId],
-    ) -> ProofOutcome {
-        let disj = bank.mk_or(siblings.iter().copied());
-        let mut assertions = hyp.to_vec();
-        assertions.push(disj);
-        match self.check_sat(bank, &assertions) {
-            CheckOutcome::Unsat => ProofOutcome::Proved,
-            CheckOutcome::Sat(m) => ProofOutcome::Refuted(m),
-            CheckOutcome::Budget(k) => ProofOutcome::Budget(k),
-        }
-    }
-
-    /// Convenience: is the conjunction of `assertions` satisfiable at all?
-    /// Used to prune infeasible symbolic branches. Budget exhaustion is
-    /// collapsed to `None`; callers that must classify the exhaustion
-    /// (e.g. the Fig. 6 failure rows) use [`Solver::feasibility`].
-    pub fn is_feasible(&mut self, bank: &mut TermBank, assertions: &[TermId]) -> Option<bool> {
-        self.feasibility(bank, assertions).ok()
-    }
-
-    /// [`Solver::is_feasible`] preserving the budget kind on exhaustion,
-    /// so a term-limit hit inside a feasibility query still classifies as
-    /// the out-of-memory row rather than a conflict timeout.
-    ///
-    /// # Errors
-    ///
-    /// Returns the exhausted [`BudgetKind`] when the query ran out of
-    /// budget before deciding satisfiability.
-    pub fn feasibility(
-        &mut self,
-        bank: &mut TermBank,
-        assertions: &[TermId],
-    ) -> Result<bool, BudgetKind> {
-        // The model is discarded: a cached model-free `Sat` may answer.
-        match self.check_sat_opts(bank, assertions, false) {
-            CheckOutcome::Sat(_) => Ok(true),
-            CheckOutcome::Unsat => Ok(false),
-            CheckOutcome::Budget(k) => Err(k),
-        }
-    }
-
-    /// Opens an incremental session whose `prefix` conjunction is lowered,
-    /// bit-blasted, and asserted **once**; every query through the session
-    /// is answered under `prefix ∧ delta` with only the delta lowered per
-    /// call. This is the paper's use of Z3's incremental interface: all of
-    /// a sync point's obligations share `assumptions ∧ path(n1) ∧ path(n2)`
-    /// prefixes, so re-asserting them per query wastes
-    /// O(queries × prefix) work.
+    /// Opens an incremental session: every query through it is answered
+    /// under `prefix ∧ delta`, with the prefix lowered, bit-blasted, and
+    /// asserted **once**. This is the paper's use of Z3's incremental
+    /// interface: all of a sync point's obligations share
+    /// `assumptions ∧ path(n1) ∧ path(n2)` prefixes, so re-asserting them
+    /// per query wastes O(queries × prefix) work.
     ///
     /// The session borrows the solver exclusively (stats, budget, cache and
-    /// cancellation are shared); it is tied to `bank` for its whole life —
-    /// pass the *same* bank to every subsequent call.
-    pub fn open_session<'s>(&'s mut self, bank: &mut TermBank, prefix: &[TermId]) -> Session<'s> {
+    /// cancellation are shared). Every query must pass the *same* bank: the
+    /// session's memos key on its `TermId`s.
+    pub fn open_session(&mut self, prefix: &[TermId]) -> Session<'_> {
         self.stats.sessions_opened += 1;
         keq_trace::emit(keq_trace::Event::SessionOpened { prefix_len: prefix.len() as u64 });
-        // Normalize the prefix up front: every query key, fingerprint, and
-        // lowered assertion derives from it. Cancellation mid-normalize
-        // poisons the session the same way a prefix budget blowout does.
-        let (prefix, poisoned) = if self.rewrite_disabled {
-            (prefix.to_vec(), None)
-        } else {
-            match self.normalize_obligation(bank, prefix) {
-                Ok(terms) => (terms, None),
-                Err(_) => (prefix.to_vec(), Some(BudgetKind::WallClock)),
-            }
-        };
-        let mut key_prefix = prefix.clone();
-        key_prefix.sort_unstable();
-        key_prefix.dedup();
-        let mut session = Session {
-            prefix: key_prefix,
-            sat: SatSolver::new(),
-            lowerer: Lowerer::new(),
-            blast: BlastCache::new(),
-            activation: HashMap::new(),
-            hard_asserts: Vec::new(),
-            state: match poisoned {
-                Some(kind) => SessionState::Poisoned(kind),
-                None => SessionState::Live,
-            },
-            solver: self,
-        };
-        if poisoned.is_none() {
-            session.assert_prefix(bank, &prefix);
-        }
-        session
+        Session::new(self, prefix.to_vec(), "session")
     }
 }
 
 /// How far a session got asserting its prefix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum SessionState {
     /// Prefix asserted; queries run incrementally.
+    #[default]
     Live,
     /// The prefix alone is constant-false: every query answers `Unsat`
     /// without touching the SAT core.
@@ -874,15 +624,20 @@ enum SessionState {
     Poisoned(BudgetKind),
 }
 
-/// An incremental solving session: a shared prefix asserted once, per-query
-/// deltas guarded behind activation literals, and persistent lowering/
-/// bit-blasting memos ([`Lowerer`], [`BlastCache`]) plus one [`SatSolver`]
-/// that retains its learnt clauses across queries.
+/// An incremental solving session: a shared prefix asserted once and
+/// per-query deltas guarded behind activation literals. A scratch
+/// [`Solver::check_sat`] is the one-shot case: a session whose prefix is
+/// the whole conjunction, asked once with an empty delta.
+///
+/// The prefix is normalized by the first query, and lowered, bit-blasted
+/// and asserted by the first query that misses both the local memo and
+/// the shared obligation cache. A session answered entirely from the
+/// caches never builds its SAT state.
 ///
 /// Invariants (violating any is a logic error, not UB):
 ///
-/// - one bank: every call must pass the same [`TermBank`] the session was
-///   opened with — the memos key on its `TermId`s;
+/// - one bank: every call must pass the same [`TermBank`] — the memos key
+///   on its `TermId`s;
 /// - activation literals are 1:1 with unique *lowered* delta assertions:
 ///   delta `d` gets a fresh SAT variable `a_d` and the hard clause
 ///   `¬a_d ∨ lit(d)`, and a query assumes exactly the `a_d` of its own
@@ -897,8 +652,24 @@ enum SessionState {
 #[derive(Debug)]
 pub struct Session<'s> {
     solver: &'s mut Solver,
-    /// Sorted, deduplicated prefix — the cache-key component.
+    /// The `SolverQuery` trace mode: `"scratch"` or `"session"`.
+    mode: &'static str,
+    /// The prefix in assertion order; normalized by the first query.
     prefix: Vec<TermId>,
+    /// Whether `prefix` and `key_prefix` are normalized yet.
+    normalized: bool,
+    /// The normalized prefix, sorted and deduplicated — the memo-key
+    /// component.
+    key_prefix: Vec<TermId>,
+    /// The SAT side, built by the first query that reaches the SAT core.
+    engine: Option<Engine>,
+}
+
+/// The SAT side of a session: persistent lowering/bit-blasting memos
+/// ([`Lowerer`], [`BlastCache`]) plus one [`SatSolver`] that retains its
+/// learnt clauses across queries.
+#[derive(Debug, Default)]
+struct Engine {
     sat: SatSolver,
     lowerer: Lowerer,
     blast: BlastCache,
@@ -911,17 +682,130 @@ pub struct Session<'s> {
 }
 
 impl<'s> Session<'s> {
-    /// The session's (sorted, deduplicated) prefix.
-    pub fn prefix(&self) -> &[TermId] {
-        &self.prefix
+    fn new(solver: &'s mut Solver, prefix: Vec<TermId>, mode: &'static str) -> Self {
+        Session { solver, mode, prefix, normalized: false, key_prefix: Vec::new(), engine: None }
     }
 
-    /// Number of unique delta assertions guarded so far.
-    pub fn guarded_deltas(&self) -> usize {
-        self.activation.len()
+    query_helpers!();
+
+    /// The one query path, for scratch and session queries alike: the
+    /// fault/cancel guard, normalization, the local memo, the shared
+    /// obligation cache, and only then the SAT core. Every call is one
+    /// counted query: it counts its outcome, adds its wall time to
+    /// [`SolverStats::time`], and emits exactly one `SolverQuery` event.
+    fn ask(
+        &mut self,
+        bank: &mut TermBank,
+        delta: &[TermId],
+        needs_model: bool,
+    ) -> CheckOutcome {
+        let start = Instant::now();
+        let before = self.solver.stats;
+        let (outcome, cache_hit) = self.answer(bank, delta, needs_model);
+        let stats = &mut self.solver.stats;
+        stats.queries += 1;
+        match &outcome {
+            CheckOutcome::Sat(_) => stats.sat += 1,
+            CheckOutcome::Unsat => stats.unsat += 1,
+            CheckOutcome::Budget(_) => stats.budget += 1,
+        }
+        let dur = start.elapsed();
+        stats.time += dur;
+        trace_query(self.mode, &outcome, cache_hit, dur, stats, &before);
+        outcome
     }
 
-    fn assert_prefix(&mut self, bank: &mut TermBank, prefix: &[TermId]) {
+    /// [`Session::ask`] without the accounting; the flag says whether the
+    /// local memo or the shared cache answered.
+    fn answer(
+        &mut self,
+        bank: &mut TermBank,
+        delta: &[TermId],
+        needs_model: bool,
+    ) -> (CheckOutcome, bool) {
+        if let Some(forced) = self.solver.query_guard() {
+            return (forced, false);
+        }
+        // Normalize before key construction so the memo, the shared
+        // fingerprint, and the SAT core all see the same terms. The first
+        // query normalizes the prefix together with its own delta.
+        let roots =
+            if self.normalized { delta.to_vec() } else { [self.prefix.as_slice(), delta].concat() };
+        let Some(mut delta) = self.solver.normalize_obligation(bank, roots) else {
+            return (CheckOutcome::Budget(BudgetKind::WallClock), false);
+        };
+        if !self.normalized {
+            let own = delta.split_off(self.prefix.len());
+            self.prefix = std::mem::replace(&mut delta, own);
+            self.key_prefix = self.prefix.clone();
+            self.key_prefix.sort_unstable();
+            self.key_prefix.dedup();
+            self.normalized = true;
+        }
+        let key = QueryKey::new(&self.key_prefix, &delta);
+        if let Some(hit) = self.solver.cache.get(&key) {
+            self.solver.stats.cache_hits += 1;
+            return (hit.clone(), true);
+        }
+        // Shared obligation cache: consulted only on a memo miss and
+        // strictly before lowering/bit-blasting. The fingerprint covers
+        // prefix ∧ delta, so a hit matches any way of posing the same
+        // conjunction, by this or any other function.
+        let (fp, shared_hit) =
+            self.solver.shared_lookup(bank, &[&self.key_prefix, &delta], needs_model);
+        let outcome = match shared_hit {
+            // The empty model must not enter the memo: a later
+            // model-needing pose of the same key would be served a
+            // witness-free counterexample.
+            Some(CachedVerdict::Sat) => return (CheckOutcome::Sat(Model::default()), true),
+            Some(CachedVerdict::Unsat) => CheckOutcome::Unsat,
+            None => {
+                let outcome = self.solve(bank, &delta);
+                self.solver.shared_store(fp, &outcome);
+                outcome
+            }
+        };
+        if !matches!(outcome, CheckOutcome::Budget(_)) {
+            self.solver.cache.insert(key, outcome.clone(), &mut self.solver.stats.cache_evictions);
+        }
+        (outcome, shared_hit.is_some())
+    }
+
+    /// Answers `prefix ∧ delta` in the SAT core. The first call builds the
+    /// session's SAT state and asserts the prefix.
+    fn solve(&mut self, bank: &mut TermBank, delta: &[TermId]) -> CheckOutcome {
+        let mut live = Vec::with_capacity(delta.len());
+        for &a in delta {
+            debug_assert!(bank.sort(a).is_bool(), "assertion must be boolean");
+            match bank.as_bool_const(a) {
+                Some(true) => {}
+                Some(false) => return CheckOutcome::Unsat,
+                None => live.push(a),
+            }
+        }
+        let solver = &mut *self.solver;
+        let prefix_reused = self.engine.is_some();
+        let engine = self.engine.get_or_insert_with(Engine::default);
+        let blasted = engine.blast.terms_blasted();
+        let blast_reused = engine.blast.terms_reused();
+        if !prefix_reused {
+            engine.assert_prefix(bank, &self.prefix, solver.budget.max_terms);
+        }
+        let outcome = match engine.state {
+            SessionState::Live => engine.check(bank, &live, prefix_reused, solver),
+            SessionState::Unsat => CheckOutcome::Unsat,
+            SessionState::Poisoned(kind) => CheckOutcome::Budget(kind),
+        };
+        solver.stats.terms_blasted += engine.blast.terms_blasted() - blasted;
+        solver.stats.terms_blast_reused += engine.blast.terms_reused() - blast_reused;
+        outcome
+    }
+}
+
+impl Engine {
+    /// Lowers, bit-blasts, and hard-asserts the prefix, recording in
+    /// `state` a prefix that is constant-false or blows the term budget.
+    fn assert_prefix(&mut self, bank: &mut TermBank, prefix: &[TermId], max_terms: usize) {
         let mut live = Vec::with_capacity(prefix.len());
         for &a in prefix {
             debug_assert!(bank.sort(a).is_bool(), "prefix assertion must be boolean");
@@ -934,16 +818,17 @@ impl<'s> Session<'s> {
                 None => live.push(a),
             }
         }
-        let max_terms = self.solver.budget.max_terms;
-        let lowered = match self.lowerer.lower_incremental(bank, &live, max_terms) {
-            Ok(l) => l,
-            Err(_) => {
-                self.state = SessionState::Poisoned(BudgetKind::Terms);
-                return;
+        let lowered = {
+            let _s = keq_trace::span(keq_trace::Phase::Lower);
+            match self.lowerer.lower_incremental(bank, &live, max_terms) {
+                Ok(l) => l,
+                Err(_) => {
+                    self.state = SessionState::Poisoned(BudgetKind::Terms);
+                    return;
+                }
             }
         };
-        let blasted_before = self.blast.terms_blasted();
-        let reused_before = self.blast.terms_reused();
+        let _s = keq_trace::span(keq_trace::Phase::Blast);
         let mut blaster = BitBlaster::new(bank, &mut self.sat, &mut self.blast);
         for &a in lowered.assertions.iter().chain(&lowered.side_conditions) {
             match bank.as_bool_const(a) {
@@ -958,163 +843,28 @@ impl<'s> Session<'s> {
                 }
             }
         }
-        self.solver.stats.terms_blasted += self.blast.terms_blasted() - blasted_before;
-        self.solver.stats.terms_blast_reused += self.blast.terms_reused() - reused_before;
     }
 
-    /// Checks satisfiability of `prefix ∧ delta`.
-    ///
-    /// Mirrors [`Solver::check_sat`]: same entry guard, same stats, same
-    /// bounded cache (keyed on prefix+delta), budgeted outcomes never
-    /// cached.
-    pub fn check_sat(&mut self, bank: &mut TermBank, delta: &[TermId]) -> CheckOutcome {
-        self.check_sat_opts(bank, delta, true)
-    }
-
-    /// [`Session::check_sat`] with the model requirement explicit — the
-    /// session analogue of `Solver::check_sat_opts`.
-    fn check_sat_opts(
+    /// Checks the asserted prefix together with the non-constant delta
+    /// assertions `live`, assuming the activation literals of this query
+    /// alone. `prefix_reused` says whether an earlier query asserted the
+    /// prefix.
+    fn check(
         &mut self,
         bank: &mut TermBank,
-        delta: &[TermId],
-        needs_model: bool,
+        live: &[TermId],
+        prefix_reused: bool,
+        solver: &mut Solver,
     ) -> CheckOutcome {
-        let start = Instant::now();
-        self.solver.stats.queries += 1;
-        if let Some(forced) = self.solver.query_guard() {
-            return forced;
-        }
-        let stats_before = self.solver.stats;
-        match self.state {
-            SessionState::Unsat => {
-                self.solver.stats.unsat += 1;
-                let outcome = CheckOutcome::Unsat;
-                self.trace("session", &outcome, false, start, &stats_before);
-                return outcome;
-            }
-            SessionState::Poisoned(k) => {
-                self.solver.stats.budget += 1;
-                let outcome = CheckOutcome::Budget(k);
-                self.trace("session", &outcome, false, start, &stats_before);
-                return outcome;
-            }
-            SessionState::Live => {}
-        }
-        // Normalize the delta before key construction (the prefix was
-        // normalized at `open_session`); repeat deltas hit the rewriter's
-        // memo and cost one hash lookup per root.
-        let normalized: Vec<TermId>;
-        let delta: &[TermId] = if self.solver.rewrite_disabled {
-            delta
-        } else {
-            match self.solver.normalize_obligation(bank, delta) {
-                Ok(terms) => {
-                    normalized = terms;
-                    &normalized
-                }
-                Err(outcome) => {
-                    self.solver.stats.budget += 1;
-                    self.solver.stats.time += start.elapsed();
-                    self.trace("session", &outcome, false, start, &stats_before);
-                    return outcome;
-                }
-            }
-        };
-        let key = QueryKey::new(&self.prefix, delta);
-        if let Some(hit) = self.solver.cache.get(&key) {
-            self.solver.stats.cache_hits += 1;
-            let outcome = hit.clone();
-            self.trace("session", &outcome, true, start, &stats_before);
-            return outcome;
-        }
-        // Shared obligation cache: the fingerprint covers prefix ∧ delta,
-        // so the session split matches any other way of posing the same
-        // conjunction (including scratch queries and other functions'
-        // sessions over isomorphic obligations).
-        let (fp, shared_hit) = self.solver.shared_lookup(bank, &[&self.prefix, delta], needs_model);
-        if let Some(verdict) = shared_hit {
-            let outcome = match verdict {
-                CachedVerdict::Unsat => {
-                    // Model-free by nature: safe to memoize locally too.
-                    self.solver.cache.insert(
-                        key,
-                        CheckOutcome::Unsat,
-                        &mut self.solver.stats.cache_evictions,
-                    );
-                    self.solver.stats.unsat += 1;
-                    CheckOutcome::Unsat
-                }
-                CachedVerdict::Sat => {
-                    // The empty model must not enter the local memo: a
-                    // later model-needing pose of the same key would be
-                    // served a witness-free counterexample.
-                    self.solver.stats.sat += 1;
-                    CheckOutcome::Sat(Model::default())
-                }
-            };
-            self.solver.stats.time += start.elapsed();
-            self.trace("session", &outcome, true, start, &stats_before);
-            return outcome;
-        }
-        let outcome = self.check_sat_inner(bank, delta);
-        if !matches!(outcome, CheckOutcome::Budget(_)) {
-            self.solver
-                .cache
-                .insert(key, outcome.clone(), &mut self.solver.stats.cache_evictions);
-        }
-        self.solver.shared_store(fp, &outcome);
-        match &outcome {
-            CheckOutcome::Sat(_) => self.solver.stats.sat += 1,
-            CheckOutcome::Unsat => self.solver.stats.unsat += 1,
-            CheckOutcome::Budget(_) => self.solver.stats.budget += 1,
-        }
-        self.solver.stats.time += start.elapsed();
-        self.trace("session", &outcome, false, start, &stats_before);
-        outcome
-    }
-
-    fn trace(
-        &self,
-        mode: &'static str,
-        outcome: &CheckOutcome,
-        cache_hit: bool,
-        start: Instant,
-        stats_before: &SolverStats,
-    ) {
-        trace_query(
-            mode,
-            outcome,
-            cache_hit,
-            start.elapsed(),
-            &self.solver.stats.since(stats_before),
-        );
-    }
-
-    fn check_sat_inner(&mut self, bank: &mut TermBank, delta: &[TermId]) -> CheckOutcome {
-        let mut live = Vec::with_capacity(delta.len());
-        for &a in delta {
-            debug_assert!(bank.sort(a).is_bool(), "delta assertion must be boolean");
-            match bank.as_bool_const(a) {
-                Some(true) => {}
-                Some(false) => return CheckOutcome::Unsat,
-                None => live.push(a),
-            }
-        }
         let lowered = {
             let _s = keq_trace::span(keq_trace::Phase::Lower);
-            match self
-                .lowerer
-                .lower_incremental(bank, &live, self.solver.budget.max_terms)
-            {
+            match self.lowerer.lower_incremental(bank, live, solver.budget.max_terms) {
                 Ok(l) => l,
                 Err(_) => return CheckOutcome::Budget(BudgetKind::Terms),
             }
         };
-        // From here on the query reuses the already-asserted prefix.
-        self.solver.stats.prefix_hits += 1;
-        self.solver.stats.clauses_retained += self.sat.learnt_clauses() as u64;
-        let blasted_before = self.blast.terms_blasted();
-        let reused_before = self.blast.terms_reused();
+        solver.stats.prefix_hits += u64::from(prefix_reused);
+        solver.stats.clauses_retained += self.sat.learnt_clauses() as u64;
         let mut delta_lits: Vec<(TermId, Lit)> = Vec::new();
         {
             let _s = keq_trace::span(keq_trace::Phase::Blast);
@@ -1139,8 +889,6 @@ impl<'s> Session<'s> {
                 }
             }
         }
-        self.solver.stats.terms_blasted += self.blast.terms_blasted() - blasted_before;
-        self.solver.stats.terms_blast_reused += self.blast.terms_reused() - reused_before;
         let mut assumptions: Vec<Lit> = Vec::with_capacity(delta_lits.len());
         let mut active_asserts: Vec<TermId> = Vec::with_capacity(delta_lits.len());
         for (d, l) in delta_lits {
@@ -1158,21 +906,21 @@ impl<'s> Session<'s> {
             }
             active_asserts.push(d);
         }
-        let deadline = self.solver.budget.max_time.map(|d| Instant::now() + d);
+        let deadline = solver.budget.max_time.map(|d| Instant::now() + d);
         let conflicts_before = self.sat.conflicts();
         let restarts_before = self.sat.restarts();
         let lbd_kept_before = self.sat.lbd_kept();
         let cdcl_span = keq_trace::span(keq_trace::Phase::Cdcl);
         let outcome = self.sat.solve_under_assumptions(
             &assumptions,
-            Some(self.solver.budget.max_conflicts),
+            Some(solver.budget.max_conflicts),
             deadline,
-            self.solver.cancel.as_ref(),
+            solver.cancel.as_ref(),
         );
         cdcl_span.done();
-        self.solver.stats.conflicts += self.sat.conflicts() - conflicts_before;
-        self.solver.stats.restarts += self.sat.restarts() - restarts_before;
-        self.solver.stats.lbd_kept += self.sat.lbd_kept() - lbd_kept_before;
+        solver.stats.conflicts += self.sat.conflicts() - conflicts_before;
+        solver.stats.restarts += self.sat.restarts() - restarts_before;
+        solver.stats.lbd_kept += self.sat.lbd_kept() - lbd_kept_before;
         match outcome {
             SatOutcome::Unsat => CheckOutcome::Unsat,
             SatOutcome::Budget(kind) => CheckOutcome::Budget(match kind {
@@ -1186,12 +934,13 @@ impl<'s> Session<'s> {
                 // query's active deltas. Inactive deltas from earlier
                 // queries are excluded by construction: their activation
                 // variables were not assumed, so the model need not (and
-                // may not) satisfy them.
+                // may not) satisfy them. A failure here indicates a
+                // bit-blasting bug and must be loud.
                 for &a in self.hard_asserts.iter().chain(&active_asserts) {
                     debug_assert_eq!(
                         eval(bank, a, &asg),
                         Value::Bool(true),
-                        "model does not satisfy session assertion {}",
+                        "model does not satisfy asserted term {}",
                         bank.display(a)
                     );
                 }
@@ -1199,102 +948,23 @@ impl<'s> Session<'s> {
             }
         }
     }
-
-    /// Session analogue of [`Solver::prove_implies`]: proves
-    /// `prefix ∧ ⋀ hyps ⇒ goal`, with the same congruence fast path.
-    pub fn prove_implies(
-        &mut self,
-        bank: &mut TermBank,
-        hyps: &[TermId],
-        goal: TermId,
-    ) -> ProofOutcome {
-        let mut refute = |bank: &mut TermBank, sess: &mut Self, assertions: &[TermId]| {
-            // Refutation probes only ask "unsat?": a cached model-free
-            // `Sat` answer is as good as a computed one.
-            matches!(sess.check_sat_opts(bank, assertions, false), CheckOutcome::Unsat)
-        };
-        if prove_eq_by_congruence(bank, self, hyps, goal, 4, &mut refute) {
-            return ProofOutcome::Proved;
-        }
-        let neg = bank.mk_not(goal);
-        let mut assertions = hyps.to_vec();
-        assertions.push(neg);
-        match self.check_sat(bank, &assertions) {
-            CheckOutcome::Unsat => ProofOutcome::Proved,
-            CheckOutcome::Sat(m) => ProofOutcome::Refuted(m),
-            CheckOutcome::Budget(k) => ProofOutcome::Budget(k),
-        }
-    }
-
-    /// Session analogue of [`Solver::prove_implies_positive`] (§3
-    /// positive-form query), under the session prefix.
-    pub fn prove_implies_positive(
-        &mut self,
-        bank: &mut TermBank,
-        hyp: &[TermId],
-        siblings: &[TermId],
-    ) -> ProofOutcome {
-        let disj = bank.mk_or(siblings.iter().copied());
-        let mut assertions = hyp.to_vec();
-        assertions.push(disj);
-        match self.check_sat(bank, &assertions) {
-            CheckOutcome::Unsat => ProofOutcome::Proved,
-            CheckOutcome::Sat(m) => ProofOutcome::Refuted(m),
-            CheckOutcome::Budget(k) => ProofOutcome::Budget(k),
-        }
-    }
-
-    /// Session analogue of [`Solver::prove_equiv`].
-    pub fn prove_equiv(
-        &mut self,
-        bank: &mut TermBank,
-        hyps: &[TermId],
-        a: TermId,
-        b: TermId,
-    ) -> ProofOutcome {
-        let goal = bank.mk_eq(a, b);
-        self.prove_implies(bank, hyps, goal)
-    }
-
-    /// Session analogue of [`Solver::feasibility`]: is `prefix ∧ delta`
-    /// satisfiable?
-    ///
-    /// # Errors
-    ///
-    /// Returns the exhausted [`BudgetKind`] when the query ran out of
-    /// budget before deciding satisfiability.
-    pub fn feasibility(
-        &mut self,
-        bank: &mut TermBank,
-        delta: &[TermId],
-    ) -> Result<bool, BudgetKind> {
-        // The model is discarded: a cached model-free `Sat` may answer.
-        match self.check_sat_opts(bank, delta, false) {
-            CheckOutcome::Sat(_) => Ok(true),
-            CheckOutcome::Unsat => Ok(false),
-            CheckOutcome::Budget(k) => Err(k),
-        }
-    }
-
-    /// Session analogue of [`Solver::is_feasible`].
-    pub fn is_feasible(&mut self, bank: &mut TermBank, delta: &[TermId]) -> Option<bool> {
-        self.feasibility(bank, delta).ok()
-    }
 }
 
-/// Emits one [`keq_trace::Event::SolverQuery`] for a completed query.
-/// `delta` is the `SolverStats::since` difference attributable to this
-/// query alone. One branch and no allocation when tracing is disabled.
+/// Emits one [`keq_trace::Event::SolverQuery`] for a completed query, with
+/// the counter deltas `stats - before` attributable to it alone. One
+/// branch and no allocation when tracing is disabled.
 fn trace_query(
     mode: &'static str,
     outcome: &CheckOutcome,
     cache_hit: bool,
     dur: Duration,
-    delta: &SolverStats,
+    stats: &SolverStats,
+    before: &SolverStats,
 ) {
     if !keq_trace::enabled() {
         return;
     }
+    let delta = stats.since(before);
     keq_trace::emit(keq_trace::Event::SolverQuery {
         mode,
         outcome: match outcome {
@@ -1347,67 +1017,6 @@ fn extract_model(
     (Model { entries }, asg)
 }
 
-/// Congruence fast path shared by [`Solver::prove_implies`] and
-/// [`Session::prove_implies`]: `f(a…) = f(b…)` follows from the argument
-/// equalities, sparing the SAT core from proving two expensive circuits
-/// equivalent. `refute` must answer "is this assertion set unsatisfiable
-/// (together with the caller's ambient prefix)?" — sound but incomplete,
-/// so a `false` answer only means "fall back to the monolithic query".
-fn prove_eq_by_congruence<C>(
-    bank: &mut TermBank,
-    ctx: &mut C,
-    hyps: &[TermId],
-    goal: TermId,
-    depth: u32,
-    refute: &mut dyn FnMut(&mut TermBank, &mut C, &[TermId]) -> bool,
-) -> bool {
-    if depth == 0 {
-        return false;
-    }
-    let node = bank.node(goal).clone();
-    if node.op != Op::Eq {
-        return false;
-    }
-    let (a, b) = (node.args[0], node.args[1]);
-    if a == b {
-        return true;
-    }
-    let na = bank.node(a).clone();
-    let nb = bank.node(b).clone();
-    // Only worth decomposing when an expensive circuit lurks inside;
-    // otherwise the monolithic query is cheap and more complete.
-    if na.op != nb.op
-        || na.args.len() != nb.args.len()
-        || na.args.is_empty()
-        || matches!(na.op, Op::Select | Op::Store | Op::Ite)
-        || !contains_expensive(bank, a)
-    {
-        return false;
-    }
-    for (&x, &y) in na.args.iter().zip(&nb.args) {
-        // Width-parameterised ops (extract, extensions) can share an op
-        // while taking differently-sorted arguments; positional pairing
-        // is meaningless there, so leave it to the monolithic query.
-        if bank.sort(x) != bank.sort(y) {
-            return false;
-        }
-        let eq = bank.mk_eq(x, y);
-        if bank.as_bool_const(eq) == Some(true) {
-            continue;
-        }
-        let sub_ok = prove_eq_by_congruence(bank, ctx, hyps, eq, depth - 1, refute) || {
-            let neg = bank.mk_not(eq);
-            let mut assertions = hyps.to_vec();
-            assertions.push(neg);
-            refute(bank, ctx, &assertions)
-        };
-        if !sub_ok {
-            return false;
-        }
-    }
-    true
-}
-
 /// Returns `true` if `t` contains a multiplication/division subterm (the
 /// operators whose circuit-equivalence queries are hard for the SAT core).
 fn contains_expensive(bank: &TermBank, root: TermId) -> bool {
@@ -1453,6 +1062,7 @@ pub fn mentions_memory(bank: &TermBank, root: TermId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, Rate};
 
     fn solver() -> Solver {
         Solver::new()
@@ -1680,7 +1290,7 @@ mod tests {
         let goal = bank.mk_bvult(y, ten); // prefix ⇒ y < 10
 
         let mut s = solver();
-        let mut session = s.open_session(&mut bank, &prefix);
+        let mut session = s.open_session(&prefix);
         assert_eq!(session.is_feasible(&mut bank, &[d_feasible]), Some(true));
         assert_eq!(session.is_feasible(&mut bank, &[d_infeasible]), Some(false));
         assert!(session.prove_implies(&mut bank, &[], goal).is_proved());
@@ -1717,7 +1327,7 @@ mod tests {
         let c200 = bank.mk_bv(8, 200);
         let delta = bank.mk_bvult(x, c200);
         let mut s = solver();
-        let mut session = s.open_session(&mut bank, &prefix);
+        let mut session = s.open_session(&prefix);
         assert_eq!(session.is_feasible(&mut bank, &[delta]), Some(true));
         assert_eq!(session.is_feasible(&mut bank, &[delta]), Some(true));
         drop(session);
@@ -1732,7 +1342,7 @@ mod tests {
         let prefix = vec![bank.mk_bvult(x, zero)]; // x <u 0: unsatisfiable
         let anything = bank.mk_eq(x, zero);
         let mut s = solver();
-        let mut session = s.open_session(&mut bank, &prefix);
+        let mut session = s.open_session(&prefix);
         assert_eq!(session.check_sat(&mut bank, &[anything]), CheckOutcome::Unsat);
         assert_eq!(session.check_sat(&mut bank, &[]), CheckOutcome::Unsat);
     }
@@ -1750,7 +1360,7 @@ mod tests {
         let idx_eq = bank.mk_eq(i, j);
         let val_ne = bank.mk_ne(ri, rj);
         let mut s = solver();
-        let mut session = s.open_session(&mut bank, &[idx_eq]);
+        let mut session = s.open_session(&[idx_eq]);
         // First query introduces read(m, i) only.
         let zero8 = bank.mk_bv(8, 0);
         let ri_zero = bank.mk_eq(ri, zero8);
@@ -1779,12 +1389,12 @@ mod tests {
             max_terms: 1_000_000,
             max_time: None,
         });
-        let mut session = s.open_session(&mut bank, &[x_big, y_big]);
+        let mut session = s.open_session(&[x_big, y_big]);
         let first = session.check_sat(&mut bank, &[eq]);
         drop(session);
         if matches!(first, CheckOutcome::Budget(_)) {
             s.set_budget(Budget::default());
-            let mut session = s.open_session(&mut bank, &[x_big, y_big]);
+            let mut session = s.open_session(&[x_big, y_big]);
             match session.check_sat(&mut bank, &[eq]) {
                 CheckOutcome::Sat(_) | CheckOutcome::Unsat => {}
                 other => panic!("retry under full budget still budgeted: {other:?}"),
@@ -1818,12 +1428,105 @@ mod tests {
         let p = bank.mk_bvult(x, c10);
         let d = bank.mk_bvult(c3, x);
         let mut s = solver();
-        let mut session = s.open_session(&mut bank, &[p]);
+        let mut session = s.open_session(&[p]);
         let via_session = session.check_sat(&mut bank, &[d]);
         drop(session);
         let via_scratch = s.check_sat(&mut bank, &[p, d]);
         assert!(matches!(via_session, CheckOutcome::Sat(_)));
         assert!(matches!(via_scratch, CheckOutcome::Sat(_)));
         assert_eq!(s.stats().cache_hits, 0, "distinct keys must not collide");
+    }
+
+    /// The `SolverQuery` events recorded in `ring`.
+    fn solver_query_events(ring: &keq_trace::EventRing) -> u64 {
+        let events = ring.snapshot();
+        events.iter().filter(|e| matches!(e.event, keq_trace::Event::SolverQuery { .. })).count()
+            as u64
+    }
+
+    #[test]
+    fn every_counted_query_is_traced() {
+        let ring = Arc::new(keq_trace::EventRing::new(1 << 10));
+        let _trace = keq_trace::install(&keq_trace::TraceSink::from(Arc::clone(&ring)));
+        let mut bank = TermBank::new();
+        let x = bank.mk_var("x", Sort::BitVec(8));
+        let c = bank.mk_bv(8, 3);
+        let a = bank.mk_bvult(c, x);
+
+        // Repeated queries: every repeat is a memo hit.
+        let mut s = solver();
+        for _ in 0..3 {
+            assert!(matches!(s.check_sat(&mut bank, &[a]), CheckOutcome::Sat(_)));
+        }
+        let mut session = s.open_session(&[a]);
+        for _ in 0..3 {
+            assert_eq!(session.is_feasible(&mut bank, &[]), Some(true));
+        }
+        drop(session);
+        let st = s.stats();
+        assert_eq!(st.cache_hits, 5, "{st:?}");
+        assert_eq!(solver_query_events(&ring), st.queries);
+        assert_eq!(st.sat, st.queries);
+
+        // Guard-forced outcomes: the fault fires at every query.
+        let plan = FaultPlan { force_conflicts: Rate { num: 1, den: 1 }, ..FaultPlan::quiet(7) };
+        let _faults = fault::install(&plan, 0);
+        let mut s = solver();
+        let traced_before = solver_query_events(&ring);
+        assert_eq!(s.check_sat(&mut bank, &[a]), CheckOutcome::Budget(BudgetKind::Conflicts));
+        let mut session = s.open_session(&[a]);
+        assert_eq!(session.feasibility(&mut bank, &[]), Err(BudgetKind::Conflicts));
+        drop(session);
+        let st = s.stats();
+        assert_eq!(st.queries, 2);
+        assert_eq!(st.budget, 2);
+        assert_eq!(solver_query_events(&ring) - traced_before, st.queries);
+    }
+
+    #[test]
+    fn cache_answered_queries_never_blast_the_prefix() {
+        let mut bank = TermBank::new();
+        let x = bank.mk_var("x", Sort::BitVec(8));
+        let c3 = bank.mk_bv(8, 3);
+        let c2 = bank.mk_bv(8, 2);
+        let c200 = bank.mk_bv(8, 200);
+        let p = bank.mk_bvult(c3, x);
+        let sat_delta = bank.mk_bvult(x, c200);
+        let unsat_delta = bank.mk_bvult(x, c2);
+        let shared = Arc::new(SharedObligationCache::new());
+        let mut a = solver();
+        a.set_obligation_cache(Some(Arc::clone(&shared)));
+
+        // A repeated scratch query is a memo hit: nothing is blasted again.
+        assert!(matches!(a.check_sat(&mut bank, &[p, sat_delta]), CheckOutcome::Sat(_)));
+        let blasted = a.stats().terms_blasted;
+        assert!(blasted > 0);
+        assert!(matches!(a.check_sat(&mut bank, &[p, sat_delta]), CheckOutcome::Sat(_)));
+        assert_eq!(a.stats().terms_blasted, blasted);
+
+        // The first session solves; a second one over the same prefix is
+        // answered from the memo and never blasts its prefix.
+        let mut session = a.open_session(&[p]);
+        assert_eq!(session.is_feasible(&mut bank, &[sat_delta]), Some(true));
+        assert_eq!(session.is_feasible(&mut bank, &[unsat_delta]), Some(false));
+        drop(session);
+        let cache_answers = |st: SolverStats| st.cache_hits + st.obligation_cache_hits;
+        let (blasted, answered) = (a.stats().terms_blasted, cache_answers(a.stats()));
+        let mut session = a.open_session(&[p]);
+        assert_eq!(session.is_feasible(&mut bank, &[sat_delta]), Some(true));
+        assert_eq!(session.is_feasible(&mut bank, &[unsat_delta]), Some(false));
+        drop(session);
+        assert_eq!(cache_answers(a.stats()), answered + 2);
+        assert_eq!(a.stats().terms_blasted, blasted);
+
+        // A second solver answers the same session from the shared cache.
+        let mut b = solver();
+        b.set_obligation_cache(Some(shared));
+        let mut session = b.open_session(&[p]);
+        assert_eq!(session.is_feasible(&mut bank, &[sat_delta]), Some(true));
+        assert_eq!(session.is_feasible(&mut bank, &[unsat_delta]), Some(false));
+        drop(session);
+        assert_eq!(b.stats().obligation_cache_hits, 2);
+        assert_eq!(b.stats().terms_blasted, 0);
     }
 }

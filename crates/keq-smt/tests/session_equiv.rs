@@ -181,7 +181,7 @@ fn session_batches_agree_with_scratch_solvers() {
             .collect();
 
         let mut session_solver = Solver::new();
-        let mut session = session_solver.open_session(&mut bank, &prefix);
+        let mut session = session_solver.open_session(&prefix);
         let session_outcomes: Vec<CheckOutcome> =
             batch.iter().map(|delta| session.check_sat(&mut bank, delta)).collect();
         drop(session);
@@ -230,11 +230,11 @@ fn rewriter_on_and_off_legs_agree() {
         let mut on_solver = Solver::new();
         let mut off_solver = Solver::new();
         off_solver.set_rewrite_enabled(false);
-        let mut on_session = on_solver.open_session(&mut bank, &prefix);
+        let mut on_session = on_solver.open_session(&prefix);
         let on_outcomes: Vec<CheckOutcome> =
             batch.iter().map(|delta| on_session.check_sat(&mut bank, delta)).collect();
         drop(on_session);
-        let mut off_session = off_solver.open_session(&mut bank, &prefix);
+        let mut off_session = off_solver.open_session(&prefix);
         let off_outcomes: Vec<CheckOutcome> =
             batch.iter().map(|delta| off_session.check_sat(&mut bank, delta)).collect();
         drop(off_session);
@@ -297,7 +297,7 @@ fn session_and_scratch_report_identical_injected_budget_faults() {
             (0..3).map(|_| gen_assertions(&mut rng, &mut bank, &pool, 1)).collect();
 
         let mut session_solver = Solver::new();
-        let mut session = session_solver.open_session(&mut bank, &prefix);
+        let mut session = session_solver.open_session(&prefix);
         for (i, delta) in batch.iter().enumerate() {
             let session_outcome = session.check_sat(&mut bank, delta);
             let mut scratch = Solver::new();

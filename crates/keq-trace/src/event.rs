@@ -1,6 +1,6 @@
 //! The typed event vocabulary of the validation pipeline.
 //!
-//! Every pipeline layer reports through this one enum, so the journal, the
+//! Every pipeline layer reports through this one enum, so the event ring, the
 //! JSONL stream, and the aggregated run report all share a single schema.
 //! Hot-path variants are `Copy`-cheap (no heap payloads); only events that
 //! fire at most once per attempt (panic capture) carry strings.

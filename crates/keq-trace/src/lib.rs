@@ -13,7 +13,7 @@
 //!    thread-local flag read and a branch when no recorder is installed:
 //!    no allocation, no lock, no clock read. Heap-carrying events are
 //!    constructed behind [`enabled`] checks at the call sites.
-//! 3. **One schema end to end.** The in-memory ring [`Journal`], the
+//! 3. **One schema end to end.** The in-memory [`EventRing`], the
 //!    streaming [`JsonlSink`], and the aggregated [`RunReport`]
 //!    (`RUN_REPORT.json`, schema [`REPORT_SCHEMA`]) all serialize the same
 //!    events, and [`report::validate`] checks emitted reports against the
@@ -25,17 +25,18 @@
 //! a [`with_attempt`] context, so every event lands stamped with the
 //! `(function, attempt)` it belongs to.
 
+pub mod counters;
 pub mod event;
 pub mod histogram;
-pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod recorder;
 pub mod report;
+pub mod ring;
 
+pub use counters::SolverCounters;
 pub use event::{Event, Phase, TraceEvent};
 pub use histogram::Histogram;
-pub use journal::{Journal, JsonlSink, DEFAULT_JOURNAL_CAPACITY};
 pub use json::{Json, JsonError};
 pub use metrics::{
     install_metrics, metrics_enabled, take_phase_totals, Collector, CounterId, GaugeId, HistId,
@@ -48,5 +49,6 @@ pub use recorder::{
 pub use report::{
     check_phase_coverage, phase_summaries, validate, AttemptReport, CacheCounters, FunctionReport,
     OutcomeTable, PassSection, PhaseSummary, ResumeSection, RunReport, ServerSection,
-    SlowObligation, SolverCounters, TelemetrySection, Violation, REPORT_SCHEMA,
+    SlowObligation, TelemetrySection, Violation, REPORT_SCHEMA,
 };
+pub use ring::{EventRing, JsonlSink, DEFAULT_RING_CAPACITY};

@@ -45,256 +45,95 @@ use crate::json::{self, Json};
 // Metric vocabulary
 // ---------------------------------------------------------------------------
 
-/// Monotonic counters. Names follow the Prometheus `*_total` convention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CounterId {
-    /// Validation submissions admitted by the scheduler.
-    Requests,
-    /// Submissions finalized (replied or abandoned-with-verdict).
-    Completed,
-    /// Submissions rejected because the global queue was full.
-    RejectedQueueFull,
-    /// Submissions rejected by a per-client quota.
-    RejectedQuota,
-    /// Submissions rejected because the scheduler was draining.
-    RejectedDraining,
-    /// Finalized submissions whose reply channel was gone.
-    Disconnects,
-    /// Validation attempts started (retries included).
-    Attempts,
-    /// Attempts beyond the first for their submission.
-    Retries,
-    /// CDCL conflicts, summed from per-attempt solver deltas.
-    CdclConflicts,
-    /// CDCL restarts, summed from per-attempt solver deltas.
-    CdclRestarts,
-    /// Solver queries issued.
-    SolverQueries,
-    /// Shared obligation-cache hits.
-    ObligationCacheHits,
-    /// Shared obligation-cache misses.
-    ObligationCacheMisses,
-    /// Verdicts stored into the shared obligation cache.
-    ObligationCacheStores,
-    /// Verdict-journal records appended.
-    JournalAppends,
-    /// Verdict-journal appends that failed.
-    JournalAppendFailures,
-    /// Obligation-store incremental flushes that succeeded.
-    StoreFlushes,
-    /// Obligation-store flushes that failed.
-    StoreFlushFailures,
-    /// Startable synchronization points checked (keq-core).
-    SyncPoints,
-    /// Proof obligations discharged or refuted (keq-core).
-    Obligations,
-    /// Rewrite rules fired: constant folding beyond constructor reach.
-    RewriteConstFold,
-    /// Rewrite rules fired: identity/absorption/annihilator laws.
-    RewriteAlgebraic,
-    /// Rewrite rules fired: cancellation through one level of structure.
-    RewriteCancel,
-    /// Rewrite rules fired: extension/extraction/concat collapsing.
-    RewriteWidth,
-    /// Rewrite rules fired: store-chain collapsing.
-    RewriteMemory,
-    /// Rewrite rules fired: ite condition/branch simplification.
-    RewriteIte,
-    /// Normalization passes run over obligation roots.
-    RewritePasses,
-    /// Term-DAG nodes eliminated by obligation normalization.
-    RewriteNodesSaved,
-    /// Learnt clauses exempted from DB reduction for glue (LBD <= 2).
-    LbdKept,
+/// Declares one metric vocabulary from a single list: the enum (each
+/// variant documented by its HELP text), `ALL` in exposition order, and the
+/// `name`/`help` lookups.
+macro_rules! metric_ids {
+    ($(#[$meta:meta])* $ty:ident { $($variant:ident $name:literal $help:literal,)* }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $(#[doc = $help] $variant,)*
+        }
+
+        impl $ty {
+            /// Every id, in exposition order.
+            pub const ALL: [$ty; [$(stringify!($variant)),*].len()] = [$($ty::$variant),*];
+
+            /// Stable exposition name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+
+            /// One-line `# HELP` text.
+            pub fn help(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $help,)*
+                }
+            }
+        }
+    };
 }
 
-impl CounterId {
-    /// Every counter, in exposition order.
-    pub const ALL: [CounterId; 29] = [
-        CounterId::Requests,
-        CounterId::Completed,
-        CounterId::RejectedQueueFull,
-        CounterId::RejectedQuota,
-        CounterId::RejectedDraining,
-        CounterId::Disconnects,
-        CounterId::Attempts,
-        CounterId::Retries,
-        CounterId::CdclConflicts,
-        CounterId::CdclRestarts,
-        CounterId::SolverQueries,
-        CounterId::ObligationCacheHits,
-        CounterId::ObligationCacheMisses,
-        CounterId::ObligationCacheStores,
-        CounterId::JournalAppends,
-        CounterId::JournalAppendFailures,
-        CounterId::StoreFlushes,
-        CounterId::StoreFlushFailures,
-        CounterId::SyncPoints,
-        CounterId::Obligations,
-        CounterId::RewriteConstFold,
-        CounterId::RewriteAlgebraic,
-        CounterId::RewriteCancel,
-        CounterId::RewriteWidth,
-        CounterId::RewriteMemory,
-        CounterId::RewriteIte,
-        CounterId::RewritePasses,
-        CounterId::RewriteNodesSaved,
-        CounterId::LbdKept,
-    ];
-
-    /// Stable exposition name.
-    pub fn name(self) -> &'static str {
-        match self {
-            CounterId::Requests => "keq_requests_total",
-            CounterId::Completed => "keq_requests_completed_total",
-            CounterId::RejectedQueueFull => "keq_rejected_queue_full_total",
-            CounterId::RejectedQuota => "keq_rejected_quota_total",
-            CounterId::RejectedDraining => "keq_rejected_draining_total",
-            CounterId::Disconnects => "keq_disconnects_total",
-            CounterId::Attempts => "keq_attempts_total",
-            CounterId::Retries => "keq_retries_total",
-            CounterId::CdclConflicts => "keq_cdcl_conflicts_total",
-            CounterId::CdclRestarts => "keq_cdcl_restarts_total",
-            CounterId::SolverQueries => "keq_solver_queries_total",
-            CounterId::ObligationCacheHits => "keq_obcache_hits_total",
-            CounterId::ObligationCacheMisses => "keq_obcache_misses_total",
-            CounterId::ObligationCacheStores => "keq_obcache_stores_total",
-            CounterId::JournalAppends => "keq_journal_appends_total",
-            CounterId::JournalAppendFailures => "keq_journal_append_failures_total",
-            CounterId::StoreFlushes => "keq_store_flushes_total",
-            CounterId::StoreFlushFailures => "keq_store_flush_failures_total",
-            CounterId::SyncPoints => "keq_check_sync_points_total",
-            CounterId::Obligations => "keq_check_obligations_total",
-            CounterId::RewriteConstFold => "keq_rewrite_const_fold_total",
-            CounterId::RewriteAlgebraic => "keq_rewrite_algebraic_total",
-            CounterId::RewriteCancel => "keq_rewrite_cancel_total",
-            CounterId::RewriteWidth => "keq_rewrite_width_total",
-            CounterId::RewriteMemory => "keq_rewrite_memory_total",
-            CounterId::RewriteIte => "keq_rewrite_ite_total",
-            CounterId::RewritePasses => "keq_rewrite_passes_total",
-            CounterId::RewriteNodesSaved => "keq_rewrite_nodes_saved_total",
-            CounterId::LbdKept => "keq_sat_lbd_kept_total",
-        }
-    }
-
-    /// One-line `# HELP` text.
-    pub fn help(self) -> &'static str {
-        match self {
-            CounterId::Requests => "Validation submissions admitted by the scheduler",
-            CounterId::Completed => "Submissions finalized",
-            CounterId::RejectedQueueFull => "Submissions rejected: queue full",
-            CounterId::RejectedQuota => "Submissions rejected: client quota",
-            CounterId::RejectedDraining => "Submissions rejected: draining",
-            CounterId::Disconnects => "Finalized submissions whose reply channel was gone",
-            CounterId::Attempts => "Validation attempts started (retries included)",
-            CounterId::Retries => "Attempts beyond the first for their submission",
-            CounterId::CdclConflicts => "CDCL conflicts",
-            CounterId::CdclRestarts => "CDCL restarts",
-            CounterId::SolverQueries => "Solver queries issued",
-            CounterId::ObligationCacheHits => "Shared obligation-cache hits",
-            CounterId::ObligationCacheMisses => "Shared obligation-cache misses",
-            CounterId::ObligationCacheStores => "Verdicts stored into the obligation cache",
-            CounterId::JournalAppends => "Verdict-journal records appended",
-            CounterId::JournalAppendFailures => "Verdict-journal appends that failed",
-            CounterId::StoreFlushes => "Obligation-store flushes that succeeded",
-            CounterId::StoreFlushFailures => "Obligation-store flushes that failed",
-            CounterId::SyncPoints => "Startable synchronization points checked",
-            CounterId::Obligations => "Proof obligations discharged or refuted",
-            CounterId::RewriteConstFold => "Rewrite rules fired: constant folding",
-            CounterId::RewriteAlgebraic => "Rewrite rules fired: algebraic laws",
-            CounterId::RewriteCancel => "Rewrite rules fired: cancellation",
-            CounterId::RewriteWidth => "Rewrite rules fired: width collapsing",
-            CounterId::RewriteMemory => "Rewrite rules fired: store collapsing",
-            CounterId::RewriteIte => "Rewrite rules fired: ite simplification",
-            CounterId::RewritePasses => "Obligation normalization passes run",
-            CounterId::RewriteNodesSaved => "Term-DAG nodes eliminated by normalization",
-            CounterId::LbdKept => "Learnt clauses kept through DB reduction for glue",
-        }
+metric_ids! {
+    /// Monotonic counters. Names follow the Prometheus `*_total` convention.
+    CounterId {
+        Requests "keq_requests_total" "Validation submissions admitted by the scheduler",
+        Completed "keq_requests_completed_total" "Submissions finalized",
+        RejectedQueueFull "keq_rejected_queue_full_total" "Submissions rejected: queue full",
+        RejectedQuota "keq_rejected_quota_total" "Submissions rejected: client quota",
+        RejectedDraining "keq_rejected_draining_total" "Submissions rejected: draining",
+        Disconnects "keq_disconnects_total" "Finalized submissions whose reply channel was gone",
+        Attempts "keq_attempts_total" "Validation attempts started (retries included)",
+        Retries "keq_retries_total" "Attempts beyond the first for their submission",
+        CdclConflicts "keq_cdcl_conflicts_total" "CDCL conflicts",
+        CdclRestarts "keq_cdcl_restarts_total" "CDCL restarts",
+        SolverQueries "keq_solver_queries_total" "Solver queries issued",
+        ObligationCacheHits "keq_obcache_hits_total" "Shared obligation-cache hits",
+        ObligationCacheMisses "keq_obcache_misses_total" "Shared obligation-cache misses",
+        ObligationCacheStores "keq_obcache_stores_total"
+            "Verdicts stored into the obligation cache",
+        JournalAppends "keq_journal_appends_total" "Verdict-journal records appended",
+        JournalAppendFailures "keq_journal_append_failures_total"
+            "Verdict-journal appends that failed",
+        StoreFlushes "keq_store_flushes_total" "Obligation-store flushes that succeeded",
+        StoreFlushFailures "keq_store_flush_failures_total" "Obligation-store flushes that failed",
+        SyncPoints "keq_check_sync_points_total" "Startable synchronization points checked",
+        Obligations "keq_check_obligations_total" "Proof obligations discharged or refuted",
+        RewriteConstFold "keq_rewrite_const_fold_total" "Rewrite rules fired: constant folding",
+        RewriteAlgebraic "keq_rewrite_algebraic_total" "Rewrite rules fired: algebraic laws",
+        RewriteCancel "keq_rewrite_cancel_total" "Rewrite rules fired: cancellation",
+        RewriteWidth "keq_rewrite_width_total" "Rewrite rules fired: width collapsing",
+        RewriteMemory "keq_rewrite_memory_total" "Rewrite rules fired: store collapsing",
+        RewriteIte "keq_rewrite_ite_total" "Rewrite rules fired: ite simplification",
+        RewritePasses "keq_rewrite_passes_total" "Obligation normalization passes run",
+        RewriteNodesSaved "keq_rewrite_nodes_saved_total"
+            "Term-DAG nodes eliminated by normalization",
+        LbdKept "keq_sat_lbd_kept_total" "Learnt clauses kept through DB reduction for glue",
     }
 }
 
-/// Point-in-time gauges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GaugeId {
-    /// Admitted-but-unfinished submissions.
-    QueueDepth,
-    /// Workers currently running an attempt.
-    WorkersBusy,
-    /// Workers currently idle.
-    WorkersIdle,
-    /// 1 when the store breaker has degraded persistence to memory-only.
-    StoreDegraded,
-    /// Live shared obligation-cache entries.
-    ObcacheEntries,
-    /// Approximate shared obligation-cache bytes.
-    ObcacheBytes,
-}
-
-impl GaugeId {
-    /// Every gauge, in exposition order.
-    pub const ALL: [GaugeId; 6] = [
-        GaugeId::QueueDepth,
-        GaugeId::WorkersBusy,
-        GaugeId::WorkersIdle,
-        GaugeId::StoreDegraded,
-        GaugeId::ObcacheEntries,
-        GaugeId::ObcacheBytes,
-    ];
-
-    /// Stable exposition name.
-    pub fn name(self) -> &'static str {
-        match self {
-            GaugeId::QueueDepth => "keq_queue_depth",
-            GaugeId::WorkersBusy => "keq_workers_busy",
-            GaugeId::WorkersIdle => "keq_workers_idle",
-            GaugeId::StoreDegraded => "keq_store_degraded",
-            GaugeId::ObcacheEntries => "keq_obcache_entries",
-            GaugeId::ObcacheBytes => "keq_obcache_bytes",
-        }
-    }
-
-    /// One-line `# HELP` text.
-    pub fn help(self) -> &'static str {
-        match self {
-            GaugeId::QueueDepth => "Admitted-but-unfinished submissions",
-            GaugeId::WorkersBusy => "Workers currently running an attempt",
-            GaugeId::WorkersIdle => "Workers currently idle",
-            GaugeId::StoreDegraded => "1 when store persistence degraded to memory-only",
-            GaugeId::ObcacheEntries => "Live shared obligation-cache entries",
-            GaugeId::ObcacheBytes => "Approximate shared obligation-cache bytes",
-        }
+metric_ids! {
+    /// Point-in-time gauges.
+    GaugeId {
+        QueueDepth "keq_queue_depth" "Admitted-but-unfinished submissions",
+        WorkersBusy "keq_workers_busy" "Workers currently running an attempt",
+        WorkersIdle "keq_workers_idle" "Workers currently idle",
+        StoreDegraded "keq_store_degraded" "1 when store persistence degraded to memory-only",
+        ObcacheEntries "keq_obcache_entries" "Live shared obligation-cache entries",
+        ObcacheBytes "keq_obcache_bytes" "Approximate shared obligation-cache bytes",
     }
 }
 
-/// Log-bucketed histograms (same powers-of-4 µs buckets as
-/// [`Histogram::log_us`], so registry snapshots merge with the rest of the
-/// pipeline's latency accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HistId {
-    /// End-to-end request latency (queue wait included), µs.
-    RequestLatencyUs,
-    /// Single validation-attempt wall time, µs.
-    AttemptWallUs,
-}
-
-impl HistId {
-    /// Every histogram, in exposition order.
-    pub const ALL: [HistId; 2] = [HistId::RequestLatencyUs, HistId::AttemptWallUs];
-
-    /// Stable exposition name.
-    pub fn name(self) -> &'static str {
-        match self {
-            HistId::RequestLatencyUs => "keq_request_latency_us",
-            HistId::AttemptWallUs => "keq_attempt_wall_us",
-        }
-    }
-
-    /// One-line `# HELP` text.
-    pub fn help(self) -> &'static str {
-        match self {
-            HistId::RequestLatencyUs => "End-to-end request latency in microseconds",
-            HistId::AttemptWallUs => "Validation attempt wall time in microseconds",
-        }
+metric_ids! {
+    /// Log-bucketed histograms (same powers-of-4 µs buckets as
+    /// [`Histogram::log_us`], so registry snapshots merge with the rest of the
+    /// pipeline's latency accounting).
+    HistId {
+        RequestLatencyUs "keq_request_latency_us" "End-to-end request latency in microseconds",
+        AttemptWallUs "keq_attempt_wall_us" "Validation attempt wall time in microseconds",
     }
 }
 

@@ -9,7 +9,7 @@
 //! production runs.
 //!
 //! The harness installs the *same* shared sink on the supervisor thread
-//! and on every worker, so one [`Journal`](crate::Journal) collects a
+//! and on every worker, so one [`EventRing`](crate::EventRing) collects a
 //! coherent, epoch-aligned event stream for the whole corpus run.
 
 use std::cell::{Cell, RefCell};
@@ -69,7 +69,7 @@ impl<R: Recorder + 'static> From<Arc<R>> for TraceSink {
     }
 }
 
-/// Duplicates every event to each inner sink (e.g. a ring journal plus a
+/// Duplicates every event to each inner sink (e.g. an event ring plus a
 /// JSONL stream). Epochs are taken from the first sink.
 pub struct Fanout {
     sinks: Vec<TraceSink>,
@@ -296,7 +296,7 @@ fn duration_us(d: std::time::Duration) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::Journal;
+    use crate::ring::EventRing;
 
     #[test]
     fn disabled_probes_do_nothing() {
@@ -309,9 +309,9 @@ mod tests {
 
     #[test]
     fn install_records_and_guard_restores() {
-        let journal = Arc::new(Journal::new(128));
+        let ring = Arc::new(EventRing::new(128));
         {
-            let sink = TraceSink::from(Arc::clone(&journal));
+            let sink = TraceSink::from(Arc::clone(&ring));
             let _g = install(&sink);
             assert!(enabled());
             let _ctx = with_attempt(3, 2);
@@ -320,19 +320,19 @@ mod tests {
             s.done();
         }
         assert!(!enabled(), "guard must disable tracing again");
-        let events = journal.snapshot();
+        let events = ring.snapshot();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].func, Some(3));
         assert_eq!(events[0].attempt, Some(2));
         assert!(matches!(events[1].event, Event::Span { phase: Phase::Isel, .. }));
-        // Journal stamps are monotone in append order.
+        // Ring stamps are monotone in append order.
         assert!(events[0].t_us <= events[1].t_us);
     }
 
     #[test]
     fn nested_install_restores_outer_sink() {
-        let outer = Arc::new(Journal::new(16));
-        let inner = Arc::new(Journal::new(16));
+        let outer = Arc::new(EventRing::new(16));
+        let inner = Arc::new(EventRing::new(16));
         let _go = install(&TraceSink::from(Arc::clone(&outer)));
         {
             let _gi = install(&TraceSink::from(Arc::clone(&inner)));
@@ -345,8 +345,8 @@ mod tests {
 
     #[test]
     fn ctx_guard_restores_previous_context() {
-        let journal = Arc::new(Journal::new(16));
-        let _g = install(&TraceSink::from(Arc::clone(&journal)));
+        let ring = Arc::new(EventRing::new(16));
+        let _g = install(&TraceSink::from(Arc::clone(&ring)));
         let _outer = with_attempt(1, 1);
         {
             let _inner = with_attempt(2, 3);
@@ -357,8 +357,8 @@ mod tests {
 
     #[test]
     fn fanout_duplicates_events() {
-        let a = Arc::new(Journal::new(16));
-        let b = Arc::new(Journal::new(16));
+        let a = Arc::new(EventRing::new(16));
+        let b = Arc::new(EventRing::new(16));
         let fan = Arc::new(Fanout::new(vec![
             TraceSink::from(Arc::clone(&a)),
             TraceSink::from(Arc::clone(&b)),

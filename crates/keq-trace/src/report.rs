@@ -13,6 +13,7 @@
 //! phase spans of each fully-observed function must sum to (almost) its
 //! recorded wall time, or the instrumentation has a blind spot.
 
+use crate::counters::SolverCounters;
 use crate::event::{Event, Phase, TraceEvent};
 use crate::histogram::Histogram;
 use crate::json::{self, Json};
@@ -98,123 +99,6 @@ impl PassSection {
             ("pass", Json::Str(self.pass.clone())),
             ("outcome", self.outcome.to_json()),
         ])
-    }
-}
-
-/// The merged solver counters of a run (`SolverStats`, flattened to stable
-/// wire names).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SolverCounters {
-    /// Total queries issued.
-    pub queries: u64,
-    /// Queries answered `Sat`.
-    pub sat: u64,
-    /// Queries answered `Unsat`.
-    pub unsat: u64,
-    /// Queries that exhausted a budget.
-    pub budget: u64,
-    /// Total CDCL conflicts.
-    pub conflicts: u64,
-    /// Total CDCL restarts.
-    pub restarts: u64,
-    /// Queries answered from the memo cache.
-    pub cache_hits: u64,
-    /// Entries evicted from the bounded query cache.
-    pub cache_evictions: u64,
-    /// Incremental sessions opened.
-    pub sessions_opened: u64,
-    /// Session queries that reused an asserted prefix.
-    pub prefix_hits: u64,
-    /// Learnt clauses retained across session queries.
-    pub clauses_retained: u64,
-    /// Term nodes bit-blasted.
-    pub terms_blasted: u64,
-    /// Term nodes served from a blast memo.
-    pub terms_blast_reused: u64,
-    /// Rewrite rules fired by obligation normalization.
-    pub rewrite_rules_fired: u64,
-    /// Normalization passes over obligation roots.
-    pub rewrite_passes: u64,
-    /// Term-DAG nodes eliminated by obligation normalization.
-    pub rewrite_nodes_saved: u64,
-    /// Glue clauses (LBD ≤ 2) exempted from CDCL database reduction.
-    pub lbd_kept: u64,
-    /// Total solver wall-clock, µs.
-    pub time_us: u64,
-}
-
-impl SolverCounters {
-    const FIELDS: [&'static str; 18] = [
-        "queries",
-        "sat",
-        "unsat",
-        "budget",
-        "conflicts",
-        "restarts",
-        "cache_hits",
-        "cache_evictions",
-        "sessions_opened",
-        "prefix_hits",
-        "clauses_retained",
-        "terms_blasted",
-        "terms_blast_reused",
-        "rewrite_rules_fired",
-        "rewrite_passes",
-        "rewrite_nodes_saved",
-        "lbd_kept",
-        "time_us",
-    ];
-
-    /// Serializes to the stable wire shape (shared by `RUN_REPORT.json`
-    /// and the server protocol's slow-obligation rows).
-    pub fn to_json(self) -> Json {
-        json::obj(vec![
-            ("queries", json::num(self.queries)),
-            ("sat", json::num(self.sat)),
-            ("unsat", json::num(self.unsat)),
-            ("budget", json::num(self.budget)),
-            ("conflicts", json::num(self.conflicts)),
-            ("restarts", json::num(self.restarts)),
-            ("cache_hits", json::num(self.cache_hits)),
-            ("cache_evictions", json::num(self.cache_evictions)),
-            ("sessions_opened", json::num(self.sessions_opened)),
-            ("prefix_hits", json::num(self.prefix_hits)),
-            ("clauses_retained", json::num(self.clauses_retained)),
-            ("terms_blasted", json::num(self.terms_blasted)),
-            ("terms_blast_reused", json::num(self.terms_blast_reused)),
-            ("rewrite_rules_fired", json::num(self.rewrite_rules_fired)),
-            ("rewrite_passes", json::num(self.rewrite_passes)),
-            ("rewrite_nodes_saved", json::num(self.rewrite_nodes_saved)),
-            ("lbd_kept", json::num(self.lbd_kept)),
-            ("time_us", json::num(self.time_us)),
-        ])
-    }
-
-    /// Parses the [`SolverCounters::to_json`] shape. Missing fields read
-    /// zero (forward compatibility on the wire); a non-object is `None`.
-    pub fn from_json(doc: &Json) -> Option<SolverCounters> {
-        let Json::Obj(_) = doc else { return None };
-        let f = |k: &str| doc.get(k).and_then(Json::as_u64).unwrap_or(0);
-        Some(SolverCounters {
-            queries: f("queries"),
-            sat: f("sat"),
-            unsat: f("unsat"),
-            budget: f("budget"),
-            conflicts: f("conflicts"),
-            restarts: f("restarts"),
-            cache_hits: f("cache_hits"),
-            cache_evictions: f("cache_evictions"),
-            sessions_opened: f("sessions_opened"),
-            prefix_hits: f("prefix_hits"),
-            clauses_retained: f("clauses_retained"),
-            terms_blasted: f("terms_blasted"),
-            terms_blast_reused: f("terms_blast_reused"),
-            rewrite_rules_fired: f("rewrite_rules_fired"),
-            rewrite_passes: f("rewrite_passes"),
-            rewrite_nodes_saved: f("rewrite_nodes_saved"),
-            lbd_kept: f("lbd_kept"),
-            time_us: f("time_us"),
-        })
     }
 }
 
@@ -518,9 +402,9 @@ pub struct AttemptReport {
     pub budget_scale: u64,
     /// Attempt wall-clock, µs.
     pub wall_us: u64,
-    /// Journal offset when the attempt started, µs (0 without a journal).
+    /// Trace offset when the attempt started, µs (0 without a trace).
     pub start_us: u64,
-    /// Journal offset when the attempt ended, µs.
+    /// Trace offset when the attempt ended, µs.
     pub end_us: u64,
     /// Result category (stable wire name).
     pub result: String,
@@ -609,7 +493,7 @@ pub struct RunReport {
     pub seed: u64,
     /// Functions in the run.
     pub n_functions: u64,
-    /// Whether a trace journal backed the phase/fault sections.
+    /// Whether a trace ring backed the phase/fault sections.
     pub trace_enabled: bool,
     /// The outcome table (all passes merged).
     pub outcome: OutcomeTable,
@@ -630,9 +514,9 @@ pub struct RunReport {
     pub phases: Vec<PhaseSummary>,
     /// Per-function rows, ordered by index.
     pub functions: Vec<FunctionReport>,
-    /// Events recorded into the journal.
+    /// Events recorded into the trace ring.
     pub events_recorded: u64,
-    /// Events the journal dropped to its capacity bound.
+    /// Events the trace ring dropped to its capacity bound.
     pub events_dropped: u64,
 }
 
@@ -993,7 +877,7 @@ fn validate_function(f: &Json, i: usize, v: &mut Vec<Violation>) {
 }
 
 /// Checks the span-accounting bar: for every function whose attempts all
-/// completed under observation (no watchdog abandonment, journal not
+/// completed under observation (no watchdog abandonment, trace ring not
 /// truncated), the top-level phase spans must sum to the function's
 /// recorded wall time within `slack_frac` (plus `slack_us` absolute noise
 /// floor). Functions shorter than `min_wall_us` are skipped — at that
@@ -1010,7 +894,7 @@ pub fn check_phase_coverage(
 ) -> Result<(), Vec<Violation>> {
     let mut v = Vec::new();
     if doc.get("events_dropped").and_then(Json::as_u64).unwrap_or(0) > 0 {
-        // A truncated journal under-reports spans by construction.
+        // A truncated ring under-reports spans by construction.
         return Ok(());
     }
     if doc.get("trace_enabled").and_then(Json::as_bool) != Some(true) {
@@ -1058,6 +942,7 @@ pub fn check_phase_coverage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     /// A small but fully-populated report used across the tests.
     pub(crate) fn sample_report() -> RunReport {
@@ -1106,7 +991,8 @@ mod tests {
                 rewrite_passes: 48,
                 rewrite_nodes_saved: 310,
                 lbd_kept: 11,
-                time_us: 80_120,
+                time: Duration::from_micros(80_120),
+                ..SolverCounters::default()
             },
             cache: CacheCounters {
                 obligations: 34,
@@ -1169,7 +1055,8 @@ mod tests {
                         rewrite_passes: 25,
                         rewrite_nodes_saved: 180,
                         lbd_kept: 6,
-                        time_us: 61_000,
+                        time: Duration::from_micros(61_000),
+                        ..SolverCounters::default()
                     },
                 }],
             },

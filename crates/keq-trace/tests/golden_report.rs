@@ -7,6 +7,8 @@
 //! Regenerate after an *intentional* schema change with
 //! `KEQ_BLESS_GOLDEN=1 cargo test -p keq-trace --test golden_report`.
 
+use std::time::Duration;
+
 use keq_trace::{
     check_phase_coverage, validate, AttemptReport, CacheCounters, FunctionReport, Histogram, Json,
     OutcomeTable, PassSection, Phase, PhaseSummary, ResumeSection, RunReport, ServerSection,
@@ -79,7 +81,8 @@ fn golden_report() -> RunReport {
             rewrite_passes: 48,
             rewrite_nodes_saved: 310,
             lbd_kept: 11,
-            time_us: 80_120,
+            time: Duration::from_micros(80_120),
+            ..SolverCounters::default()
         },
         cache: CacheCounters {
             obligations: 34,
@@ -142,7 +145,8 @@ fn golden_report() -> RunReport {
                     rewrite_passes: 25,
                     rewrite_nodes_saved: 180,
                     lbd_kept: 6,
-                    time_us: 61_000,
+                    time: Duration::from_micros(61_000),
+                    ..SolverCounters::default()
                 },
             }],
         },

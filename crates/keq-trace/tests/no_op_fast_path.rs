@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use keq_trace::{emit, enabled, span, Event, Journal, Phase, TraceSink};
+use keq_trace::{emit, enabled, span, Event, EventRing, Phase, TraceSink};
 
 struct CountingAlloc;
 
@@ -43,9 +43,9 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn disabled_probes_allocate_nothing_and_record_nothing() {
-    // A journal that must stay empty: it exists, but is never installed.
-    let journal = Arc::new(Journal::new(64));
-    let sink = TraceSink::from(Arc::clone(&journal));
+    // A ring that must stay empty: it exists, but is never installed.
+    let ring = Arc::new(EventRing::new(64));
+    let sink = TraceSink::from(Arc::clone(&ring));
 
     // Warm up: touch every thread-local once (first access may lazily
     // initialize) and exercise the enabled path so its allocations are
@@ -56,7 +56,7 @@ fn disabled_probes_allocate_nothing_and_record_nothing() {
         emit(Event::Counter { name: "warmup", delta: 1 });
         span(Phase::Check).done();
     }
-    let recorded_after_warmup = journal.recorded();
+    let recorded_after_warmup = ring.recorded();
     assert!(!enabled(), "guard dropped, tracing disabled again");
 
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -82,7 +82,7 @@ fn disabled_probes_allocate_nothing_and_record_nothing() {
 
     assert_eq!(after - before, 0, "disabled probe sites must not allocate");
     assert_eq!(
-        journal.recorded(),
+        ring.recorded(),
         recorded_after_warmup,
         "disabled probe sites must not record events"
     );

@@ -19,7 +19,7 @@
 //! temporaries), which forces the spilling register allocator onto its
 //! spill path when combined with `--pass regalloc`.
 //!
-//! `--report` turns on tracing, collects the run's event journal, and
+//! `--report` turns on tracing, collects the run's event ring, and
 //! writes the aggregated machine-readable report (schema
 //! `keq-run-report/v3`; see DESIGN.md §Observability). `--trace-jsonl`
 //! additionally streams every raw event as one JSON line. `--cache`
@@ -49,7 +49,7 @@ use keq_repro::core::KeqOptions;
 use keq_repro::harness::{build_report, HarnessOptions, RetryPolicy};
 use keq_repro::isel::PassId;
 use keq_repro::smt::{mix64, Budget, FaultPlan, Rate};
-use keq_repro::trace::{Fanout, Journal, JsonlSink, TraceSink};
+use keq_repro::trace::{EventRing, Fanout, JsonlSink, TraceSink};
 
 struct Cli {
     n: usize,
@@ -318,9 +318,9 @@ fn main() {
     // Tracing is opt-in: without --report/--trace-jsonl every probe site
     // in the pipeline stays on its one-branch disabled path.
     let tracing = cli.report.is_some() || cli.trace_jsonl.is_some();
-    let journal = Arc::new(Journal::with_default_capacity());
+    let ring = Arc::new(EventRing::with_default_capacity());
     let trace = if tracing {
-        let mut sinks = vec![TraceSink::from(Arc::clone(&journal))];
+        let mut sinks = vec![TraceSink::from(Arc::clone(&ring))];
         if let Some(path) = &cli.trace_jsonl {
             let file = std::fs::File::create(path).expect("create --trace-jsonl file");
             sinks.push(TraceSink::from(Arc::new(JsonlSink::new(file))));
@@ -399,7 +399,7 @@ fn main() {
     }
 
     if let Some(path) = &cli.report {
-        let report = build_report(&summary, Some(&journal), cli.seed);
+        let report = build_report(&summary, Some(&ring), cli.seed);
         std::fs::write(path, report.to_json()).expect("write --report file");
         eprintln!("wrote {path}");
     }
