@@ -5,13 +5,11 @@
 //! driver.
 
 use keq_core::KeqOptions;
+use keq_harness::{run_module, HarnessOptions};
 use keq_llvm::ast::Module;
 use keq_workload::{generate_corpus, GenConfig};
 
-pub use keq_harness::{
-    build_report, outcome_table, run_module, AttemptRecord, CacheSummary, CorpusResult, CorpusRow,
-    CorpusSummary, HarnessOptions, ResultKind, RetryPolicy,
-};
+pub use keq_harness::{outcome_table, CorpusResult, CorpusSummary, ResultKind};
 
 /// Generates `n` corpus functions and validates each under the given
 /// resource limits, mirroring the paper's §5.1 experiment. Functions are
@@ -19,18 +17,12 @@ pub use keq_harness::{
 /// function index, so the output is deterministic in content.
 pub fn run_corpus(seed: u64, n: usize, keq_opts: KeqOptions) -> (Module, CorpusSummary) {
     let opts = HarnessOptions { keq: keq_opts, ..HarnessOptions::default() };
-    run_corpus_with(seed, n, &opts)
+    run_corpus_cfg(GenConfig { seed, ..GenConfig::default() }, n, &opts)
 }
 
-/// [`run_corpus`] with full control over the harness (worker count,
-/// deadlines, retry policy, fault plan).
-pub fn run_corpus_with(seed: u64, n: usize, opts: &HarnessOptions) -> (Module, CorpusSummary) {
-    run_corpus_cfg(GenConfig { seed, ..GenConfig::default() }, n, opts)
-}
-
-/// [`run_corpus_with`] with full control over the *generator* as well —
-/// e.g. the high-register-pressure profile (`cfg.pressure`) that forces
-/// the spilling allocator onto its spill path.
+/// [`run_corpus`] with full control over the *generator* and the harness
+/// — e.g. the high-register-pressure profile (`cfg.pressure`) that forces
+/// the spilling allocator onto its spill path, or a fault plan.
 pub fn run_corpus_cfg(cfg: GenConfig, n: usize, opts: &HarnessOptions) -> (Module, CorpusSummary) {
     let module = generate_corpus(cfg, n);
     let summary = run_module(&module, opts);

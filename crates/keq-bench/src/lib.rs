@@ -8,9 +8,7 @@ pub mod normalization_workload;
 pub mod session_workload;
 
 pub use corpus_run::{
-    build_report, outcome_table, run_corpus, run_corpus_cfg, run_corpus_with, run_module,
-    AttemptRecord, CacheSummary, CorpusResult, CorpusRow, CorpusSummary, HarnessOptions,
-    ResultKind, RetryPolicy,
+    outcome_table, run_corpus, run_corpus_cfg, CorpusResult, CorpusSummary, ResultKind,
 };
 pub use keq_workload::GenConfig;
 /// The shared histogram type (lives in `keq-trace` so the run report's

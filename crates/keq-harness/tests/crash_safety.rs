@@ -17,7 +17,7 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use keq_harness::{
     corpus_fingerprint, journal, run_module, CorpusResult, HarnessOptions, JournalWriter,
@@ -85,7 +85,9 @@ fn truncated_journal_resume_is_verdict_identical_to_a_clean_run() {
     };
 
     // The uninterrupted reference run, journaling as it goes.
+    let start = Instant::now();
     let clean = run_module(&module, &opts(false));
+    let clean_wall = start.elapsed();
     assert_eq!(clean.rows.len(), 8);
     assert!(!clean.resume.enabled);
     assert!(clean.rows.iter().all(|r| !r.recovered));
@@ -102,7 +104,9 @@ fn truncated_journal_resume_is_verdict_identical_to_a_clean_run() {
 
     // The resumed run: recovered functions are skipped, the rest replay
     // under the same fault plan, and the merged table matches exactly.
+    let start = Instant::now();
     let resumed = run_module(&module, &opts(true));
+    let resumed_wall = start.elapsed();
     assert_eq!(kinds(&resumed), reference, "resume must not change a single verdict");
     assert!(resumed.resume.enabled);
     assert!(resumed.resume.skipped >= 1, "two thirds of the journal recovers something");
@@ -122,6 +126,13 @@ fn truncated_journal_resume_is_verdict_identical_to_a_clean_run() {
     );
     let line = resumed.summary_line();
     assert!(line.contains("resume:"), "summary line must surface the recovery: {line}");
+    // Skipping the recovered functions must pay off in wall time (absolute
+    // slack for scheduling jitter on a run this small).
+    assert!(
+        resumed_wall <= clean_wall.mul_f64(0.70) + Duration::from_millis(250),
+        "resume must finish in <=70% of the clean wall \
+         (clean {clean_wall:?}, resumed {resumed_wall:?})"
+    );
 
     // A third run resumes from the now-complete journal: everything is
     // recovered, nothing executes.
@@ -484,7 +495,10 @@ fn journaling_a_clean_run_leaves_rows_and_counters_unaffected() {
     let module = small_corpus(4);
     let journal_path = temp_path("overhead");
     let _ = std::fs::remove_file(&journal_path);
+    let start = Instant::now();
     let bare = run_module(&module, &HarnessOptions { workers: 2, ..HarnessOptions::default() });
+    let bare_wall = start.elapsed();
+    let start = Instant::now();
     let journaled = run_module(
         &module,
         &HarnessOptions {
@@ -493,7 +507,14 @@ fn journaling_a_clean_run_leaves_rows_and_counters_unaffected() {
             ..HarnessOptions::default()
         },
     );
+    let journaled_wall = start.elapsed();
     assert_eq!(kinds(&bare), kinds(&journaled));
+    // Absolute slack: a run this small finishes in milliseconds, where
+    // scheduling jitter dwarfs journal I/O.
+    assert!(
+        journaled_wall <= bare_wall.mul_f64(1.10) + Duration::from_millis(250),
+        "journaling must cost <=10% wall (bare {bare_wall:?}, journaled {journaled_wall:?})"
+    );
     assert_eq!(journaled.resume, keq_harness::ResumeSummary::default());
     assert!(journal_path.exists());
 

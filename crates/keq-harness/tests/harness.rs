@@ -372,3 +372,52 @@ fn classification_does_not_depend_on_worker_count() {
     };
     assert_eq!(kinds(1), kinds(4));
 }
+
+/// Runs one single-pass corpus sweep under work budgets only (no wall
+/// clock anywhere, so the outcome does not depend on the machine) and
+/// requires every row to validate.
+fn sweep_all_succeeded(cfg: GenConfig, n: usize, pass: keq_isel::PassId) -> Module {
+    let module = generate_corpus(cfg, n);
+    let opts = HarnessOptions {
+        keq: KeqOptions {
+            solver_budget: Budget { max_conflicts: 500_000, max_terms: 2_000_000, max_time: None },
+            ..KeqOptions::default()
+        },
+        passes: vec![pass],
+        ..HarnessOptions::default()
+    };
+    for row in &run_module(&module, &opts).rows {
+        let (name, pass) = (&row.name, row.pass.name());
+        assert_eq!(row.result.kind(), ResultKind::Succeeded, "{name} [{pass}]: {:?}", row.result);
+    }
+    module
+}
+
+#[test]
+fn pressure_corpus_spills_and_validates_and_gvn_eliminates() {
+    // Regalloc: the high-pressure profile must force every function onto
+    // the spill path, counted by re-running selection + allocation outside
+    // the harness.
+    let cfg = GenConfig { seed: 2021, pressure: 10, ..GenConfig::default() };
+    let module = sweep_all_succeeded(cfg, 6, keq_isel::PassId::Regalloc);
+    for f in &module.functions {
+        let layout = keq_llvm::Layout::of(&module, f);
+        let pre = keq_isel::select(&module, f, &layout, keq_isel::IselOptions::default())
+            .expect("corpus functions select")
+            .func;
+        let (_, map) = keq_isel::allocate_with_options(&pre, keq_isel::RaOptions::default(), None)
+            .expect("uncancelled");
+        assert!(!map.spills.is_empty(), "{}: the pressure profile must force a spill", f.name);
+    }
+
+    // GVN: the default corpus validates, and the pass is not a corpus-wide
+    // no-op.
+    let cfg = GenConfig { seed: 2021, ..GenConfig::default() };
+    let module = sweep_all_succeeded(cfg, 6, keq_isel::PassId::Gvn);
+    let eliminated: usize = module
+        .functions
+        .iter()
+        .map(|f| keq_llvm::run_gvn(f, keq_llvm::GvnOptions::default()).eliminated.len())
+        .sum();
+    assert!(eliminated > 0, "GVN must eliminate something somewhere in the corpus");
+}
