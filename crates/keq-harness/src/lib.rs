@@ -49,7 +49,7 @@ pub use journal::{
 pub use panic_capture::PanicInfo;
 pub use report::{build_report, outcome_table, pass_sections};
 pub use result::{
-    AttemptRecord, CacheSummary, CorpusResult, CorpusRow, CorpusSummary, ResultKind, ResumeSummary,
+    AttemptRecord, CacheSummary, CorpusResult, CorpusRow, CorpusSummary, ResultKind,
 };
 pub use run::{run_module, HarnessOptions, RetryPolicy};
 pub use protocol::{
@@ -58,6 +58,6 @@ pub use protocol::{
 };
 pub use scheduler::{
     ClientQuota, Completion, JournalConfig, MetricsConfig, Rejected, Request, Scheduler,
-    SchedulerConfig, SchedulerFinal, ServerCounters, Telemetry,
+    SchedulerConfig, SchedulerFinal, ServerCounters, Storage, Telemetry,
 };
 pub use server::{connect, ClientConn, Server, ServerOptions, ServerSummary};

@@ -12,10 +12,10 @@ use std::time::Duration;
 
 use keq_trace::{
     AttemptReport, CacheCounters, Event, EventRing, FunctionReport, OutcomeTable, PassSection,
-    Phase, ResumeSection, RunReport, ServerSection, TraceEvent,
+    Phase, RunReport, ServerSection, TraceEvent,
 };
 
-use crate::result::{CorpusResult, CorpusSummary, ResultKind};
+use crate::result::{CorpusResult, CorpusRow, CorpusSummary, ResultKind};
 
 /// Everything the trace knows about one `(func, attempt)` pair.
 #[derive(Default)]
@@ -88,19 +88,28 @@ fn cache_counters(summary: &CorpusSummary) -> CacheCounters {
     }
 }
 
+/// Adds one row to an outcome table.
+fn tally(t: &mut OutcomeTable, row: &CorpusRow) {
+    match row.result.kind() {
+        ResultKind::Succeeded => t.succeeded += 1,
+        ResultKind::Timeout => t.timeout += 1,
+        ResultKind::OutOfMemory => t.out_of_memory += 1,
+        ResultKind::Crashed => t.crashed += 1,
+        ResultKind::Quarantined => t.quarantined += 1,
+        ResultKind::Other => t.other += 1,
+    }
+    t.total += 1;
+    t.attempts += row.attempts.len() as u64;
+}
+
 /// The Fig. 6 outcome table of a summary, in the shared report type (the
 /// form the bench targets embed in their JSON output).
 pub fn outcome_table(summary: &CorpusSummary) -> OutcomeTable {
-    OutcomeTable {
-        succeeded: summary.count(ResultKind::Succeeded) as u64,
-        timeout: summary.count(ResultKind::Timeout) as u64,
-        out_of_memory: summary.count(ResultKind::OutOfMemory) as u64,
-        crashed: summary.count(ResultKind::Crashed) as u64,
-        quarantined: summary.count(ResultKind::Quarantined) as u64,
-        other: summary.count(ResultKind::Other) as u64,
-        total: summary.total() as u64,
-        attempts: summary.total_attempts() as u64,
+    let mut t = OutcomeTable::default();
+    for row in &summary.rows {
+        tally(&mut t, row);
     }
+    t
 }
 
 /// The per-pass outcome tables of a summary (the v7 `passes` sections),
@@ -119,17 +128,7 @@ pub fn pass_sections(summary: &CorpusSummary) -> Vec<PassSection> {
                 &mut sections.last_mut().expect("just pushed").1
             }
         };
-        let t = &mut entry.outcome;
-        match row.result.kind() {
-            ResultKind::Succeeded => t.succeeded += 1,
-            ResultKind::Timeout => t.timeout += 1,
-            ResultKind::OutOfMemory => t.out_of_memory += 1,
-            ResultKind::Crashed => t.crashed += 1,
-            ResultKind::Quarantined => t.quarantined += 1,
-            ResultKind::Other => t.other += 1,
-        }
-        t.total += 1;
-        t.attempts += row.attempts.len() as u64;
+        tally(&mut entry.outcome, row);
     }
     sections.into_iter().map(|(_, s)| s).collect()
 }
@@ -204,12 +203,7 @@ pub fn build_report(summary: &CorpusSummary, ring: Option<&EventRing>, seed: u64
         passes: pass_sections(summary),
         solver: summary.solver,
         cache: cache_counters(summary),
-        resume: ResumeSection {
-            enabled: summary.resume.enabled,
-            skipped: summary.resume.skipped,
-            recovered: summary.resume.recovered,
-            corrupt: summary.resume.corrupt,
-        },
+        resume: summary.resume,
         server: ServerSection::default(),
         telemetry: summary.telemetry.clone(),
         phases: keq_trace::phase_summaries(&events),

@@ -174,21 +174,6 @@ pub struct CacheSummary {
     pub persist_failed: bool,
 }
 
-/// What resume recovered from the write-ahead verdict journal before the
-/// run scheduled any work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResumeSummary {
-    /// Whether the run was asked to resume from a journal.
-    pub enabled: bool,
-    /// Functions skipped because a journal record already decided them.
-    pub skipped: u64,
-    /// Valid records recovered from the journal (≥ `skipped`; records for
-    /// functions outside this corpus are recovered but skip nothing).
-    pub recovered: u64,
-    /// Corrupt records skipped fail-soft while loading the journal.
-    pub corrupt: u64,
-}
-
 /// Aggregated per-function rows, ordered by function index.
 #[derive(Debug, Clone, Default)]
 pub struct CorpusSummary {
@@ -203,7 +188,7 @@ pub struct CorpusSummary {
     pub cache: CacheSummary,
     /// Write-ahead journal recovery (all-default when the run had no
     /// journal or was not resuming).
-    pub resume: ResumeSummary,
+    pub resume: keq_trace::ResumeSection,
     /// Live-telemetry summary: collector samples taken and the top-K
     /// slow-obligation table (all-default when metrics were disabled).
     pub telemetry: keq_trace::TelemetrySection,
@@ -399,7 +384,8 @@ mod tests {
         let mut s =
             CorpusSummary { rows: vec![row(0, CorpusResult::Succeeded)], ..Default::default() };
         assert!(!s.summary_line().contains("resume:"), "quiet when not resuming");
-        s.resume = ResumeSummary { enabled: true, skipped: 3, recovered: 4, corrupt: 1 };
+        s.resume =
+            keq_trace::ResumeSection { enabled: true, skipped: 3, recovered: 4, corrupt: 1 };
         s.cache.persist_failed = true;
         let line = s.summary_line();
         assert!(line.contains("resume: skipped 3 recovered 4 corrupt 1"), "{line}");

@@ -22,18 +22,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use keq_core::KeqOptions;
-use keq_isel::{GvnOptions, IselOptions, PassId, RaOptions, VcOptions};
+use keq_isel::PassId;
 use keq_llvm::ast::Module;
 use keq_smt::fault::FaultPlan;
-use keq_smt::obcache::{StdStoreIo, StoreIo};
-use keq_smt::{Budget, FaultyIo, SharedObligationCache};
+use keq_smt::Budget;
+use keq_trace::ResumeSection;
 
 use crate::journal::{self, JournalRecord};
 use crate::panic_capture;
-use crate::result::{AttemptRecord, CorpusResult, CorpusRow, CorpusSummary, ResumeSummary};
-use crate::scheduler::{
-    ClientQuota, JournalConfig, MetricsConfig, Request, Scheduler, SchedulerConfig,
-};
+use crate::result::{AttemptRecord, CorpusResult, CorpusRow, CorpusSummary};
+use crate::scheduler::{ClientQuota, MetricsConfig, Request, Scheduler, SchedulerConfig, Storage};
 
 /// Escalating-budget retry policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,14 +128,6 @@ pub struct HarnessOptions {
     /// Base checker options of attempt 1 (later attempts scale them by
     /// [`RetryPolicy`]).
     pub keq: KeqOptions,
-    /// Instruction-selection options.
-    pub isel: IselOptions,
-    /// VC-generation options.
-    pub vc: VcOptions,
-    /// Register-allocation options (used by [`PassId::Regalloc`] units).
-    pub ra: RaOptions,
-    /// GVN options (used by [`PassId::Gvn`] units).
-    pub gvn: GvnOptions,
     /// Which validated passes to run. Every function is validated under
     /// every listed pass — the corpus fans out to `functions × passes`
     /// units, each classified into its own [`CorpusRow`]. Empty is treated
@@ -203,10 +193,6 @@ impl Default for HarnessOptions {
     fn default() -> Self {
         HarnessOptions {
             keq: KeqOptions::default(),
-            isel: IselOptions::default(),
-            vc: VcOptions::default(),
-            ra: RaOptions::default(),
-            gvn: GvnOptions::default(),
             passes: vec![PassId::Isel],
             workers: 0,
             deadline: None,
@@ -222,6 +208,18 @@ impl Default for HarnessOptions {
             store_flush_every: 8,
             store_breaker_threshold: 3,
             metrics: MetricsConfig::default(),
+        }
+    }
+}
+
+impl HarnessOptions {
+    /// `workers`, with 0 resolved to the available parallelism, capped at
+    /// `units`.
+    pub(crate) fn workers_for(&self, units: usize) -> usize {
+        if self.workers == 0 {
+            std::thread::available_parallelism().map_or(4, usize::from).min(units).max(1)
+        } else {
+            self.workers
         }
     }
 }
@@ -246,102 +244,38 @@ pub fn run_module(module: &Module, opts: &HarnessOptions) -> CorpusSummary {
     }
     let module = Arc::new(module.clone());
 
-    // Every byte that reaches disk — store flushes, journal appends,
-    // journal/store loads — goes through one injectable backend, so a
-    // storage fault plan exercises the same code paths a sick disk would.
-    let io: Arc<dyn StoreIo> = if opts.fault_plan.has_storage_faults() {
-        Arc::new(FaultyIo::new(opts.fault_plan.storage()))
-    } else {
-        Arc::new(StdStoreIo)
-    };
-
-    // One obligation cache for the whole run, shared by every worker (and
-    // every replacement worker), warm-started from the on-disk store when
-    // one is configured. A corrupt or stale store degrades to a cold
-    // cache, never to a failed run.
-    let shared = Arc::new(SharedObligationCache::new());
-    let mut disk_loaded = 0u64;
-    let mut disk_rejected = 0u64;
-    if let Some(path) = &opts.cache_path {
-        let load = shared.load_with(path, io.as_ref());
-        disk_loaded = load.loaded;
-        disk_rejected = load.rejected;
-    }
-
-    // Write-ahead journal: recover what a killed predecessor decided, then
-    // hand the surviving prefix to the scheduler, which opens the writer
-    // (still on this thread — the header write stays ordered after the
-    // loads above and before any worker storage I/O). Resume matches a
-    // record by function index *and* per-function fingerprint (and the
-    // whole journal by corpus fingerprint), so a changed corpus can never
-    // inherit stale verdicts.
+    // Resume matches a record by function index *and* per-function
+    // fingerprint (and the whole journal by corpus fingerprint), so a
+    // changed corpus can never inherit stale verdicts.
     let func_fps: Vec<u64> =
         module.functions.iter().map(journal::function_fingerprint).collect();
-    let corpus_fp = journal::fingerprint_of(&func_fps);
-    let mut resume = ResumeSummary::default();
+    let (storage, load) = Storage::open(opts, journal::fingerprint_of(&func_fps));
+    let mut resume = ResumeSection {
+        enabled: opts.resume && opts.journal_path.is_some(),
+        recovered: load.records.len() as u64,
+        corrupt: load.corrupt,
+        ..ResumeSection::default()
+    };
     let mut recovered: Vec<Option<JournalRecord>> = vec![None; units];
-    let mut journal_cfg: Option<JournalConfig> = None;
-    if let Some(journal_path) = &opts.journal_path {
-        let mut valid_prefix: Option<Vec<u8>> = None;
-        if opts.resume {
-            resume.enabled = true;
-            let load = journal::load(journal_path, corpus_fp, io.as_ref());
-            if !load.reset {
-                resume.corrupt = load.corrupt;
-                resume.recovered = load.records.len() as u64;
-                for rec in load.records {
-                    let idx = rec.func as usize;
-                    // A record only matches a unit of this run if this run
-                    // validates that pass too (a changed pass set, like a
-                    // changed corpus, re-validates rather than inheriting).
-                    let Some(pi) = passes.iter().position(|&p| p == rec.pass) else {
-                        continue;
-                    };
-                    if idx < n && func_fps[idx] == rec.func_fp {
-                        recovered[idx * np + pi] = Some(rec);
-                    }
-                }
-                valid_prefix = Some(load.valid_prefix);
-            }
+    for rec in load.records {
+        let idx = rec.func as usize;
+        // A record only matches a unit of this run if this run validates
+        // that pass too (a changed pass set, like a changed corpus,
+        // re-validates rather than inheriting).
+        let Some(pi) = passes.iter().position(|&p| p == rec.pass) else { continue };
+        if idx < n && func_fps[idx] == rec.func_fp {
+            recovered[idx * np + pi] = Some(rec);
         }
-        journal_cfg =
-            Some(JournalConfig { path: journal_path.clone(), corpus_fp, valid_prefix });
     }
 
-    let workers = if opts.workers == 0 {
-        std::thread::available_parallelism().map_or(4, usize::from).min(units).max(1)
-    } else {
-        opts.workers
-    };
-
     let sched = Scheduler::start(SchedulerConfig {
-        keq: opts.keq,
-        isel: opts.isel,
-        vc: opts.vc,
-        ra: opts.ra,
-        gvn: opts.gvn,
-        workers,
-        deadline: opts.deadline,
-        grace: opts.grace,
-        watchdog_tick: opts.watchdog_tick,
-        retry: opts.retry,
-        fault_plan: opts.fault_plan,
-        warm_start: opts.warm_start,
-        trace: opts.trace.clone(),
+        harness: HarnessOptions { workers: opts.workers_for(units), ..opts.clone() },
         // The batch front end is its own only client: no backpressure, no
         // quota — it submits the whole corpus at once and awaits all.
         queue_depth: 0,
         quota: ClientQuota::default(),
         request_events: false,
-        shared: Arc::clone(&shared),
-        io,
-        cache_path: opts.cache_path.clone(),
-        disk_loaded,
-        disk_rejected,
-        store_flush_every: opts.store_flush_every,
-        store_breaker_threshold: opts.store_breaker_threshold,
-        journal: journal_cfg,
-        metrics: opts.metrics,
+        storage,
     });
 
     // Pre-finalize recovered units — they are never submitted.

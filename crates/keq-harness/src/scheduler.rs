@@ -39,22 +39,22 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use keq_core::{FailureReason, KeqOptions, Verdict};
+use keq_core::{FailureReason, Verdict};
 use keq_isel::pipeline::ValidationContext;
-use keq_isel::{GvnOptions, IselOptions, PassId, PassOptions, RaOptions, VcOptions};
+use keq_isel::PassId;
 use keq_llvm::ast::Module;
-use keq_smt::fault::{self, FaultPlan};
-use keq_smt::obcache::StoreIo;
-use keq_smt::{CancelToken, SharedObligationCache, SolverStats};
+use keq_smt::fault;
+use keq_smt::obcache::{StdStoreIo, StoreIo};
+use keq_smt::{CancelToken, FaultyIo, SharedObligationCache, SolverStats};
 use keq_trace::metrics::{
     self, Collector, CounterId, GaugeId, HistId, PromKind, PromMetric, PromSample, Registry,
 };
 use keq_trace::{Phase, SlowObligation, TelemetrySection};
 
-use crate::journal::{JournalRecord, JournalWriter};
+use crate::journal::{self, JournalLoad, JournalRecord, JournalWriter};
 use crate::panic_capture;
 use crate::result::{AttemptRecord, CacheSummary, CorpusResult};
-use crate::run::RetryPolicy;
+use crate::run::HarnessOptions;
 
 /// Per-client admission limits, applied by [`Scheduler::submit`].
 ///
@@ -70,7 +70,7 @@ pub struct ClientQuota {
     /// quota).
     pub max_deadline: Option<Duration>,
     /// Upper clamp on the retry ladder length (0 = the scheduler's own
-    /// [`RetryPolicy::max_attempts`]).
+    /// [`crate::RetryPolicy::max_attempts`]).
     pub max_attempts: u32,
 }
 
@@ -294,38 +294,77 @@ pub struct JournalConfig {
     pub valid_prefix: Option<Vec<u8>>,
 }
 
-/// Configuration of a [`Scheduler`].
+/// A run's opened persistent storage, handed to [`Scheduler::start`].
+#[derive(Clone)]
+pub struct Storage {
+    /// The injectable storage backend every byte goes through.
+    pub io: Arc<dyn StoreIo>,
+    /// The run's shared obligation cache, pre-loaded from the on-disk store.
+    pub shared: Arc<SharedObligationCache>,
+    /// Store records loaded at startup (reported through
+    /// [`SchedulerFinal::cache`]).
+    pub disk_loaded: u64,
+    /// Store records rejected while loading.
+    pub disk_rejected: u64,
+    /// Write-ahead verdict journal (`None` disables journaling).
+    pub journal: Option<JournalConfig>,
+}
+
+impl Storage {
+    /// The storage warm-up both front ends share, run on the caller's
+    /// thread in the fixed order crash safety depends on: obligation-store
+    /// load, then (when resuming) journal load; [`Scheduler::start`] writes
+    /// the journal header after both.
+    ///
+    /// Every byte that reaches disk goes through one injectable backend, so
+    /// a storage fault plan exercises the same code paths a sick disk
+    /// would. A corrupt or stale store degrades to a cold cache, never to a
+    /// failed run. `corpus_fp` is stamped into the journal header and must
+    /// match a resumed journal's.
+    ///
+    /// Returns the storage and the resumed journal's load (empty unless
+    /// `opts.resume` is set with a journal path; its valid prefix has moved
+    /// into [`Storage::journal`]).
+    pub fn open(opts: &HarnessOptions, corpus_fp: u64) -> (Storage, JournalLoad) {
+        let io: Arc<dyn StoreIo> = if opts.fault_plan.has_storage_faults() {
+            Arc::new(FaultyIo::new(opts.fault_plan.storage()))
+        } else {
+            Arc::new(StdStoreIo)
+        };
+        let shared = Arc::new(SharedObligationCache::new());
+        let disk = opts.cache_path.as_ref().map(|path| shared.load_with(path, io.as_ref()));
+        let mut load = JournalLoad::default();
+        let journal = opts.journal_path.as_ref().map(|path| {
+            let mut valid_prefix = None;
+            if opts.resume {
+                load = journal::load(path, corpus_fp, io.as_ref());
+                if !load.reset {
+                    valid_prefix = Some(std::mem::take(&mut load.valid_prefix));
+                }
+            }
+            JournalConfig { path: path.clone(), corpus_fp, valid_prefix }
+        });
+        let storage = Storage {
+            io,
+            shared,
+            disk_loaded: disk.as_ref().map_or(0, |d| d.loaded),
+            disk_rejected: disk.as_ref().map_or(0, |d| d.rejected),
+            journal,
+        };
+        (storage, load)
+    }
+}
+
+/// Configuration of a [`Scheduler`]: the run's [`HarnessOptions`] whole,
+/// plus what only the front end decides.
 #[derive(Clone)]
 pub struct SchedulerConfig {
-    /// Base checker options of attempt 1.
-    pub keq: KeqOptions,
-    /// Instruction-selection options.
-    pub isel: IselOptions,
-    /// VC-generation options.
-    pub vc: VcOptions,
-    /// Register-allocation options (the regalloc pass instantiation).
-    pub ra: RaOptions,
-    /// GVN options (the mid-end pass instantiation).
-    pub gvn: GvnOptions,
-    /// Worker threads (must be ≥ 1; front ends resolve `0` themselves).
-    pub workers: usize,
-    /// Default hard per-attempt deadline (requests may override, quotas
-    /// clamp).
-    pub deadline: Option<Duration>,
-    /// Grace past a cancellation before the watchdog abandons a worker.
-    pub grace: Duration,
-    /// Watchdog sweep interval.
-    pub watchdog_tick: Duration,
-    /// Retry policy for budget-class failures.
-    pub retry: RetryPolicy,
-    /// Deterministic fault plan ([`FaultPlan::quiet`] for none).
-    pub fault_plan: FaultPlan,
-    /// Carry warm-start contexts across retries of one submission.
-    pub warm_start: bool,
-    /// Trace sink installed on the supervisor and every worker.
-    pub trace: Option<keq_trace::TraceSink>,
-    /// Live-telemetry configuration (disabled by default).
-    pub metrics: MetricsConfig,
+    /// The validation pipeline and supervision policies. `workers == 0`
+    /// picks the available parallelism; `deadline` is the default
+    /// per-request deadline (requests may override, quotas clamp);
+    /// `passes`, `journal_path` and `resume` are read by the front end
+    /// alone.
+    pub harness: HarnessOptions,
     /// Maximum accepted-but-unfinalized submissions (0 = unbounded — the
     /// batch front end, which submits a whole corpus at once).
     pub queue_depth: usize,
@@ -335,24 +374,8 @@ pub struct SchedulerConfig {
     /// `request_rejected` / `request_completed`). Off for batch runs so
     /// their event streams stay byte-stable.
     pub request_events: bool,
-    /// The run's shared obligation cache, pre-loaded by the front end.
-    pub shared: Arc<SharedObligationCache>,
-    /// The injectable storage backend every byte goes through.
-    pub io: Arc<dyn StoreIo>,
-    /// On-disk obligation store for incremental flushes (`None` keeps the
-    /// cache memory-only).
-    pub cache_path: Option<PathBuf>,
-    /// Store records the front end loaded at startup (reported through
-    /// [`SchedulerFinal::cache`]).
-    pub disk_loaded: u64,
-    /// Store records the front end rejected while loading.
-    pub disk_rejected: u64,
-    /// Flush the store every this many finalizations (0 = shutdown only).
-    pub store_flush_every: u32,
-    /// Consecutive-failure threshold of the storage circuit breakers.
-    pub store_breaker_threshold: u32,
-    /// Write-ahead verdict journal (`None` disables journaling).
-    pub journal: Option<JournalConfig>,
+    /// The opened storage ([`Storage::open`]).
+    pub storage: Storage,
 }
 
 /// One unit of submitted work: validate one function of a module.
@@ -446,6 +469,33 @@ pub struct ServerCounters {
     pub rejected_draining: u64,
     /// Verdicts whose reply channel was gone (client disconnected).
     pub disconnects: u64,
+}
+
+/// The live form of [`ServerCounters`]: submitters bump the admission
+/// side, the supervisor the finalization side, and
+/// [`Scheduler::admission`] reads all six at any time.
+#[derive(Default)]
+struct LiveCounters {
+    requests: AtomicU64,
+    completed: AtomicU64,
+    rejected_queue_full: AtomicU64,
+    rejected_quota: AtomicU64,
+    rejected_draining: AtomicU64,
+    disconnects: AtomicU64,
+}
+
+impl LiveCounters {
+    fn snapshot(&self) -> ServerCounters {
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        ServerCounters {
+            requests: read(&self.requests),
+            completed: read(&self.completed),
+            rejected_queue_full: read(&self.rejected_queue_full),
+            rejected_quota: read(&self.rejected_quota),
+            rejected_draining: read(&self.rejected_draining),
+            disconnects: read(&self.disconnects),
+        }
+    }
 }
 
 /// What [`Scheduler::drain`] returns once every accepted submission
@@ -876,15 +926,7 @@ struct Gate {
 
 /// The per-attempt validation settings every worker shares.
 struct AttemptSettings {
-    keq: KeqOptions,
-    isel: IselOptions,
-    vc: VcOptions,
-    ra: RaOptions,
-    gvn: GvnOptions,
-    retry: RetryPolicy,
-    fault_plan: FaultPlan,
-    warm_start: bool,
-    trace: Option<keq_trace::TraceSink>,
+    harness: HarnessOptions,
     /// Metrics registry each worker installs thread-locally (`None` when
     /// metrics are disabled — the probe sites then cost one flag read).
     metrics: Option<Arc<Registry>>,
@@ -901,10 +943,7 @@ pub struct Scheduler {
     default_deadline: Option<Duration>,
     max_attempts: u32,
     request_events: bool,
-    accepted: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_quota: AtomicU64,
-    rejected_draining: AtomicU64,
+    counters: Arc<LiveCounters>,
     telemetry: Arc<Telemetry>,
 }
 
@@ -912,29 +951,26 @@ impl Scheduler {
     /// Starts the scheduler: opens the journal writer (on the caller's
     /// thread, so the header write is ordered before any worker storage
     /// I/O), then spawns the supervisor and its worker pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.workers` is zero — front ends resolve the
-    /// "pick for me" default themselves, where they know the corpus size.
-    pub fn start(config: SchedulerConfig) -> Scheduler {
-        assert!(config.workers >= 1, "scheduler needs at least one worker");
+    pub fn start(mut config: SchedulerConfig) -> Scheduler {
         panic_capture::install_hook();
-        let journal_writer = config.journal.as_ref().map(|j| {
+        config.harness.workers = config.harness.workers_for(usize::MAX);
+        let h = &config.harness;
+        let storage = &config.storage;
+        let journal_writer = storage.journal.as_ref().map(|j| {
             JournalWriter::start(
                 &j.path,
                 j.corpus_fp,
                 j.valid_prefix.as_deref(),
-                Arc::clone(&config.io),
-                config.store_breaker_threshold,
+                Arc::clone(&storage.io),
+                h.store_breaker_threshold,
             )
         });
         let flusher = StoreFlusher::new(
-            Arc::clone(&config.shared),
-            config.cache_path.clone(),
-            Arc::clone(&config.io),
-            config.store_flush_every,
-            config.store_breaker_threshold,
+            Arc::clone(&storage.shared),
+            h.cache_path.clone(),
+            Arc::clone(&storage.io),
+            h.store_flush_every,
+            h.store_breaker_threshold,
         );
         let (tx, rx) = mpsc::channel::<Msg>();
         let gate = Arc::new(Mutex::new(Gate {
@@ -944,32 +980,27 @@ impl Scheduler {
             next_id: 0,
             tx,
         }));
-        let queue_depth = config.queue_depth;
-        let quota = config.quota;
-        let default_deadline = config.deadline;
-        let max_attempts = config.retry.max_attempts.max(1);
-        let request_events = config.request_events;
-        let telemetry = Arc::new(Telemetry::new(config.metrics));
-        let gate_sup = Arc::clone(&gate);
-        let tel_sup = Arc::clone(&telemetry);
+        let telemetry = Arc::new(Telemetry::new(h.metrics));
+        let counters = Arc::new(LiveCounters::default());
+        let mut scheduler = Scheduler {
+            gate: Arc::clone(&gate),
+            supervisor: Mutex::new(None),
+            queue_depth: config.queue_depth,
+            quota: config.quota,
+            default_deadline: h.deadline,
+            max_attempts: h.retry.max_attempts.max(1),
+            request_events: config.request_events,
+            counters: Arc::clone(&counters),
+            telemetry: Arc::clone(&telemetry),
+        };
         let handle = std::thread::Builder::new()
             .name("keq-scheduler".into())
-            .spawn(move || supervise(config, rx, gate_sup, journal_writer, flusher, tel_sup))
+            .spawn(move || {
+                supervise(config, rx, gate, journal_writer, flusher, telemetry, counters)
+            })
             .expect("spawn scheduler supervisor");
-        Scheduler {
-            gate,
-            supervisor: Mutex::new(Some(handle)),
-            queue_depth,
-            quota,
-            default_deadline,
-            max_attempts,
-            request_events,
-            accepted: AtomicU64::new(0),
-            rejected_queue_full: AtomicU64::new(0),
-            rejected_quota: AtomicU64::new(0),
-            rejected_draining: AtomicU64::new(0),
-            telemetry,
-        }
+        scheduler.supervisor = Mutex::new(Some(handle));
+        scheduler
     }
 
     /// This scheduler's live telemetry: the metrics registry, time-series
@@ -1031,7 +1062,7 @@ impl Scheduler {
         };
         match rejection {
             Ok(id) => {
-                self.accepted.fetch_add(1, Ordering::Relaxed);
+                self.counters.requests.fetch_add(1, Ordering::Relaxed);
                 if self.telemetry.enabled() {
                     self.telemetry.registry().counter_add(CounterId::Requests, 1);
                 }
@@ -1044,14 +1075,13 @@ impl Scheduler {
                 Ok(id)
             }
             Err(rej) => {
+                let c = &self.counters;
                 let (counter, metric) = match rej {
                     Rejected::QueueFull { .. } => {
-                        (&self.rejected_queue_full, CounterId::RejectedQueueFull)
+                        (&c.rejected_queue_full, CounterId::RejectedQueueFull)
                     }
-                    Rejected::QuotaExceeded { .. } => {
-                        (&self.rejected_quota, CounterId::RejectedQuota)
-                    }
-                    Rejected::Draining => (&self.rejected_draining, CounterId::RejectedDraining),
+                    Rejected::QuotaExceeded { .. } => (&c.rejected_quota, CounterId::RejectedQuota),
+                    Rejected::Draining => (&c.rejected_draining, CounterId::RejectedDraining),
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
                 if self.telemetry.enabled() {
@@ -1074,18 +1104,12 @@ impl Scheduler {
         self.gate.lock().expect("gate poisoned").depth
     }
 
-    /// Live admission-side counters (the `stats` surface of a running
-    /// scheduler). `completed` and `disconnects` are supervisor-local and
-    /// only merged at [`Scheduler::drain`]; they read zero here —
-    /// `requests - depth()` gives the finalized count live.
+    /// The live request counters (the `stats` surface of a running
+    /// scheduler). A submission counts as `completed` before its gate slot
+    /// frees, and as a disconnect just after, when its reply finds no
+    /// receiver.
     pub fn admission(&self) -> ServerCounters {
-        ServerCounters {
-            requests: self.accepted.load(Ordering::Relaxed),
-            rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
-            rejected_quota: self.rejected_quota.load(Ordering::Relaxed),
-            rejected_draining: self.rejected_draining.load(Ordering::Relaxed),
-            ..ServerCounters::default()
-        }
+        self.counters.snapshot()
     }
 
     /// Stops admissions, waits for every accepted submission to finalize
@@ -1108,10 +1132,7 @@ impl Scheduler {
             .take()
             .expect("scheduler drained twice");
         let mut fin = handle.join().expect("scheduler supervisor panicked");
-        fin.server.requests = self.accepted.load(Ordering::Relaxed);
-        fin.server.rejected_queue_full = self.rejected_queue_full.load(Ordering::Relaxed);
-        fin.server.rejected_quota = self.rejected_quota.load(Ordering::Relaxed);
-        fin.server.rejected_draining = self.rejected_draining.load(Ordering::Relaxed);
+        fin.server = self.counters.snapshot();
         fin
     }
 
@@ -1145,32 +1166,28 @@ fn supervise(
     mut journal_writer: Option<JournalWriter>,
     mut flusher: StoreFlusher,
     telemetry: Arc<Telemetry>,
+    counters: Arc<LiveCounters>,
 ) -> SchedulerFinal {
-    let _trace_guard = config.trace.as_ref().map(keq_trace::install);
+    let SchedulerConfig { harness, request_events, storage, .. } = config;
+    let _trace_guard = harness.trace.as_ref().map(keq_trace::install);
     // The supervisor installs the registry too: journal appends and store
     // flushes happen on this thread and report through the thread-local
     // metric probes, like any worker-side probe site.
     let _metrics_guard =
         telemetry.enabled().then(|| keq_trace::install_metrics(telemetry.registry()));
     let settings = Arc::new(AttemptSettings {
-        keq: config.keq,
-        isel: config.isel,
-        vc: config.vc,
-        ra: config.ra,
-        gvn: config.gvn,
-        retry: config.retry,
-        fault_plan: config.fault_plan,
-        warm_start: config.warm_start,
-        trace: config.trace.clone(),
+        harness,
         metrics: telemetry.enabled().then(|| Arc::clone(telemetry.registry())),
     });
-    let queue = Arc::new(ShardedQueue::new(config.workers));
+    let h = &settings.harness;
+    let shared = &storage.shared;
+    let queue = Arc::new(ShardedQueue::new(h.workers));
     let ctxs = Arc::new(WarmStarts::default());
     let worker_tx = gate.lock().expect("gate poisoned").tx.clone();
 
     let mut pool: Vec<Worker> = Vec::new();
-    for id in 0..config.workers {
-        pool.push(spawn_worker(&settings, &queue, &ctxs, &config.shared, &worker_tx, id));
+    for id in 0..h.workers {
+        pool.push(spawn_worker(&settings, &queue, &ctxs, shared, &worker_tx, id));
     }
 
     let mut subs: HashMap<u64, SubState> = HashMap::new();
@@ -1179,13 +1196,11 @@ fn supervise(
     let mut next_job: u64 = 0;
     let mut draining = false;
     let mut solver_total = SolverStats::default();
-    let mut completed: u64 = 0;
-    let mut disconnects: u64 = 0;
     let mut latency = keq_trace::Histogram::log_us("request latency (µs)");
     let mut last_sample = Instant::now();
 
     loop {
-        match rx.recv_timeout(config.watchdog_tick) {
+        match rx.recv_timeout(h.watchdog_tick) {
             Ok(Msg::Submit(sub)) => {
                 let job = Job {
                     id: next_job,
@@ -1266,7 +1281,7 @@ fn supervise(
                 }
                 st.attempts.push(AttemptRecord {
                     attempt: info.attempt,
-                    budget_scale: settings.retry.scale(info.attempt),
+                    budget_scale: h.retry.scale(info.attempt),
                     time: outcome.time,
                     result: outcome.result.clone(),
                     abandoned: false,
@@ -1316,9 +1331,8 @@ fn supervise(
                         &mut flusher,
                         &gate,
                         &mut latency,
-                        &mut completed,
-                        &mut disconnects,
-                        config.request_events,
+                        &counters,
+                        request_events,
                         &telemetry,
                     );
                 }
@@ -1341,7 +1355,7 @@ fn supervise(
                     attempt: info.attempt,
                 });
             }
-            if info.cancelled_at.is_some_and(|t| now >= t + config.grace) {
+            if info.cancelled_at.is_some_and(|t| now >= t + h.grace) {
                 abandon.push(job);
             }
         }
@@ -1355,7 +1369,7 @@ fn supervise(
             let Some(mut st) = subs.remove(&info.submission) else { continue };
             st.attempts.push(AttemptRecord {
                 attempt: info.attempt,
-                budget_scale: settings.retry.scale(info.attempt),
+                budget_scale: h.retry.scale(info.attempt),
                 time: now - info.started,
                 result: CorpusResult::Timeout,
                 abandoned: true,
@@ -1368,9 +1382,8 @@ fn supervise(
                 &mut flusher,
                 &gate,
                 &mut latency,
-                &mut completed,
-                &mut disconnects,
-                config.request_events,
+                &counters,
+                request_events,
                 &telemetry,
             );
             // The abandoned worker still *owns* the submission's context
@@ -1382,13 +1395,13 @@ fn supervise(
             // keep the pool at strength with a fresh replacement.
             retire_worker(&mut pool, info.worker);
             let id = pool.len();
-            pool.push(spawn_worker(&settings, &queue, &ctxs, &config.shared, &worker_tx, id));
+            pool.push(spawn_worker(&settings, &queue, &ctxs, shared, &worker_tx, id));
         }
 
         // Gauge refresh + one collector sample per interval. Gauges are
         // point-in-time reads of supervisor-visible state, so sampling
         // them here (not at the probe sites) keeps the hot paths free.
-        if telemetry.enabled() && last_sample.elapsed() >= config.metrics.sample_interval {
+        if telemetry.enabled() && last_sample.elapsed() >= h.metrics.sample_interval {
             last_sample = Instant::now();
             let reg = telemetry.registry();
             let depth = gate.lock().expect("gate poisoned").depth as u64;
@@ -1401,7 +1414,7 @@ fn supervise(
             let degraded = flusher.degraded
                 || journal_writer.as_ref().is_some_and(|w| w.degraded);
             reg.gauge_set(GaugeId::StoreDegraded, u64::from(degraded));
-            let cache = config.shared.stats();
+            let cache = shared.stats();
             reg.gauge_set(GaugeId::ObcacheEntries, cache.entries);
             reg.gauge_set(GaugeId::ObcacheBytes, cache.bytes);
             telemetry.sample_now();
@@ -1429,7 +1442,7 @@ fn supervise(
     // *silent*: a failure lands in the summary (and its `summary_line`
     // warning) and was already traced as a `StoreError` event.
     flusher.finish();
-    let cache_stats = config.shared.stats();
+    let cache_stats = shared.stats();
     // One closing sample so even a short run's series carry its final
     // counter state (and `samples > 0` holds whenever metrics were on).
     if telemetry.enabled() {
@@ -1445,8 +1458,8 @@ fn supervise(
         cache: CacheSummary {
             evictions: cache_stats.evictions,
             entries: cache_stats.entries,
-            disk_loaded: config.disk_loaded,
-            disk_rejected: config.disk_rejected,
+            disk_loaded: storage.disk_loaded,
+            disk_rejected: storage.disk_rejected,
             disk_persisted: flusher.disk_persisted,
             disk_bytes: flusher.disk_bytes,
             flushes: flusher.flushes,
@@ -1454,7 +1467,8 @@ fn supervise(
             degraded: flusher.degraded,
             persist_failed: flusher.persist_failed,
         },
-        server: ServerCounters { completed, disconnects, ..ServerCounters::default() },
+        // Read by `Scheduler::drain` once the supervisor has exited.
+        server: ServerCounters::default(),
         latency,
         telemetry: telemetry.section(),
     }
@@ -1472,8 +1486,7 @@ fn finalize_submission(
     flusher: &mut StoreFlusher,
     gate: &Mutex<Gate>,
     latency: &mut keq_trace::Histogram,
-    completed: &mut u64,
-    disconnects: &mut u64,
+    counters: &LiveCounters,
     request_events: bool,
     telemetry: &Telemetry,
 ) {
@@ -1486,7 +1499,7 @@ fn finalize_submission(
         .map(|t| u64::try_from((t - st.submitted).as_micros()).unwrap_or(u64::MAX))
         .unwrap_or(wall_us);
     latency.add(wall_us as f64);
-    *completed += 1;
+    counters.completed.fetch_add(1, Ordering::Relaxed);
     telemetry.observe_request(wall_us, latency);
     if telemetry.enabled() {
         let phase_us: Vec<(Phase, u64)> = Phase::ALL
@@ -1534,7 +1547,7 @@ fn finalize_submission(
         })
         .is_ok();
     if !delivered {
-        *disconnects += 1;
+        counters.disconnects.fetch_add(1, Ordering::Relaxed);
         if telemetry.enabled() {
             telemetry.registry().counter_add(CounterId::Disconnects, 1);
         }
@@ -1574,18 +1587,15 @@ fn spawn_worker(
     let handle = std::thread::Builder::new()
         .name("keq-harness-worker".into())
         .spawn(move || {
-            let _trace_guard = settings.trace.as_ref().map(keq_trace::install);
+            let h = &settings.harness;
+            let _trace_guard = h.trace.as_ref().map(keq_trace::install);
             let _metrics_guard = settings.metrics.as_ref().map(keq_trace::install_metrics);
             while !retired_in.load(Ordering::Acquire) {
                 let Some(job) = queue.pop(id) else { break };
                 // Decorrelated-jitter backoff before retries, *before*
                 // announcing the job: the sleep must not consume the
                 // attempt's deadline.
-                let backoff = settings.retry.backoff_for(
-                    settings.fault_plan.seed,
-                    job.core.unit,
-                    job.attempt,
-                );
+                let backoff = h.retry.backoff_for(h.fault_plan.seed, job.core.unit, job.attempt);
                 if !backoff.is_zero() {
                     std::thread::sleep(backoff);
                 }
@@ -1617,15 +1627,16 @@ fn run_attempt(
     start: Instant,
 ) -> AttemptOutcome {
     let core = &job.core;
-    let keq = settings.retry.options_for_attempt(settings.keq, job.attempt);
-    let _fault = fault::install(&settings.fault_plan, core.unit);
+    let h = &settings.harness;
+    let keq = h.retry.options_for_attempt(h.keq, job.attempt);
+    let _fault = fault::install(&h.fault_plan, core.unit);
     let _trace_ctx = keq_trace::with_attempt(core.trace_id, job.attempt);
     keq_trace::emit(keq_trace::Event::AttemptStart {
         func: core.trace_id,
         attempt: job.attempt,
-        budget_scale: settings.retry.scale(job.attempt),
+        budget_scale: h.retry.scale(job.attempt),
     });
-    let (generation, mut ctx) = if settings.warm_start {
+    let (generation, mut ctx) = if h.warm_start {
         let (generation, ctx) = ctxs.take(job.submission);
         (generation, ctx.unwrap_or_default())
     } else {
@@ -1641,12 +1652,6 @@ fn run_attempt(
     // The context rides inside the closure so a panic mid-validation drops
     // it during unwind: a context of unknown consistency is never reused
     // (and panics are not retryable anyway).
-    let opts = PassOptions {
-        isel: settings.isel,
-        vc: settings.vc,
-        ra: settings.ra,
-        gvn: settings.gvn,
-    };
     let pass = core.pass;
     let module_in = Arc::clone(&core.module);
     let func_idx = core.func;
@@ -1655,7 +1660,6 @@ fn run_attempt(
             pass,
             &module_in,
             &module_in.functions[func_idx],
-            opts,
             keq,
             Some(cancel),
             &mut ctx,
@@ -1666,7 +1670,7 @@ fn run_attempt(
     let (result, retryable) = match outcome {
         Ok((Ok(report), ctx)) => {
             solver = ctx.solver.stats().since(&stats_before);
-            if settings.warm_start {
+            if h.warm_start {
                 // Dropped, not inserted, if the supervisor retired the
                 // submission while this attempt ran (watchdog abandonment).
                 ctxs.put(job.submission, generation, ctx);
@@ -1692,7 +1696,7 @@ fn run_attempt(
             // transient (fault campaigns, flaky external tooling).
             (
                 CorpusResult::Crashed { message: panic.message, location: panic.location },
-                settings.retry.retry_crashes,
+                h.retry.retry_crashes,
             )
         }
     };

@@ -34,8 +34,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use keq_llvm::parser::parse_module;
-use keq_smt::obcache::{StdStoreIo, StoreIo};
-use keq_smt::{FaultyIo, SharedObligationCache};
+use keq_smt::SharedObligationCache;
 
 use crate::journal;
 use crate::protocol::{
@@ -44,7 +43,7 @@ use crate::protocol::{
 };
 use crate::run::HarnessOptions;
 use crate::scheduler::{
-    ClientQuota, Completion, JournalConfig, Request, Scheduler, SchedulerConfig, SchedulerFinal,
+    ClientQuota, Completion, Request, Scheduler, SchedulerConfig, SchedulerFinal, Storage,
 };
 
 /// How often an idle connection read wakes up to check the shutdown flag.
@@ -121,12 +120,10 @@ impl ConnCtx {
         let (p50_us, p90_us, p99_us) = self.scheduler.telemetry().latency_quantiles_us();
         StatsSnapshot {
             requests: adm.requests,
-            // Finalized = admitted minus still-inflight. `disconnects` is
-            // supervisor-local and only merged at drain; it reads 0 live.
-            completed: adm.requests.saturating_sub(depth),
+            completed: adm.completed,
             rejected_queue_full: adm.rejected_queue_full,
             rejected_quota: adm.rejected_quota,
-            disconnects: 0,
+            disconnects: adm.disconnects,
             depth,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
@@ -221,61 +218,16 @@ impl Server {
             }
         };
 
-        let h = &opts.harness;
-        let io_backend: Arc<dyn StoreIo> = if h.fault_plan.has_storage_faults() {
-            Arc::new(FaultyIo::new(h.fault_plan.storage()))
-        } else {
-            Arc::new(StdStoreIo)
-        };
-        let shared = Arc::new(SharedObligationCache::new());
-        let mut disk_loaded = 0u64;
-        let mut disk_rejected = 0u64;
-        if let Some(path) = &h.cache_path {
-            let load = shared.load_with(path, io_backend.as_ref());
-            disk_loaded = load.loaded;
-            disk_rejected = load.rejected;
-        }
-        let journal_cfg = h.journal_path.as_ref().map(|path| {
-            let mut valid_prefix = None;
-            if h.resume {
-                let load = journal::load(path, SERVER_JOURNAL_FP, io_backend.as_ref());
-                if !load.reset {
-                    valid_prefix = Some(load.valid_prefix);
-                }
-            }
-            JournalConfig { path: path.clone(), corpus_fp: SERVER_JOURNAL_FP, valid_prefix }
-        });
-        let workers = if h.workers == 0 {
-            std::thread::available_parallelism().map_or(4, usize::from)
-        } else {
-            h.workers
-        };
+        // A server journal is never replayed into requests: resuming only
+        // keeps its valid prefix, so the recovered records go unused.
+        let (storage, _) = Storage::open(&opts.harness, SERVER_JOURNAL_FP);
+        let shared = Arc::clone(&storage.shared);
         let scheduler = Scheduler::start(SchedulerConfig {
-            keq: h.keq,
-            isel: h.isel,
-            vc: h.vc,
-            ra: h.ra,
-            gvn: h.gvn,
-            workers,
-            deadline: h.deadline,
-            grace: h.grace,
-            watchdog_tick: h.watchdog_tick,
-            retry: h.retry,
-            fault_plan: h.fault_plan,
-            warm_start: h.warm_start,
-            trace: h.trace.clone(),
+            harness: opts.harness.clone(),
             queue_depth: opts.queue_depth,
             quota: opts.quota,
             request_events: true,
-            shared: Arc::clone(&shared),
-            io: io_backend,
-            cache_path: h.cache_path.clone(),
-            disk_loaded,
-            disk_rejected,
-            store_flush_every: h.store_flush_every,
-            store_breaker_threshold: h.store_breaker_threshold,
-            journal: journal_cfg,
-            metrics: h.metrics,
+            storage,
         });
 
         Ok(Server {
@@ -285,8 +237,10 @@ impl Server {
                 shared,
                 shutdown: AtomicBool::new(false),
                 wake: wake_addr,
-                sample_interval_ms: u64::try_from(h.metrics.sample_interval.as_millis())
-                    .unwrap_or(u64::MAX),
+                sample_interval_ms: u64::try_from(
+                    opts.harness.metrics.sample_interval.as_millis(),
+                )
+                .unwrap_or(u64::MAX),
             }),
         })
     }

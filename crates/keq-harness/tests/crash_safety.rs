@@ -108,6 +108,29 @@ fn truncated_journal_resume_is_verdict_identical_to_a_clean_run() {
     let resumed = run_module(&module, &opts(true));
     let resumed_wall = start.elapsed();
     assert_eq!(kinds(&resumed), reference, "resume must not change a single verdict");
+    // The deterministic work bar: the fault plan is keyed by unit, so each
+    // replayed row makes exactly its clean-run attempts, and the skipped
+    // rows' attempts are the work resume saved.
+    let mut skipped_attempts = 0;
+    for (row, clean_row) in resumed.rows.iter().zip(&clean.rows) {
+        if row.recovered {
+            skipped_attempts += clean_row.attempts.len();
+        } else {
+            assert_eq!(
+                row.attempts.len(),
+                clean_row.attempts.len(),
+                "{}: a replayed row repeats its clean-run attempts",
+                row.name
+            );
+        }
+    }
+    assert_eq!(resumed.total_attempts(), clean.total_attempts() - skipped_attempts);
+    assert!(
+        resumed.total_attempts() < clean.total_attempts(),
+        "resume must skip work: {} of {} attempts replayed",
+        resumed.total_attempts(),
+        clean.total_attempts()
+    );
     assert!(resumed.resume.enabled);
     assert!(resumed.resume.skipped >= 1, "two thirds of the journal recovers something");
     assert!(resumed.resume.skipped < 8, "the cut must have left work to replay");
@@ -515,7 +538,7 @@ fn journaling_a_clean_run_leaves_rows_and_counters_unaffected() {
         journaled_wall <= bare_wall.mul_f64(1.10) + Duration::from_millis(250),
         "journaling must cost <=10% wall (bare {bare_wall:?}, journaled {journaled_wall:?})"
     );
-    assert_eq!(journaled.resume, keq_harness::ResumeSummary::default());
+    assert_eq!(journaled.resume, keq_trace::ResumeSection::default());
     assert!(journal_path.exists());
 
     // And the journal on disk decides every function.

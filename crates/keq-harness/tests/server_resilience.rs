@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use keq_harness::protocol::{ClientRequest, ServerResponse};
 use keq_harness::{
-    connect, journal, ClientQuota, HarnessOptions, Rejected, Request, RetryPolicy, Scheduler,
-    SchedulerConfig, Server, ServerOptions,
+    connect, journal, ClientQuota, HarnessOptions, Rejected, Request, Scheduler, SchedulerConfig,
+    Server, ServerOptions, Storage,
 };
 use keq_llvm::ast::Module;
 use keq_smt::fault::{FaultPlan, Rate};
@@ -29,34 +29,33 @@ fn unique_path(name: &str) -> PathBuf {
     ))
 }
 
-fn config(journal_path: Option<PathBuf>, fp: u64) -> SchedulerConfig {
-    SchedulerConfig {
-        keq: Default::default(),
-        isel: Default::default(),
-        vc: Default::default(),
-        ra: Default::default(),
-        gvn: Default::default(),
+fn harness() -> HarnessOptions {
+    HarnessOptions {
         workers: 1,
-        deadline: None,
         grace: Duration::from_millis(60),
         watchdog_tick: Duration::from_millis(5),
-        retry: RetryPolicy::default(),
-        fault_plan: FaultPlan::quiet(0),
-        warm_start: true,
-        trace: None,
+        store_flush_every: 0,
+        ..HarnessOptions::default()
+    }
+}
+
+fn config(journal_path: Option<PathBuf>, fp: u64) -> SchedulerConfig {
+    SchedulerConfig {
+        harness: harness(),
         queue_depth: 0,
         quota: ClientQuota::default(),
         request_events: false,
-        shared: Arc::new(SharedObligationCache::new()),
-        io: Arc::new(StdStoreIo) as Arc<dyn StoreIo>,
-        cache_path: None,
-        disk_loaded: 0,
-        disk_rejected: 0,
-        store_flush_every: 0,
-        store_breaker_threshold: 3,
-        journal: journal_path
-            .map(|path| keq_harness::JournalConfig { path, corpus_fp: fp, valid_prefix: None }),
-        metrics: keq_harness::MetricsConfig::default(),
+        storage: Storage {
+            io: Arc::new(StdStoreIo) as Arc<dyn StoreIo>,
+            shared: Arc::new(SharedObligationCache::new()),
+            disk_loaded: 0,
+            disk_rejected: 0,
+            journal: journal_path.map(|path| keq_harness::JournalConfig {
+                path,
+                corpus_fp: fp,
+                valid_prefix: None,
+            }),
+        },
     }
 }
 
@@ -86,10 +85,13 @@ fn queue_full_rejection_then_abandonment_leaves_a_usable_scheduler() {
     let journal_path = unique_path("backpressure.keqwal");
     let fp = 0x5eed;
     let sched = Scheduler::start(SchedulerConfig {
+        harness: HarnessOptions {
+            // Every unit hangs; only the watchdog can finalize it.
+            fault_plan: FaultPlan { hang: Rate { num: 1, den: 1 }, ..FaultPlan::quiet(0) },
+            deadline: Some(Duration::from_millis(30)),
+            ..harness()
+        },
         queue_depth: 1,
-        // Every unit hangs; only the watchdog can finalize it.
-        fault_plan: FaultPlan { hang: Rate { num: 1, den: 1 }, ..FaultPlan::quiet(0) },
-        deadline: Some(Duration::from_millis(30)),
         ..config(Some(journal_path.clone()), fp)
     });
 
@@ -134,11 +136,11 @@ fn mid_request_disconnect_preserves_cache_journal_and_quota() {
     let corpus = generate_corpus(GenConfig { seed: 32, ..GenConfig::default() }, 2);
     let journal_path = unique_path("disconnect.keqwal");
     let fp = 0xd15c;
-    let shared = Arc::new(SharedObligationCache::new());
+    let config = config(Some(journal_path.clone()), fp);
+    let shared = Arc::clone(&config.storage.shared);
     let sched = Scheduler::start(SchedulerConfig {
         quota: ClientQuota { max_inflight: 1, ..ClientQuota::default() },
-        shared: Arc::clone(&shared),
-        ..config(Some(journal_path.clone()), fp)
+        ..config
     });
 
     // Client 1 submits and immediately vanishes.
@@ -169,10 +171,19 @@ fn mid_request_disconnect_preserves_cache_journal_and_quota() {
         "revalidating the vanished client's function rides the cache it warmed"
     );
 
+    // The disconnect is visible live, before the drain: once nothing is in
+    // flight, the supervisor has counted the dead reply channel.
+    while sched.depth() > 0 {
+        std::thread::yield_now();
+    }
+    let live = sched.admission();
+    assert_eq!(live.disconnects, 1, "the live counters see the disconnect");
+
     let fin = sched.drain();
     assert_eq!(fin.server.requests, 2);
     assert_eq!(fin.server.completed, 2, "the orphaned submission still finalized");
     assert_eq!(fin.server.disconnects, 1, "the dead reply channel was counted");
+    assert_eq!(fin.server.disconnects, live.disconnects, "the drain reads the live counter");
 
     // Both finalizations were journaled — the disconnect lost the reply,
     // not the write-ahead record.

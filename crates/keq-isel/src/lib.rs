@@ -24,15 +24,12 @@ pub use gvn_vcgen::gvn_sync_points;
 pub use keq_llvm::gvn::{GvnBug, GvnOptions, GvnOutput};
 pub use liveness::{phi_uses_from, predecessors, Liveness};
 pub use pipeline::{
-    validate_function, validate_function_cancellable, validate_function_with_context,
-    validate_gvn_with_context, validate_pass_with_context, validate_regalloc,
-    validate_regalloc_cancellable, validate_regalloc_with_context, validate_translation,
-    validate_translation_cancellable, validate_translation_with_context, PassId, PassOptions,
-    ValidationContext, ValidationOutcome,
+    validate_function, validate_gvn_with_context, validate_pass_with_context, validate_regalloc,
+    validate_regalloc_with_context, PassId, ValidationContext, ValidationOutcome,
 };
 pub use ra_vcgen::regalloc_sync_points;
 pub use regalloc::{
-    allocate, allocate_cancellable, allocate_with_options, RaError, RaMap, RaOptions, SpillBug,
+    allocate, allocate_with_options, RaError, RaMap, RaOptions, SpillBug,
     VxLiveness, SPILL_BASE, SPILL_SLOT_BYTES,
 };
 pub use vcgen::{generate_sync_points, render_sync_table, VcOptions};

@@ -16,6 +16,7 @@ use keq_llvm::ast::{Function, Module};
 use keq_llvm::gvn::{run_gvn, GvnOptions, GvnOutput};
 use keq_llvm::layout::Layout;
 use keq_llvm::sem::LlvmSemantics;
+use keq_semantics::Language;
 use keq_smt::CancelToken;
 use keq_vx86::sem::VxSemantics;
 
@@ -88,21 +89,6 @@ impl std::fmt::Display for PassId {
     }
 }
 
-/// Per-pass knobs of the pass-parametric pipeline, bundled so every layer
-/// of the harness forwards one value regardless of which pass runs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PassOptions {
-    /// Instruction-selection options (also feeds the regalloc route, whose
-    /// input is the selector's output).
-    pub isel: IselOptions,
-    /// ISel VC-generation options.
-    pub vc: VcOptions,
-    /// Register-allocator options (spill-bug injection, pool cap).
-    pub ra: RaOptions,
-    /// GVN options (bug injection).
-    pub gvn: GvnOptions,
-}
-
 /// Everything produced by one validation run.
 #[derive(Debug)]
 pub struct ValidationOutcome {
@@ -165,40 +151,14 @@ pub fn validate_function(
     vc_opts: VcOptions,
     keq_opts: KeqOptions,
 ) -> Result<ValidationOutcome, IselError> {
-    validate_function_cancellable(module, func, isel_opts, vc_opts, keq_opts, None)
-}
-
-/// [`validate_function`] with a supervisor cancellation token threaded into
-/// the checker and the SMT solver — the entry point the corpus harness
-/// drives so its watchdog can stop a wedged validation.
-///
-/// # Errors
-///
-/// Returns [`IselError`] when the function is outside the supported
-/// fragment; cancellation surfaces inside the report as
-/// `FailureReason::Cancelled`.
-pub fn validate_function_cancellable(
-    module: &Module,
-    func: &Function,
-    isel_opts: IselOptions,
-    vc_opts: VcOptions,
-    keq_opts: KeqOptions,
-    cancel: Option<&CancelToken>,
-) -> Result<ValidationOutcome, IselError> {
     let mut ctx = ValidationContext::new();
-    validate_function_with_context(module, func, isel_opts, vc_opts, keq_opts, cancel, &mut ctx)
+    validate_function_with_context(module, func, isel_opts, vc_opts, keq_opts, None, &mut ctx)
 }
 
-/// [`validate_function_cancellable`] against a caller-owned
-/// [`ValidationContext`], the warm-start entry point for escalating-budget
-/// retries: pass the same context on every attempt for one function and
-/// each retry reuses the previous attempts' closed solver queries.
-///
-/// # Errors
-///
-/// Returns [`IselError`] when the function is outside the supported
-/// fragment.
-pub fn validate_function_with_context(
+/// [`validate_function`] with a supervisor cancellation token, against a
+/// caller-owned [`ValidationContext`] (the warm-start state of
+/// escalating-budget retries).
+fn validate_function_with_context(
     module: &Module,
     func: &Function,
     isel_opts: IselOptions,
@@ -215,62 +175,27 @@ pub fn validate_function_with_context(
     let vcgen_span = keq_trace::span(keq_trace::Phase::Vcgen);
     let sync = generate_sync_points(func, &isel, vc_opts);
     vcgen_span.done();
-    let report = validate_translation_with_context(
-        module, func, &isel, &layout, &sync, keq_opts, cancel, ctx,
-    );
-    Ok(ValidationOutcome { report, isel, sync, layout })
-}
-
-/// Runs KEQ on an existing translation (used for hand-written Virtual x86,
-/// e.g. the paper's Fig. 9/11 listings).
-pub fn validate_translation(
-    module: &Module,
-    func: &Function,
-    isel: &IselOutput,
-    layout: &Layout,
-    sync: &SyncSet,
-    keq_opts: KeqOptions,
-) -> KeqReport {
-    validate_translation_cancellable(module, func, isel, layout, sync, keq_opts, None)
-}
-
-/// [`validate_translation`] with a supervisor cancellation token.
-#[allow(clippy::too_many_arguments)]
-pub fn validate_translation_cancellable(
-    module: &Module,
-    func: &Function,
-    isel: &IselOutput,
-    layout: &Layout,
-    sync: &SyncSet,
-    keq_opts: KeqOptions,
-    cancel: Option<&CancelToken>,
-) -> KeqReport {
-    let mut ctx = ValidationContext::new();
-    validate_translation_with_context(
-        module, func, isel, layout, sync, keq_opts, cancel, &mut ctx,
-    )
-}
-
-/// [`validate_translation_cancellable`] against a caller-owned
-/// [`ValidationContext`] (see [`validate_function_with_context`]).
-#[allow(clippy::too_many_arguments)]
-pub fn validate_translation_with_context(
-    module: &Module,
-    func: &Function,
-    isel: &IselOutput,
-    layout: &Layout,
-    sync: &SyncSet,
-    keq_opts: KeqOptions,
-    cancel: Option<&CancelToken>,
-    ctx: &mut ValidationContext,
-) -> KeqReport {
     let left = LlvmSemantics::with_layout(module, func, layout.clone());
     let right = VxSemantics::new(
         &isel.func,
         layout.mem.clone(),
         layout.globals.iter().map(|(k, v)| (k.clone(), *v)).collect(),
     );
-    let mut keq = Keq::new(&left, &right).with_options(keq_opts);
+    let report = check(&left, &right, &sync, keq_opts, cancel, ctx);
+    Ok(ValidationOutcome { report, isel, sync, layout })
+}
+
+/// The tail every route shares: the one unmodified KEQ, checking `sync`
+/// between two `Language`s under the supervisor's cancellation token.
+fn check(
+    left: &dyn Language,
+    right: &dyn Language,
+    sync: &SyncSet,
+    keq_opts: KeqOptions,
+    cancel: Option<&CancelToken>,
+    ctx: &mut ValidationContext,
+) -> KeqReport {
+    let mut keq = Keq::new(left, right).with_options(keq_opts);
     if let Some(c) = cancel {
         keq = keq.with_cancel(c.clone());
     }
@@ -291,36 +216,14 @@ pub fn validate_regalloc(
     layout: &Layout,
     keq_opts: KeqOptions,
 ) -> Result<(KeqReport, keq_vx86::ast::VxFunction), crate::regalloc::RaError> {
-    validate_regalloc_cancellable(pre, layout, keq_opts, None)
-}
-
-/// [`validate_regalloc`] with a supervisor cancellation token threaded into
-/// both the allocator's liveness fixpoint and the KEQ check.
-///
-/// # Errors
-///
-/// Returns [`crate::regalloc::RaError`] when allocation is cancelled
-/// mid-analysis.
-pub fn validate_regalloc_cancellable(
-    pre: &keq_vx86::ast::VxFunction,
-    layout: &Layout,
-    keq_opts: KeqOptions,
-    cancel: Option<&CancelToken>,
-) -> Result<(KeqReport, keq_vx86::ast::VxFunction), crate::regalloc::RaError> {
     let mut ctx = ValidationContext::new();
-    validate_regalloc_with_context(
-        pre,
-        layout,
-        crate::regalloc::RaOptions::default(),
-        keq_opts,
-        cancel,
-        &mut ctx,
-    )
+    validate_regalloc_with_context(pre, layout, RaOptions::default(), keq_opts, None, &mut ctx)
 }
 
-/// [`validate_regalloc_cancellable`] with allocator options (spill-bug
-/// injection) against a caller-owned [`ValidationContext`] — the
-/// warm-startable entry point the pass-parametric harness drives.
+/// [`validate_regalloc`] with allocator options (spill-bug injection) and a
+/// supervisor cancellation token, against a caller-owned
+/// [`ValidationContext`] — the warm-startable entry point the
+/// pass-parametric harness drives.
 ///
 /// The allocated side's address space is the source layout *plus* the
 /// private spill frame (when the allocation spilled): spill-slot accesses
@@ -333,7 +236,7 @@ pub fn validate_regalloc_cancellable(
 pub fn validate_regalloc_with_context(
     pre: &keq_vx86::ast::VxFunction,
     layout: &Layout,
-    ra_opts: crate::regalloc::RaOptions,
+    ra_opts: RaOptions,
     keq_opts: KeqOptions,
     cancel: Option<&CancelToken>,
     ctx: &mut ValidationContext,
@@ -350,12 +253,7 @@ pub fn validate_regalloc_with_context(
     }
     let left = VxSemantics::new(pre, layout.mem.clone(), globals.clone());
     let right = VxSemantics::new(&post, right_mem, globals);
-    let mut keq = Keq::new(&left, &right).with_options(keq_opts);
-    if let Some(c) = cancel {
-        keq = keq.with_cancel(c.clone());
-    }
-    let _span = keq_trace::span(keq_trace::Phase::Check);
-    Ok((keq.check_with_solver(&mut ctx.bank, &sync, &mut ctx.solver), post))
+    Ok((check(&left, &right, &sync, keq_opts, cancel, ctx), post))
 }
 
 /// Validates the GVN mid-end pass on an LLVM function: run the pass,
@@ -379,16 +277,13 @@ pub fn validate_gvn_with_context(
     let layout = Layout::of(module, func);
     let left = LlvmSemantics::with_layout(module, func, layout.clone());
     let right = LlvmSemantics::with_layout(module, &out.func, layout);
-    let mut keq = Keq::new(&left, &right).with_options(keq_opts);
-    if let Some(c) = cancel {
-        keq = keq.with_cancel(c.clone());
-    }
-    let _span = keq_trace::span(keq_trace::Phase::Check);
-    (keq.check_with_solver(&mut ctx.bank, &sync, &mut ctx.solver), out)
+    (check(&left, &right, &sync, keq_opts, cancel, ctx), out)
 }
 
 /// The single pass-parametric validation entry point: dispatches on
-/// [`PassId`] and reduces every route to one [`KeqReport`].
+/// [`PassId`] and reduces every route to one [`KeqReport`]. Every pass runs
+/// with its default options; the bug studies inject defects through the
+/// per-pass entry points above instead.
 ///
 /// * [`PassId::Isel`] validates the LLVM IR → Virtual x86 translation;
 /// * [`PassId::Regalloc`] first *runs* the selector (unvalidated — the
@@ -404,28 +299,32 @@ pub fn validate_gvn_with_context(
 /// Returns [`IselError`] when the function is outside the selector's
 /// supported fragment (which gates the ISel and regalloc routes; GVN
 /// accepts the full parsed language).
-#[allow(clippy::too_many_arguments)]
 pub fn validate_pass_with_context(
     pass: PassId,
     module: &Module,
     func: &Function,
-    opts: PassOptions,
     keq_opts: KeqOptions,
     cancel: Option<&CancelToken>,
     ctx: &mut ValidationContext,
 ) -> Result<KeqReport, IselError> {
     match pass {
         PassId::Isel => validate_function_with_context(
-            module, func, opts.isel, opts.vc, keq_opts, cancel, ctx,
+            module,
+            func,
+            IselOptions::default(),
+            VcOptions::default(),
+            keq_opts,
+            cancel,
+            ctx,
         )
         .map(|o| o.report),
         PassId::Regalloc => {
             let isel_span = keq_trace::span(keq_trace::Phase::Isel);
             let layout = Layout::of(module, func);
-            let pre = select(module, func, &layout, opts.isel)?.func;
+            let pre = select(module, func, &layout, IselOptions::default())?.func;
             isel_span.done();
-            match validate_regalloc_with_context(&pre, &layout, opts.ra, keq_opts, cancel, ctx)
-            {
+            let ra = RaOptions::default();
+            match validate_regalloc_with_context(&pre, &layout, ra, keq_opts, cancel, ctx) {
                 Ok((report, _)) => Ok(report),
                 Err(crate::regalloc::RaError::Cancelled) => Ok(KeqReport {
                     verdict: keq_core::Verdict::NotValidated(keq_core::Failure {
@@ -436,9 +335,15 @@ pub fn validate_pass_with_context(
                 }),
             }
         }
-        PassId::Gvn => {
-            Ok(validate_gvn_with_context(module, func, opts.gvn, keq_opts, cancel, ctx).0)
-        }
+        PassId::Gvn => Ok(validate_gvn_with_context(
+            module,
+            func,
+            GvnOptions::default(),
+            keq_opts,
+            cancel,
+            ctx,
+        )
+        .0),
     }
 }
 

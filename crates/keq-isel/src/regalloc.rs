@@ -392,24 +392,12 @@ fn interference(func: &VxFunction, lv: &VxLiveness) -> BTreeMap<RegKey, BTreeSet
 ///
 /// Never fails on register pressure — excess pressure spills.
 pub fn allocate(func: &VxFunction) -> Result<(VxFunction, RaMap), RaError> {
-    allocate_cancellable(func, None)
+    allocate_with_options(func, RaOptions::default(), None)
 }
 
-/// [`allocate`] with a supervisor cancellation token threaded into the
-/// liveness fixpoint.
-///
-/// # Errors
-///
-/// Returns [`RaError::Cancelled`] when the token is raised mid-analysis.
-pub fn allocate_cancellable(
-    func: &VxFunction,
-    cancel: Option<&CancelToken>,
-) -> Result<(VxFunction, RaMap), RaError> {
-    allocate_with_options(func, RaOptions::default(), cancel)
-}
-
-/// [`allocate_cancellable`] with tuning — the entry point the validation
-/// studies use to inject spill defects.
+/// [`allocate`] with tuning and a supervisor cancellation token threaded
+/// into the liveness fixpoint — the entry point the validation studies use
+/// to inject spill defects.
 ///
 /// # Errors
 ///
