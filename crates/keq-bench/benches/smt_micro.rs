@@ -6,8 +6,12 @@
 //! * solver scaling on arithmetic identities by bit width;
 //! * end-to-end validation latency of the running example;
 //! * **session prefix reuse** — a multi-obligation sync-point batch in
-//!   scratch mode versus session mode, with the bit-blast counters that
-//!   back the PR's ≥2× reuse acceptance bar.
+//!   scratch mode versus session mode, with their bit-blast counters;
+//! * cold obligation-fingerprint overhead, with its ≤5% bar;
+//! * obligation normalization on and off.
+//!
+//! The session-reuse and normalization bars are enforced in CI by
+//! `tests/solver_gates.rs`; this binary only prints their timings.
 
 use std::time::{Duration, Instant};
 
@@ -105,8 +109,7 @@ fn bench_running_example() {
 
 /// One sync point, many obligations: scratch mode re-blasts the prefix
 /// per query, session mode blasts it once and adds each delta under an
-/// activation literal. The `terms_blasted` counter ratio is the PR's
-/// acceptance metric (session must blast ≥2× fewer nodes).
+/// activation literal.
 fn bench_session_reuse() {
     println!("--- session_prefix_reuse ---");
     let obligations = 12usize;
@@ -148,13 +151,6 @@ fn bench_session_reuse() {
         session_stats.terms_blasted,
         session_stats.terms_blast_reused,
         session_stats.clauses_retained
-    );
-    assert!(
-        session_stats.terms_blasted * 2 <= scratch_stats.terms_blasted,
-        "session mode must bit-blast at least 2x fewer nodes \
-         (session {}, scratch {})",
-        session_stats.terms_blasted,
-        scratch_stats.terms_blasted
     );
 }
 
@@ -212,9 +208,7 @@ fn bench_fingerprint_overhead() {
 }
 
 /// Obligation normalization: the same redundancy-heavy micro corpus solved
-/// with the saturating rewriter on (the default) and off. The rewriter-on
-/// leg must bit-blast ≥20% fewer term nodes — the PR's acceptance bar —
-/// without regressing wall time on this easy mass.
+/// with the saturating rewriter on (the default) and off.
 fn bench_normalization() {
     println!("--- obligation_normalization ---");
     let obligations = 20usize;
@@ -248,18 +242,6 @@ fn bench_normalization() {
         on_stats.terms_blasted,
         on_stats.rewrite_rules_fired,
         on_stats.rewrite_nodes_saved
-    );
-    assert!(
-        on_stats.terms_blasted * 100 <= off_stats.terms_blasted * 80,
-        "acceptance bar: normalization must cut blasted terms by >=20% \
-         (on {}, off {})",
-        on_stats.terms_blasted,
-        off_stats.terms_blasted
-    );
-    assert!(
-        on_time <= off_time.mul_f64(1.05) + Duration::from_millis(250),
-        "acceptance bar: normalization must not regress wall time \
-         (off {off_time:?}, on {on_time:?})"
     );
 }
 

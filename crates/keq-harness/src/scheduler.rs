@@ -1105,9 +1105,9 @@ impl Scheduler {
     }
 
     /// The live request counters (the `stats` surface of a running
-    /// scheduler). A submission counts as `completed` before its gate slot
-    /// frees, and as a disconnect just after, when its reply finds no
-    /// receiver.
+    /// scheduler). A submission counts as `completed`, and as a disconnect
+    /// when its reply finds no receiver, before its [`Self::depth`] slot
+    /// frees.
     pub fn admission(&self) -> ServerCounters {
         self.counters.snapshot()
     }
@@ -1524,33 +1524,40 @@ fn finalize_submission(
             solver: st.solver_acc,
         });
     }
+    // One gate critical section: the quota slot frees, the reply goes out, a
+    // dead channel is counted, and only then the depth slot frees. A client
+    // that resubmits the moment it reads the reply waits on the lock until
+    // both of its slots are free, so it is not refused for the request that
+    // just finished; a reader that waits for `depth == 0` sees every
+    // finished submission fully accounted. The send is on an unbounded
+    // channel and does not block.
+    let result_name = result.kind().name();
     {
         let mut g = gate.lock().expect("gate poisoned");
-        g.depth = g.depth.saturating_sub(1);
         if let Some(n) = g.per_client.get_mut(&st.client) {
             *n = n.saturating_sub(1);
             if *n == 0 {
                 g.per_client.remove(&st.client);
             }
         }
-    }
-    let result_name = result.kind().name();
-    let delivered = st
-        .reply
-        .send(Completion {
-            submission,
-            tag: st.tag,
-            result,
-            attempts: st.attempts,
-            queue_us,
-            wall_us,
-        })
-        .is_ok();
-    if !delivered {
-        counters.disconnects.fetch_add(1, Ordering::Relaxed);
-        if telemetry.enabled() {
-            telemetry.registry().counter_add(CounterId::Disconnects, 1);
+        let delivered = st
+            .reply
+            .send(Completion {
+                submission,
+                tag: st.tag,
+                result,
+                attempts: st.attempts,
+                queue_us,
+                wall_us,
+            })
+            .is_ok();
+        if !delivered {
+            counters.disconnects.fetch_add(1, Ordering::Relaxed);
+            if telemetry.enabled() {
+                telemetry.registry().counter_add(CounterId::Disconnects, 1);
+            }
         }
+        g.depth = g.depth.saturating_sub(1);
     }
     if request_events && keq_trace::enabled() {
         keq_trace::emit(keq_trace::Event::RequestCompleted {

@@ -172,7 +172,9 @@ fn mid_request_disconnect_preserves_cache_journal_and_quota() {
     );
 
     // The disconnect is visible live, before the drain: once nothing is in
-    // flight, the supervisor has counted the dead reply channel.
+    // flight, the supervisor has counted the dead reply channel. This
+    // ordering is guaranteed: a submission frees its depth slot only after
+    // its reply was sent and a dead channel counted.
     while sched.depth() > 0 {
         std::thread::yield_now();
     }

@@ -9,29 +9,86 @@
 //! Terms are processed in iterative post-order so deeply nested formulas
 //! (long store chains, big-block straight-line code) cannot overflow the
 //! stack.
+//!
+//! Two-input gates are structurally hashed: each AND, XOR and MUX over the
+//! same normalized operands exists once per [`BlastCache`], so two terms
+//! spelled differently but equal bit for bit (`a <s b` and
+//! `a ⊕ 0x80 <u b ⊕ 0x80`, say) blast to one literal instead of two
+//! circuits the SAT search would have to prove equal.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::sat::{Lit, SatSolver};
 use crate::term::{Op, TermBank, TermId, VarId};
 
-/// Persistent bit-blasting state: per-`TermId` CNF memo plus the variable
-/// encoding tables, decoupled from the [`BitBlaster`] that fills it.
+/// Multiply-fold hasher for the blaster's integer keys: term ids and packed
+/// literal codes. SipHash costs a measurable share of blast time on these
+/// one- and two-word keys.
+#[derive(Debug, Default, Clone, Copy)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        // `n ^ n >> 32` is a bijection that lets both packed operands reach
+        // the low bits the multiply spreads upwards.
+        self.0 = (self.0 ^ n ^ (n >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write_u128(&mut self, n: u128) {
+        self.write_u64(n as u64);
+        self.write_u64((n >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits; fold the well-mixed high half in.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A map over integer keys, hashed with [`IntHasher`].
+type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+/// One structural gate table: normalized operand codes → output literal.
+type GateMap<K> = IntMap<K, Lit>;
+
+/// Persistent bit-blasting state: per-`TermId` CNF memo, the structural
+/// gate tables, and the variable encoding tables, decoupled from the
+/// [`BitBlaster`] that fills it.
 ///
 /// A cache is tied to one ([`TermBank`], [`SatSolver`]) pair for its whole
 /// life — the memoized literals name variables of that solver and the keys
 /// are ids of that bank. Sessions keep one `BlastCache` alive across
-/// queries so shared subterms are blasted once; the scratch path builds a
-/// fresh one per query.
+/// queries so shared subterms and gates are blasted once; the scratch path
+/// builds a fresh one per query.
 #[derive(Debug, Default)]
 pub struct BlastCache {
-    bool_cache: HashMap<TermId, Lit>,
-    bv_cache: HashMap<TermId, Vec<Lit>>,
+    bool_cache: IntMap<TermId, Lit>,
+    bv_cache: IntMap<TermId, Vec<Lit>>,
     var_bits: HashMap<VarId, Vec<Lit>>,
     bool_vars: HashMap<VarId, Lit>,
+    /// `a ∧ b` keyed by the sorted operand codes.
+    and_gates: GateMap<u64>,
+    /// `x ⊕ y` over positive operands, keyed by their sorted codes; the
+    /// operand signs' parity is carried on the output literal instead.
+    xor_gates: GateMap<u64>,
+    /// `ite(c, a, b)` with a positive select, keyed by the three codes.
+    mux_gates: GateMap<u128>,
     lit_true: Option<Lit>,
     terms_blasted: u64,
     terms_reused: u64,
+    gates_reused: u64,
 }
 
 impl BlastCache {
@@ -66,6 +123,42 @@ impl BlastCache {
     pub fn terms_reused(&self) -> u64 {
         self.terms_reused
     }
+
+    /// Number of two-input gate requests answered by an existing gate
+    /// instead of a fresh variable and its clauses.
+    #[must_use]
+    pub fn gates_reused(&self) -> u64 {
+        self.gates_reused
+    }
+}
+
+/// The output of the gate named `key` in `table`. On the first request a
+/// fresh variable is allocated and `define` emits its Tseitin clauses;
+/// later requests count a reuse and emit nothing.
+fn hashed_gate<K: Eq + Hash>(
+    table: &mut GateMap<K>,
+    reused: &mut u64,
+    sat: &mut SatSolver,
+    key: K,
+    define: impl FnOnce(&mut SatSolver, Lit),
+) -> Lit {
+    match table.entry(key) {
+        Entry::Occupied(e) => {
+            *reused += 1;
+            *e.get()
+        }
+        Entry::Vacant(e) => {
+            let g = Lit::pos(sat.new_var());
+            define(sat, g);
+            *e.insert(g)
+        }
+    }
+}
+
+/// Packs two literal codes, smaller first, into one key.
+fn pair_key(a: Lit, b: Lit) -> u64 {
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    u64::from(lo.code()) << 32 | u64::from(hi.code())
 }
 
 /// Incremental bit-blaster over a shared SAT solver.
@@ -170,7 +263,8 @@ impl<'a> BitBlaster<'a> {
     }
 
     fn blast_node(&mut self, t: TermId) {
-        let node = self.bank.node(t).clone();
+        let bank = self.bank;
+        let node = bank.node(t);
         match node.op {
             Op::BoolConst(b) => {
                 let l = if b { self.lit_true() } else { self.lit_false() };
@@ -304,7 +398,7 @@ impl<'a> BitBlaster<'a> {
                 let bits: Vec<Lit> = a
                     .iter()
                     .zip(&b)
-                    .map(|(&x, &y)| self.gate_and(&[x, y]))
+                    .map(|(&x, &y)| self.gate_and2(x, y))
                     .collect();
                 self.cache.bv_cache.insert(t, bits);
             }
@@ -314,7 +408,7 @@ impl<'a> BitBlaster<'a> {
                 let bits: Vec<Lit> = a
                     .iter()
                     .zip(&b)
-                    .map(|(&x, &y)| self.gate_and(&[x.negate(), y.negate()]).negate())
+                    .map(|(&x, &y)| self.gate_or2(x, y))
                     .collect();
                 self.cache.bv_cache.insert(t, bits);
             }
@@ -408,6 +502,8 @@ impl<'a> BitBlaster<'a> {
     // -- gates ------------------------------------------------------------
 
     /// `g ↔ ⋀ lits` (with short-circuits for empty/unit/constant inputs).
+    /// Two live inputs go to the hashed [`Self::gate_and2`]; wider
+    /// conjunctions get a fresh gate.
     fn gate_and(&mut self, lits: &[Lit]) -> Lit {
         let mut essential = Vec::with_capacity(lits.len());
         for &l in lits {
@@ -423,6 +519,7 @@ impl<'a> BitBlaster<'a> {
         match essential.len() {
             0 => self.lit_true(),
             1 => essential[0],
+            2 => self.gate_and2(essential[0], essential[1]),
             _ => {
                 let g = Lit::pos(self.sat.new_var());
                 let mut long = Vec::with_capacity(essential.len() + 1);
@@ -437,7 +534,34 @@ impl<'a> BitBlaster<'a> {
         }
     }
 
-    /// `g ↔ a ⊕ b`.
+    /// `g ↔ a ∧ b`, hashed on the unordered operand pair.
+    fn gate_and2(&mut self, a: Lit, b: Lit) -> Lit {
+        let (t, f) = (self.lit_true(), self.lit_false());
+        if a == f || b == f || a == b.negate() {
+            return f;
+        }
+        if a == t || a == b {
+            return b;
+        }
+        if b == t {
+            return a;
+        }
+        let key = pair_key(a, b);
+        let cache = &mut *self.cache;
+        hashed_gate(&mut cache.and_gates, &mut cache.gates_reused, self.sat, key, |sat, g| {
+            sat.add_clause(&[g.negate(), a]);
+            sat.add_clause(&[g.negate(), b]);
+            sat.add_clause(&[g, a.negate(), b.negate()]);
+        })
+    }
+
+    /// `g ↔ a ∨ b`, as the hashed `¬(¬a ∧ ¬b)`.
+    fn gate_or2(&mut self, a: Lit, b: Lit) -> Lit {
+        self.gate_and2(a.negate(), b.negate()).negate()
+    }
+
+    /// `g ↔ a ⊕ b`. The gate is over the positive operands: `¬x ⊕ y` is
+    /// `¬(x ⊕ y)`, so every sign combination shares one variable.
     fn gate_xor(&mut self, a: Lit, b: Lit) -> Lit {
         if a == self.lit_false() {
             return b;
@@ -457,15 +581,24 @@ impl<'a> BitBlaster<'a> {
         if a == b.negate() {
             return self.lit_true();
         }
-        let g = Lit::pos(self.sat.new_var());
-        self.sat.add_clause(&[g.negate(), a, b]);
-        self.sat.add_clause(&[g.negate(), a.negate(), b.negate()]);
-        self.sat.add_clause(&[g, a.negate(), b]);
-        self.sat.add_clause(&[g, a, b.negate()]);
-        g
+        let (x, y) = (Lit::pos(a.var()), Lit::pos(b.var()));
+        let key = pair_key(x, y);
+        let cache = &mut *self.cache;
+        let g = hashed_gate(&mut cache.xor_gates, &mut cache.gates_reused, self.sat, key, |sat, g| {
+            sat.add_clause(&[g.negate(), x, y]);
+            sat.add_clause(&[g.negate(), x.negate(), y.negate()]);
+            sat.add_clause(&[g, x.negate(), y]);
+            sat.add_clause(&[g, x, y.negate()]);
+        });
+        if a.is_pos() == b.is_pos() {
+            g
+        } else {
+            g.negate()
+        }
     }
 
-    /// `g ↔ ite(c, a, b)`.
+    /// `g ↔ ite(c, a, b)`, hashed with the select made positive:
+    /// `ite(¬c, a, b)` is `ite(c, b, a)`.
     fn gate_mux(&mut self, c: Lit, a: Lit, b: Lit) -> Lit {
         if c == self.lit_true() {
             return a;
@@ -476,12 +609,15 @@ impl<'a> BitBlaster<'a> {
         if a == b {
             return a;
         }
-        let g = Lit::pos(self.sat.new_var());
-        self.sat.add_clause(&[c.negate(), a.negate(), g]);
-        self.sat.add_clause(&[c.negate(), a, g.negate()]);
-        self.sat.add_clause(&[c, b.negate(), g]);
-        self.sat.add_clause(&[c, b, g.negate()]);
-        g
+        let (c, a, b) = if c.is_pos() { (c, a, b) } else { (c.negate(), b, a) };
+        let key = u128::from(c.code()) << 64 | u128::from(a.code()) << 32 | u128::from(b.code());
+        let cache = &mut *self.cache;
+        hashed_gate(&mut cache.mux_gates, &mut cache.gates_reused, self.sat, key, |sat, g| {
+            sat.add_clause(&[c.negate(), a.negate(), g]);
+            sat.add_clause(&[c.negate(), a, g.negate()]);
+            sat.add_clause(&[c, b.negate(), g]);
+            sat.add_clause(&[c, b, g.negate()]);
+        })
     }
 
     fn gate_mux_vec(&mut self, c: Lit, a: &[Lit], b: &[Lit]) -> Vec<Lit> {
@@ -498,9 +634,9 @@ impl<'a> BitBlaster<'a> {
             let xy = self.gate_xor(x, y);
             let sum = self.gate_xor(xy, carry);
             // carry-out = (x ∧ y) ∨ (carry ∧ (x ⊕ y))
-            let and1 = self.gate_and(&[x, y]);
-            let and2 = self.gate_and(&[carry, xy]);
-            carry = self.gate_and(&[and1.negate(), and2.negate()]).negate();
+            let and1 = self.gate_and2(x, y);
+            let and2 = self.gate_and2(carry, xy);
+            carry = self.gate_or2(and1, and2);
             out.push(sum);
         }
         out
@@ -514,7 +650,7 @@ impl<'a> BitBlaster<'a> {
             // partial = (a << i) & replicate(b[i])
             let mut partial = vec![self.lit_false(); n];
             for j in 0..(n - i) {
-                partial[i + j] = self.gate_and(&[a[j], b[i]]);
+                partial[i + j] = self.gate_and2(a[j], b[i]);
             }
             let f = self.lit_false();
             acc = self.gate_add(&acc, Some(&partial), f);
@@ -607,10 +743,10 @@ impl<'a> BitBlaster<'a> {
         let mut lt = self.lit_false();
         for i in 0..a.len() {
             // from LSB to MSB: lt = (¬a_i ∧ b_i) ∨ ((a_i ↔ b_i) ∧ lt)
-            let strictly = self.gate_and(&[a[i].negate(), b[i]]);
+            let strictly = self.gate_and2(a[i].negate(), b[i]);
             let eq = self.gate_xor(a[i], b[i]).negate();
-            let carry = self.gate_and(&[eq, lt]);
-            lt = self.gate_and(&[strictly.negate(), carry.negate()]).negate();
+            let carry = self.gate_and2(eq, lt);
+            lt = self.gate_or2(strictly, carry);
         }
         lt
     }
@@ -632,4 +768,80 @@ enum ShiftKind {
     Left,
     LogicalRight,
     ArithRight,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sort::Sort;
+
+    /// Allocates a probe variable and returns its index: two probes one
+    /// apart mean nothing else allocated a variable between them.
+    fn probe(sat: &mut SatSolver) -> u32 {
+        sat.new_var().0
+    }
+
+    #[test]
+    fn signed_compare_reuses_the_sign_flipped_unsigned_circuit() {
+        let mut bank = TermBank::new();
+        let a = bank.mk_var("a", Sort::BitVec(8));
+        let b = bank.mk_var("b", Sort::BitVec(8));
+        let sign = bank.mk_bv(8, 0x80);
+        let slt = bank.mk_bvslt(a, b);
+        let (fa, fb) = (bank.mk_bvxor(a, sign), bank.mk_bvxor(b, sign));
+        let ult = bank.mk_bvult(fa, fb);
+        assert_ne!(slt, ult, "the term bank must not already unify the two");
+        let (mut sat, mut cache) = (SatSolver::new(), BlastCache::new());
+        let mut blaster = BitBlaster::new(&bank, &mut sat, &mut cache);
+        let signed = blaster.lit(slt);
+        let (before, reused) = (probe(blaster.sat), blaster.cache.gates_reused());
+        let unsigned = blaster.lit(ult);
+        assert_eq!(signed, unsigned);
+        assert_eq!(probe(blaster.sat), before + 1, "the unsigned chain allocated a variable");
+        assert!(blaster.cache.gates_reused() > reused);
+    }
+
+    #[test]
+    fn xor_carries_operand_signs_on_one_shared_variable() {
+        let bank = TermBank::new();
+        let (mut sat, mut cache) = (SatSolver::new(), BlastCache::new());
+        let (x, y) = (Lit::pos(sat.new_var()), Lit::pos(sat.new_var()));
+        let mut blaster = BitBlaster::new(&bank, &mut sat, &mut cache);
+        let g = blaster.gate_xor(x, y);
+        let before = probe(blaster.sat);
+        assert_eq!(blaster.gate_xor(x.negate(), y), g.negate());
+        assert_eq!(blaster.gate_xor(y, x.negate()), g.negate());
+        assert_eq!(blaster.gate_xor(x.negate(), y.negate()), g);
+        assert_eq!(probe(blaster.sat), before + 1);
+        assert_eq!(blaster.cache.gates_reused(), 3);
+    }
+
+    #[test]
+    fn mux_with_negated_select_reuses_the_swapped_mux() {
+        let bank = TermBank::new();
+        let (mut sat, mut cache) = (SatSolver::new(), BlastCache::new());
+        let [c, a, b] = [(); 3].map(|()| Lit::pos(sat.new_var()));
+        let mut blaster = BitBlaster::new(&bank, &mut sat, &mut cache);
+        let g = blaster.gate_mux(c, b, a);
+        let before = probe(blaster.sat);
+        assert_eq!(blaster.gate_mux(c.negate(), a, b), g);
+        assert_ne!(blaster.gate_mux(c, a, b), g, "ite(c, a, b) is a different gate");
+        assert_eq!(probe(blaster.sat), before + 2);
+        assert_eq!(blaster.cache.gates_reused(), 1);
+    }
+
+    #[test]
+    fn and_of_a_literal_and_its_complement_is_false() {
+        let bank = TermBank::new();
+        let (mut sat, mut cache) = (SatSolver::new(), BlastCache::new());
+        let l = Lit::pos(sat.new_var());
+        let mut blaster = BitBlaster::new(&bank, &mut sat, &mut cache);
+        let before = probe(blaster.sat);
+        let f = blaster.lit_false();
+        assert_eq!(blaster.gate_and2(l, l.negate()), f);
+        assert_eq!(blaster.gate_and2(l.negate(), l), f);
+        assert_eq!(blaster.gate_and(&[l.negate(), l]), f);
+        assert_eq!(blaster.gate_or2(l, l.negate()), f.negate());
+        assert_eq!(probe(blaster.sat), before + 1);
+    }
 }

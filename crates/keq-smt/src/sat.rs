@@ -69,6 +69,12 @@ impl Lit {
         Lit(self.0 ^ 1)
     }
 
+    /// The raw code `2·var + sign`: distinct literals have distinct codes,
+    /// and a literal and its complement differ only in the low bit.
+    pub fn code(self) -> u32 {
+        self.0
+    }
+
     fn index(self) -> usize {
         self.0 as usize
     }
