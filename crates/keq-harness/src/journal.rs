@@ -243,7 +243,7 @@ pub struct JournalLoad {
 /// and an unusable journal simply recovers nothing (see the module docs).
 pub fn load(path: &Path, corpus_fp: u64, io: &dyn StoreIo) -> JournalLoad {
     let mut out = JournalLoad::default();
-    let buf = match io.read(path) {
+    let mut buf = match io.read(path) {
         Ok(buf) => buf,
         Err(_) => {
             out.reset = true;
@@ -274,7 +274,8 @@ pub fn load(path: &Path, corpus_fp: u64, io: &dyn StoreIo) -> JournalLoad {
         // scan cannot resynchronize, so it stopped there.
         out.corrupt += 1;
     }
-    out.valid_prefix = buf[..valid_end].to_vec();
+    buf.truncate(valid_end);
+    out.valid_prefix = buf;
     out
 }
 

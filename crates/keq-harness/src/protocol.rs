@@ -50,17 +50,24 @@ pub const MAX_FRAME_LEN: u32 = 16 << 20;
 
 /// Writes one frame: `u32` little-endian length, then the payload.
 ///
+/// The length and the payload go out in one `write_all`. Over TCP two
+/// writes would be two segments: Nagle's algorithm holds the second until
+/// the peer ACKs the first, and the peer delays that ACK, so every request
+/// and every response would wait tens of milliseconds for nothing.
+///
 /// # Errors
 ///
 /// Propagates stream errors; rejects payloads over [`MAX_FRAME_LEN`] with
-/// [`io::ErrorKind::InvalidInput`].
+/// [`io::ErrorKind::InvalidInput`] before writing anything.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .ok()
         .filter(|&l| l <= MAX_FRAME_LEN)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -627,6 +634,46 @@ mod tests {
         header_torn.clear();
         let mut r = &header_torn[..];
         assert_eq!(read_frame(&mut r).expect("empty stream"), None);
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in [String::new(), "x".to_string(), "{\"k\":7}".repeat(1024)] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).expect("write");
+            let len = payload.len();
+            assert_eq!(w.writes, 1, "{len}-byte payload: length and payload in one write");
+            let mut r = &w.bytes[..];
+            assert_eq!(read_frame(&mut r).expect("frame").as_deref(), Some(payload.as_str()));
+        }
+    }
+
+    #[test]
+    fn an_oversized_frame_writes_nothing() {
+        let payload = "x".repeat(MAX_FRAME_LEN as usize + 1);
+        let mut w = CountingWriter::default();
+        let err = write_frame(&mut w, &payload).expect_err("over the bound");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!((w.writes, w.bytes.len()), (0, 0), "nothing reaches the stream");
     }
 
     #[test]

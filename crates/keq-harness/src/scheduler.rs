@@ -955,12 +955,14 @@ impl Scheduler {
         panic_capture::install_hook();
         config.harness.workers = config.harness.workers_for(usize::MAX);
         let h = &config.harness;
-        let storage = &config.storage;
-        let journal_writer = storage.journal.as_ref().map(|j| {
+        let storage = &mut config.storage;
+        // The prefix is only needed to reopen the file; taking it keeps a
+        // resumed journal's bytes out of the scheduler's lifetime.
+        let journal_writer = storage.journal.as_mut().map(|j| {
             JournalWriter::start(
                 &j.path,
                 j.corpus_fp,
-                j.valid_prefix.as_deref(),
+                j.valid_prefix.take().as_deref(),
                 Arc::clone(&storage.io),
                 h.store_breaker_threshold,
             )

@@ -268,6 +268,7 @@ impl Server {
             let accepted: io::Result<Box<dyn Conn>> = match &self.listener {
                 Listener::Tcp(l) => l.accept().map(|(s, _)| {
                     let _ = s.set_read_timeout(Some(IDLE_TICK));
+                    let _ = s.set_nodelay(true);
                     Box::new(s) as Box<dyn Conn>
                 }),
                 #[cfg(unix)]
@@ -500,12 +501,20 @@ pub enum ClientConn {
 
 /// Connects to a server address in [`Server::bind`] syntax.
 ///
+/// A TCP stream gets `TCP_NODELAY`, as the server's accepted streams do:
+/// the protocol is strict request/response, so holding a small write back
+/// to coalesce it with the next one only adds latency.
+///
 /// # Errors
 ///
 /// Propagates connect failures.
 pub fn connect(addr: &str) -> io::Result<ClientConn> {
     match addr.strip_prefix("unix:") {
-        None => TcpStream::connect(addr).map(ClientConn::Tcp),
+        None => {
+            let s = TcpStream::connect(addr)?;
+            s.set_nodelay(true)?;
+            Ok(ClientConn::Tcp(s))
+        }
         #[cfg(unix)]
         Some(path) => UnixStream::connect(path).map(ClientConn::Unix),
         #[cfg(not(unix))]
@@ -619,6 +628,22 @@ mod tests {
         assert_eq!(summary.fin.server.requests, 3);
         assert_eq!(summary.fin.server.completed, 3);
         assert_eq!(summary.connections, 1);
+    }
+
+    #[test]
+    fn tcp_connections_set_nodelay() {
+        let server = Server::bind("127.0.0.1:0", &small_options()).expect("bind");
+        let addr = server.local_addr();
+        let run = std::thread::spawn(move || server.run());
+
+        let mut conn = connect(&addr).expect("connect");
+        let ClientConn::Tcp(s) = &conn else {
+            panic!("a host:port address connects over TCP");
+        };
+        assert!(s.nodelay().expect("read TCP_NODELAY"), "client stream sets TCP_NODELAY");
+
+        conn.roundtrip(&ClientRequest::Shutdown).expect("shutdown");
+        run.join().expect("server thread");
     }
 
     #[test]

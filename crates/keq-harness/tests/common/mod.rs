@@ -1,6 +1,7 @@
 //! A live `keq-server` on a loopback port, driven the way `keq_client`
 //! drives it: one corpus function per request. Shared by the
-//! batch-vs-server differential and the telemetry-cost test.
+//! batch-vs-server differential, the telemetry-cost test and the
+//! wire-overhead test.
 
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -25,10 +26,18 @@ pub fn request_ir(corpus: &Module, i: usize) -> String {
 }
 
 /// Validates corpus functions `units` over `conn`, one function per
-/// request tagged `tag_base + i`; returns their verdicts in `units` order.
-fn stream(conn: &mut ClientConn, corpus: &Module, units: &[usize], tag_base: u64) -> Vec<Verdict> {
+/// request tagged `tag_base + i`; returns their verdicts in `units` order,
+/// each with its wire overhead: the client's round trip less the
+/// scheduler's submit-to-verdict `wall_us`.
+fn stream(
+    conn: &mut ClientConn,
+    corpus: &Module,
+    units: &[usize],
+    tag_base: u64,
+) -> Vec<(Verdict, Duration)> {
     let mut out = Vec::with_capacity(units.len());
     for &i in units {
+        let sent = Instant::now();
         let resp = conn
             .roundtrip(&ClientRequest::Validate {
                 tag: tag_base + i as u64,
@@ -39,12 +48,14 @@ fn stream(conn: &mut ClientConn, corpus: &Module, units: &[usize], tag_base: u64
                 max_attempts: None,
             })
             .expect("validate round trip");
+        let round_trip = sent.elapsed();
         let ServerResponse::Validated { tag, results } = resp else {
             panic!("expected a verdict table for f{i}, got {resp:?}");
         };
         assert_eq!(tag, tag_base + i as u64);
         assert_eq!(results.len(), 1, "one function per request module");
-        out.push((results[0].result.clone(), results[0].attempts));
+        let overhead = round_trip.saturating_sub(Duration::from_micros(results[0].wall_us));
+        out.push(((results[0].result.clone(), results[0].attempts), overhead));
     }
     out
 }
@@ -77,8 +88,26 @@ impl Live {
         let run = std::thread::spawn(move || server.run());
         let mut ctl = connect(&addr).expect("connect");
         let all: Vec<usize> = (0..corpus.functions.len()).collect();
-        let first = stream(&mut ctl, corpus, &all, 0);
+        let first = stream(&mut ctl, corpus, &all, 0).into_iter().map(|(v, _)| v).collect();
         Live { addr, ctl, run, first, passes: 1 }
+    }
+
+    /// Streams one more corpus pass over the control connection, one
+    /// request at a time, and returns each request's wire overhead. The
+    /// verdicts must match the first pass.
+    #[allow(dead_code)] // only `wire_overhead.rs` of the binaries sharing this module calls it
+    pub fn overheads(&mut self, corpus: &Module) -> Vec<Duration> {
+        let n = corpus.functions.len();
+        let all: Vec<usize> = (0..n).collect();
+        let rows = stream(&mut self.ctl, corpus, &all, (self.passes * n) as u64);
+        self.passes += 1;
+        rows.into_iter()
+            .enumerate()
+            .map(|(i, (v, overhead))| {
+                assert_eq!(v, self.first[i], "f{i} drifted from the first pass");
+                overhead
+            })
+            .collect()
     }
 
     /// Streams `rounds` more corpus passes, split round-robin over `conns`
@@ -97,7 +126,7 @@ impl Live {
                     let mut conn = connect(addr).expect("connect");
                     for r in 0..rounds {
                         let verdicts = stream(&mut conn, corpus, &units, ((passes + r) * n) as u64);
-                        for (&i, v) in units.iter().zip(verdicts) {
+                        for (&i, (v, _)) in units.iter().zip(verdicts) {
                             assert_eq!(v, first[i], "f{i} drifted from the first pass");
                         }
                     }
