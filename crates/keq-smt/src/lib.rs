@@ -34,6 +34,7 @@ pub mod rewrite;
 pub mod sat;
 pub mod solver;
 pub mod sort;
+mod stamps;
 pub mod term;
 pub mod wire;
 

@@ -12,6 +12,8 @@
 //! own output changes nothing), must never grow the reachable DAG, and must
 //! not mask injected solver faults when it runs inside the solver pipeline.
 
+use std::collections::HashSet;
+
 use keq_prng::Prng;
 use keq_smt::eval::eval;
 use keq_smt::fault::{self, FaultPlan, Rate};
@@ -230,6 +232,45 @@ fn rewritten_obligations_evaluate_identically() {
             }
         }
     }
+}
+
+/// Distinct nodes reachable from `roots`, by a plain hash-set walk.
+fn reachable(bank: &TermBank, roots: &[TermId]) -> u64 {
+    let mut seen = HashSet::new();
+    let mut stack = roots.to_vec();
+    while let Some(t) = stack.pop() {
+        if seen.insert(t) {
+            stack.extend(&bank.node(t).args);
+        }
+    }
+    seen.len() as u64
+}
+
+/// The same cases through one rewriter and one bank that grows from case
+/// to case, as inside a long-lived solver: the node counts behind
+/// `rewrite.nodes_saved` equal a plain reachable-node count, and the
+/// rewritten roots equal a fresh rewriter's.
+#[test]
+fn node_counts_match_a_plain_walk_across_one_growing_bank() {
+    let mut bank = TermBank::new();
+    let pool = Pool::new(&mut bank);
+    let mut shared = Rewriter::default();
+    let mut saved = 0;
+    for seed in 0..TRIALS {
+        let mut rng = Prng::seed_from_u64(0x9e_0911 ^ seed);
+        let roots: Vec<TermId> =
+            (0..1 + rng.below(3)).map(|_| gen_bool(&mut rng, &mut bank, &pool, 4)).collect();
+        let (out, stats) =
+            shared.normalize(&mut bank, &roots, None).expect("no cancellation installed");
+        assert_eq!(stats.nodes_before, reachable(&bank, &roots), "seed {seed}: nodes_before");
+        assert_eq!(stats.nodes_after, reachable(&bank, &out), "seed {seed}: nodes_after");
+        saved += stats.nodes_saved();
+        let (fresh, _) = Rewriter::default()
+            .normalize(&mut bank, &roots, None)
+            .expect("no cancellation installed");
+        assert_eq!(out, fresh, "seed {seed}: a reused rewriter diverged from a fresh one");
+    }
+    assert!(saved > 0, "the generated cases must exercise rewriting");
 }
 
 /// Inside the solver pipeline, normalization must not mask injected faults:
