@@ -4,8 +4,21 @@ use std::fmt;
 
 use crate::ast::{Block, Function, Global, Instr, Module, Terminator};
 
+/// The module is rendered into one buffer and handed to the sink in a
+/// single write, so a sink with a costly `write_str` (an unbuffered
+/// writer, or a `String` behind a `dyn Write` built without optimization)
+/// pays once per module instead of once per token.
 impl fmt::Display for Module {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut text = String::new();
+        self.render(&mut text)?;
+        f.write_str(&text)
+    }
+}
+
+impl Module {
+    fn render(&self, f: &mut String) -> fmt::Result {
+        use std::fmt::Write;
         for g in &self.globals {
             writeln!(f, "{g}")?;
         }

@@ -18,6 +18,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hasher};
 
 use crate::sort::{mask, to_signed, Sort, MAX_WIDTH};
 
@@ -138,11 +139,43 @@ pub struct Node {
     pub sort: Sort,
 }
 
+/// Hasher for keys that already are hashes: passes the `u64` through.
+#[derive(Debug, Default, Clone, Copy)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 keys are hashed");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// No node older than this one shares its hash.
+const NO_OLDER: u32 = u32::MAX;
+
+/// A node's structural hash, the interner's key.
+fn node_hash(node: &Node) -> u64 {
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(node)
+}
+
 /// Arena of hash-consed terms plus the variable table.
+///
+/// The interner stores no second copy of a node: it maps a node's
+/// structural hash to the newest node with that hash, and `older` chains
+/// each node to the previous one with the same hash, so a lookup compares
+/// against the arena itself.
 #[derive(Debug, Default, Clone)]
 pub struct TermBank {
     nodes: Vec<Node>,
-    interner: HashMap<Node, TermId>,
+    by_hash: HashMap<u64, TermId, BuildHasherDefault<Prehashed>>,
+    older: Vec<u32>,
     vars: Vec<(String, Sort)>,
     var_names: HashMap<String, VarId>,
     fresh_counter: u64,
@@ -210,11 +243,18 @@ impl TermBank {
     }
 
     fn intern(&mut self, node: Node) -> TermId {
-        if let Some(&id) = self.interner.get(&node) {
-            return id;
+        let hash = node_hash(&node);
+        let newest = self.by_hash.get(&hash).map_or(NO_OLDER, |id| id.0);
+        let mut cur = newest;
+        while cur != NO_OLDER {
+            if self.nodes[cur as usize] == node {
+                return TermId(cur);
+            }
+            cur = self.older[cur as usize];
         }
         let id = TermId(u32::try_from(self.nodes.len()).expect("term bank overflow"));
-        self.interner.insert(node.clone(), id);
+        self.by_hash.insert(hash, id);
+        self.older.push(newest);
         self.nodes.push(node);
         id
     }
@@ -1047,6 +1087,24 @@ mod tests {
 
     fn bank() -> TermBank {
         TermBank::new()
+    }
+
+    #[test]
+    fn interning_walks_a_hash_collision_chain() {
+        // Pretend `y`'s node hashes like `x`'s, then `x`'s like `y`'s: each
+        // lookup must compare along the chain, never trust the hash.
+        let mut b = bank();
+        let x = b.mk_var("x", Sort::BitVec(8));
+        let y_node = Node { op: Op::Var(VarId(1)), args: vec![], sort: Sort::BitVec(8) };
+        b.vars.push(("y".into(), Sort::BitVec(8)));
+        b.by_hash.insert(node_hash(&y_node), x);
+        let y = b.intern(y_node.clone());
+        assert_ne!(x, y, "a shared hash must not merge distinct nodes");
+        let x_node = b.node(x).clone();
+        b.by_hash.insert(node_hash(&x_node), y);
+        assert_eq!(b.intern(x_node), x, "the lookup walks from y back to x");
+        assert_eq!(b.intern(y_node), y);
+        assert_eq!(b.len(), 2);
     }
 
     #[test]
