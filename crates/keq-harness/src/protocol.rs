@@ -43,6 +43,7 @@
 use std::io::{self, Read, Write};
 
 use keq_trace::json::{self, Json};
+use keq_trace::{CacheCounters, RequestCounters, SolverCounters};
 
 /// Upper bound on one frame's payload (anything larger is treated as a
 /// corrupt or hostile stream, not buffered).
@@ -249,27 +250,25 @@ impl FunctionVerdict {
     }
 }
 
-/// Live counters returned by the `stats` op.
+/// The live view the `stats` op returns, and the headline of the
+/// `metrics` op.
+///
+/// Its counters are the counter tables' own types
+/// ([`keq_trace::counters`]); only the gauges are declared here. On the
+/// wire it is flat: the request counters' keys, `depth`, the solver's
+/// obligation-cache lookups as `cache_hits` and `cache_misses`, the cache's
+/// `entries` as `cache_entries`, and the latency quantiles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Submissions accepted since boot.
-    pub requests: u64,
-    /// Submissions finalized since boot.
-    pub completed: u64,
-    /// Backpressure rejections.
-    pub rejected_queue_full: u64,
-    /// Quota rejections.
-    pub rejected_quota: u64,
-    /// Verdicts whose client was gone.
-    pub disconnects: u64,
+    /// Request counters since boot.
+    pub server: RequestCounters,
+    /// Solver counters of every attempt finished since boot (the wire
+    /// carries its obligation-cache lookups).
+    pub solver: SolverCounters,
+    /// The obligation cache right now (the wire carries `entries`).
+    pub cache: CacheCounters,
     /// Accepted-but-unfinalized submissions right now.
     pub depth: u64,
-    /// Shared obligation-cache lookups answered.
-    pub cache_hits: u64,
-    /// Shared obligation-cache lookups missed.
-    pub cache_misses: u64,
-    /// Live cache entries.
-    pub cache_entries: u64,
     /// Median request latency (submit → verdict), µs. Maintained live by
     /// the scheduler even with the metrics registry off.
     pub p50_us: u64,
@@ -280,108 +279,64 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    const FIELDS: [&'static str; 12] = [
-        "requests",
-        "completed",
-        "rejected_queue_full",
-        "rejected_quota",
-        "disconnects",
-        "depth",
-        "cache_hits",
-        "cache_misses",
-        "cache_entries",
-        "p50_us",
-        "p90_us",
-        "p99_us",
-    ];
-
-    fn values(&self) -> [u64; 12] {
-        [
-            self.requests,
-            self.completed,
-            self.rejected_queue_full,
-            self.rejected_quota,
-            self.disconnects,
-            self.depth,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_entries,
-            self.p50_us,
-            self.p90_us,
-            self.p99_us,
-        ]
+    /// The flat wire pairs; `depth_key` names the depth gauge (`depth` in
+    /// `stats`, `queue_depth` in `metrics`).
+    fn json_fields(&self, depth_key: &'static str) -> Vec<(&'static str, Json)> {
+        let mut fields = self.server.json_fields();
+        fields.extend([
+            (depth_key, json::num(self.depth)),
+            ("cache_hits", json::num(self.solver.obligation_cache_hits)),
+            ("cache_misses", json::num(self.solver.obligation_cache_misses)),
+            ("cache_entries", json::num(self.cache.entries)),
+            ("p50_us", json::num(self.p50_us)),
+            ("p90_us", json::num(self.p90_us)),
+            ("p99_us", json::num(self.p99_us)),
+        ]);
+        fields
     }
 
-    fn to_json(self) -> Json {
-        let values = self.values();
-        json::obj(
-            Self::FIELDS.iter().zip(values).map(|(&k, v)| (k, json::num(v))).collect(),
-        )
-    }
-
-    fn from_json(doc: &Json) -> Option<StatsSnapshot> {
-        let mut values = [0u64; 12];
-        for (slot, key) in values.iter_mut().zip(Self::FIELDS) {
-            *slot = doc.get(key)?.as_u64()?;
-        }
-        let [requests, completed, rejected_queue_full, rejected_quota, disconnects, depth, cache_hits, cache_misses, cache_entries, p50_us, p90_us, p99_us] =
-            values;
+    fn from_json(doc: &Json, depth_key: &str) -> Option<StatsSnapshot> {
+        let num = |k: &str| doc.get(k).and_then(Json::as_u64);
         Some(StatsSnapshot {
-            requests,
-            completed,
-            rejected_queue_full,
-            rejected_quota,
-            disconnects,
-            depth,
-            cache_hits,
-            cache_misses,
-            cache_entries,
-            p50_us,
-            p90_us,
-            p99_us,
+            server: RequestCounters::from_json(doc)?,
+            solver: SolverCounters {
+                obligation_cache_hits: num("cache_hits")?,
+                obligation_cache_misses: num("cache_misses")?,
+                ..SolverCounters::default()
+            },
+            cache: CacheCounters { entries: num("cache_entries")?, ..CacheCounters::default() },
+            depth: num(depth_key)?,
+            p50_us: num("p50_us")?,
+            p90_us: num("p90_us")?,
+            p99_us: num("p99_us")?,
         })
     }
 }
 
 /// The full telemetry snapshot returned by the `metrics` op.
 ///
-/// Everything the `keq_top` dashboard renders in one frame: headline
-/// gauges, completion rate and latency quantiles, the sampled time series
-/// (shape of [`keq_trace::metrics::Collector::to_json`]), obligation-cache
-/// shard occupancy, the slow-obligation table, and the same registry
-/// rendered as Prometheus text exposition.
+/// Everything the `keq_top` dashboard renders in one frame: the `stats`
+/// view, worker gauges, completion rate, the sampled time series (shape of
+/// [`keq_trace::metrics::Collector::to_json`]), obligation-cache shard
+/// occupancy, the slow-obligation table, and the same registry rendered as
+/// Prometheus text exposition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsReport {
     /// Whether the server's metrics registry is live (`--metrics`). The
-    /// gauges and quantiles below are maintained either way; the series,
-    /// registry counters, and Prometheus text are all-zero when off.
+    /// `stats` view is maintained either way; the series, registry
+    /// counters, and Prometheus text are all-zero when off.
     pub enabled: bool,
     /// Milliseconds since the scheduler started.
     pub uptime_ms: u64,
-    /// Accepted-but-unfinalized submissions right now.
-    pub queue_depth: u64,
+    /// The `stats` op's view, flat on the wire (its depth as
+    /// `queue_depth`).
+    pub stats: StatsSnapshot,
     /// Workers running an attempt right now.
     pub workers_busy: u64,
     /// Workers waiting for work right now.
     pub workers_idle: u64,
-    /// Submissions accepted since boot.
-    pub requests: u64,
-    /// Submissions finalized since boot.
-    pub completed: u64,
-    /// Shared obligation-cache lookups answered.
-    pub cache_hits: u64,
-    /// Shared obligation-cache lookups missed.
-    pub cache_misses: u64,
-    /// Live cache entries.
-    pub cache_entries: u64,
     /// Completions per second over the most recent sample window.
     pub rate_per_sec: f64,
-    /// Median request latency (submit → verdict), µs.
-    pub p50_us: u64,
-    /// 90th-percentile request latency, µs.
-    pub p90_us: u64,
-    /// 99th-percentile request latency, µs.
-    pub p99_us: u64,
     /// Collector samples taken so far.
     pub samples: u64,
     /// Live entry count of each obligation-cache shard, in shard order.
@@ -400,18 +355,10 @@ impl Default for MetricsReport {
         MetricsReport {
             enabled: false,
             uptime_ms: 0,
-            queue_depth: 0,
+            stats: StatsSnapshot::default(),
             workers_busy: 0,
             workers_idle: 0,
-            requests: 0,
-            completed: 0,
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_entries: 0,
             rate_per_sec: 0.0,
-            p50_us: 0,
-            p90_us: 0,
-            p99_us: 0,
             samples: 0,
             shard_entries: Vec::new(),
             series: Json::Arr(Vec::new()),
@@ -423,21 +370,13 @@ impl Default for MetricsReport {
 
 impl MetricsReport {
     fn to_json(&self) -> Json {
-        json::obj(vec![
-            ("enabled", Json::Bool(self.enabled)),
-            ("uptime_ms", json::num(self.uptime_ms)),
-            ("queue_depth", json::num(self.queue_depth)),
+        let mut fields =
+            vec![("enabled", Json::Bool(self.enabled)), ("uptime_ms", json::num(self.uptime_ms))];
+        fields.extend(self.stats.json_fields("queue_depth"));
+        fields.extend([
             ("workers_busy", json::num(self.workers_busy)),
             ("workers_idle", json::num(self.workers_idle)),
-            ("requests", json::num(self.requests)),
-            ("completed", json::num(self.completed)),
-            ("cache_hits", json::num(self.cache_hits)),
-            ("cache_misses", json::num(self.cache_misses)),
-            ("cache_entries", json::num(self.cache_entries)),
             ("rate_per_sec", Json::Num(self.rate_per_sec)),
-            ("p50_us", json::num(self.p50_us)),
-            ("p90_us", json::num(self.p90_us)),
-            ("p99_us", json::num(self.p99_us)),
             ("samples", json::num(self.samples)),
             (
                 "shard_entries",
@@ -449,7 +388,8 @@ impl MetricsReport {
                 Json::Arr(self.slow.iter().map(keq_trace::SlowObligation::to_json).collect()),
             ),
             ("prometheus", Json::Str(self.prometheus.clone())),
-        ])
+        ]);
+        json::obj(fields)
     }
 
     fn from_json(doc: &Json) -> Option<MetricsReport> {
@@ -457,18 +397,10 @@ impl MetricsReport {
         Some(MetricsReport {
             enabled: doc.get("enabled").and_then(Json::as_bool)?,
             uptime_ms: num("uptime_ms")?,
-            queue_depth: num("queue_depth")?,
+            stats: StatsSnapshot::from_json(doc, "queue_depth")?,
             workers_busy: num("workers_busy")?,
             workers_idle: num("workers_idle")?,
-            requests: num("requests")?,
-            completed: num("completed")?,
-            cache_hits: num("cache_hits")?,
-            cache_misses: num("cache_misses")?,
-            cache_entries: num("cache_entries")?,
             rate_per_sec: doc.get("rate_per_sec").and_then(Json::as_f64)?,
-            p50_us: num("p50_us")?,
-            p90_us: num("p90_us")?,
-            p99_us: num("p99_us")?,
             samples: num("samples")?,
             shard_entries: doc
                 .get("shard_entries")?
@@ -511,7 +443,7 @@ pub enum ServerResponse {
         detail: String,
     },
     /// Live counters.
-    Stats(StatsSnapshot),
+    Stats(Box<StatsSnapshot>),
     /// The full telemetry snapshot.
     Metrics(Box<MetricsReport>),
     /// Shutdown acknowledged; the server drains and exits.
@@ -539,9 +471,10 @@ impl ServerResponse {
                 ("ok", Json::Bool(false)),
                 ("error", Json::Str(detail.clone())),
             ]),
-            ServerResponse::Stats(stats) => {
-                json::obj(vec![("ok", Json::Bool(true)), ("stats", stats.to_json())])
-            }
+            ServerResponse::Stats(stats) => json::obj(vec![
+                ("ok", Json::Bool(true)),
+                ("stats", json::obj(stats.json_fields("depth"))),
+            ]),
             ServerResponse::Metrics(report) => {
                 json::obj(vec![("ok", Json::Bool(true)), ("metrics", report.to_json())])
             }
@@ -584,8 +517,8 @@ impl ServerResponse {
         }
         if let Some(stats) = doc.get("stats") {
             let snapshot =
-                StatsSnapshot::from_json(stats).ok_or("stats: malformed counters")?;
-            return Ok(ServerResponse::Stats(snapshot));
+                StatsSnapshot::from_json(stats, "depth").ok_or("stats: malformed counters")?;
+            return Ok(ServerResponse::Stats(Box::new(snapshot)));
         }
         let tag = doc.get("tag").and_then(Json::as_u64).ok_or("validated: missing tag")?;
         let results = doc
@@ -755,35 +688,49 @@ mod tests {
             ServerResponse::Validated { tag: 8, results: vec![] },
             ServerResponse::RejectedRequest { tag: 5, reason: "queue_full".into() },
             ServerResponse::Error { detail: "parse: bad ir \"x\"".into() },
-            ServerResponse::Stats(StatsSnapshot {
-                requests: 10,
-                completed: 8,
-                rejected_queue_full: 1,
-                rejected_quota: 1,
-                disconnects: 0,
+            ServerResponse::Stats(Box::new(StatsSnapshot {
+                server: RequestCounters {
+                    requests: 10,
+                    completed: 8,
+                    rejected_queue_full: 1,
+                    rejected_quota: 1,
+                    rejected_draining: 3,
+                    disconnects: 0,
+                },
+                solver: SolverCounters {
+                    obligation_cache_hits: 30,
+                    obligation_cache_misses: 12,
+                    ..SolverCounters::default()
+                },
+                cache: CacheCounters { entries: 12, ..CacheCounters::default() },
                 depth: 2,
-                cache_hits: 30,
-                cache_misses: 12,
-                cache_entries: 12,
                 p50_us: 900,
                 p90_us: 4_000,
                 p99_us: 15_000,
-            }),
+            })),
             ServerResponse::Metrics(Box::new(MetricsReport {
                 enabled: true,
                 uptime_ms: 12_500,
-                queue_depth: 3,
+                stats: StatsSnapshot {
+                    server: RequestCounters {
+                        requests: 40,
+                        completed: 37,
+                        ..RequestCounters::default()
+                    },
+                    solver: SolverCounters {
+                        obligation_cache_hits: 100,
+                        obligation_cache_misses: 25,
+                        ..SolverCounters::default()
+                    },
+                    cache: CacheCounters { entries: 25, ..CacheCounters::default() },
+                    depth: 3,
+                    p50_us: 800,
+                    p90_us: 3_500,
+                    p99_us: 12_000,
+                },
                 workers_busy: 2,
                 workers_idle: 2,
-                requests: 40,
-                completed: 37,
-                cache_hits: 100,
-                cache_misses: 25,
-                cache_entries: 25,
                 rate_per_sec: 3.5,
-                p50_us: 800,
-                p90_us: 3_500,
-                p99_us: 12_000,
                 samples: 50,
                 shard_entries: vec![3, 0, 7, 1],
                 series: Json::Arr(vec![json::obj(vec![

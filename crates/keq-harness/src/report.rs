@@ -11,8 +11,8 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use keq_trace::{
-    AttemptReport, CacheCounters, Event, EventRing, FunctionReport, OutcomeTable, PassSection,
-    Phase, RunReport, ServerSection, TraceEvent,
+    AttemptReport, Event, EventRing, FunctionReport, OutcomeTable, PassSection, Phase, RunReport,
+    TraceEvent,
 };
 
 use crate::result::{CorpusResult, CorpusRow, CorpusSummary, ResultKind};
@@ -61,31 +61,6 @@ fn index_attempts(events: &[TraceEvent]) -> HashMap<(u32, u32), AttemptTrace> {
         }
     }
     map
-}
-
-/// The report's obligation-cache section. Lookup traffic (hits, misses,
-/// stores) comes from the solver's per-attempt deltas, so
-/// `hits + misses == obligations` holds by construction (the invariant
-/// [`keq_trace::validate`] enforces); cache-side bookkeeping and disk
-/// traffic come from the harness's [`CacheSummary`](crate::CacheSummary).
-fn cache_counters(summary: &CorpusSummary) -> CacheCounters {
-    let s = &summary.solver;
-    let c = &summary.cache;
-    CacheCounters {
-        obligations: s.obligation_cache_hits + s.obligation_cache_misses,
-        hits: s.obligation_cache_hits,
-        misses: s.obligation_cache_misses,
-        stores: s.obligation_cache_stores,
-        evictions: c.evictions,
-        entries: c.entries,
-        disk_loaded: c.disk_loaded,
-        disk_rejected: c.disk_rejected,
-        disk_persisted: c.disk_persisted,
-        disk_bytes: c.disk_bytes,
-        flushes: c.flushes,
-        flush_failures: c.flush_failures,
-        degraded: c.degraded,
-    }
 }
 
 /// Adds one row to an outcome table.
@@ -202,9 +177,8 @@ pub fn build_report(summary: &CorpusSummary, ring: Option<&EventRing>, seed: u64
         outcome: outcome_table(summary),
         passes: pass_sections(summary),
         solver: summary.solver,
-        cache: cache_counters(summary),
+        cache: summary.cache,
         resume: summary.resume,
-        server: ServerSection::default(),
         telemetry: summary.telemetry.clone(),
         phases: keq_trace::phase_summaries(&events),
         functions,

@@ -139,41 +139,6 @@ pub struct CorpusRow {
     pub attempts: Vec<AttemptRecord>,
 }
 
-/// Run-level state of the shared obligation cache: in-memory shape at the
-/// end of the run plus the on-disk warm-start traffic. Hit/miss/store
-/// counts live in [`SolverStats`] (they are attributed per attempt, like
-/// every other solver counter); this records what the solver cannot see —
-/// the cache's own bookkeeping and its persistence round-trip.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheSummary {
-    /// Entries evicted by the byte bound during the run.
-    pub evictions: u64,
-    /// Entries resident when the run finished.
-    pub entries: u64,
-    /// Records accepted from the on-disk store at startup.
-    pub disk_loaded: u64,
-    /// Records rejected at startup (bad checksum, torn tail, unknown
-    /// verdict) — each skipped individually, never fatal.
-    pub disk_rejected: u64,
-    /// Records written back across all flushes of the run (incremental
-    /// batches plus the final shutdown flush).
-    pub disk_persisted: u64,
-    /// Size of the on-disk store after the last successful flush, bytes.
-    pub disk_bytes: u64,
-    /// Successful store flushes.
-    pub flushes: u64,
-    /// Failed flush attempts (each emitted a `StoreError` trace event).
-    pub flush_failures: u64,
-    /// Whether consecutive flush failures tripped the circuit breaker and
-    /// the store degraded to memory-only for the rest of the run.
-    pub degraded: bool,
-    /// Whether the *final* persist failed (or was skipped because the
-    /// breaker had tripped): this run's remaining dirty verdicts never
-    /// reached disk, so the next run starts colder than the summary's
-    /// in-memory counters suggest.
-    pub persist_failed: bool,
-}
-
 /// Aggregated per-function rows, ordered by function index.
 #[derive(Debug, Clone, Default)]
 pub struct CorpusSummary {
@@ -184,8 +149,9 @@ pub struct CorpusSummary {
     /// [`SolverStats::merge`]; abandoned workers' stale late results are
     /// excluded, like their rows).
     pub solver: SolverStats,
-    /// Shared obligation-cache state (zeros when the run had no cache).
-    pub cache: CacheSummary,
+    /// The shared obligation cache's own counters (zeros when the run had
+    /// no cache); its lookup traffic is in `solver`.
+    pub cache: keq_trace::CacheCounters,
     /// Write-ahead journal recovery (all-default when the run had no
     /// journal or was not resuming).
     pub resume: keq_trace::ResumeSection,

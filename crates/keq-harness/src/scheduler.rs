@@ -44,16 +44,18 @@ use keq_isel::pipeline::ValidationContext;
 use keq_isel::PassId;
 use keq_llvm::ast::Module;
 use keq_smt::fault;
-use keq_smt::obcache::{StdStoreIo, StoreIo};
+use keq_smt::obcache::{StdStoreIo, StoreIo, ENTRY_BYTES};
 use keq_smt::{CancelToken, FaultyIo, SharedObligationCache, SolverStats};
 use keq_trace::metrics::{
     self, Collector, CounterId, GaugeId, HistId, PromKind, PromMetric, PromSample, Registry,
 };
-use keq_trace::{Phase, SlowObligation, TelemetrySection};
+use keq_trace::{
+    CacheCounters, LiveRequests, Phase, RequestCounters, SlowObligation, TelemetrySection,
+};
 
 use crate::journal::{self, JournalLoad, JournalRecord, JournalWriter};
 use crate::panic_capture;
-use crate::result::{AttemptRecord, CacheSummary, CorpusResult};
+use crate::result::{AttemptRecord, CorpusResult};
 use crate::run::HarnessOptions;
 
 /// Per-client admission limits, applied by [`Scheduler::submit`].
@@ -252,14 +254,13 @@ impl Telemetry {
 
     /// Request-finalization accounting: refresh the live quantile atomics
     /// from the supervisor's latency histogram (always), and feed the
-    /// registry's request counters/histogram (metrics on only).
+    /// registry's latency histogram (metrics on only).
     fn observe_request(&self, wall_us: u64, latency: &keq_trace::Histogram) {
         let q = |v: Option<f64>| v.map_or(0, |x| x as u64);
         self.p50_us.store(q(latency.p50()), Ordering::Relaxed);
         self.p90_us.store(q(latency.p90()), Ordering::Relaxed);
         self.p99_us.store(q(latency.p99()), Ordering::Relaxed);
         if self.enabled {
-            self.registry.counter_add(CounterId::Completed, 1);
             self.registry.observe_us(HistId::RequestLatencyUs, wall_us);
         }
     }
@@ -301,11 +302,9 @@ pub struct Storage {
     pub io: Arc<dyn StoreIo>,
     /// The run's shared obligation cache, pre-loaded from the on-disk store.
     pub shared: Arc<SharedObligationCache>,
-    /// Store records loaded at startup (reported through
-    /// [`SchedulerFinal::cache`]).
-    pub disk_loaded: u64,
-    /// Store records rejected while loading.
-    pub disk_rejected: u64,
+    /// The store load's counters (`disk_loaded`, `disk_rejected`), which
+    /// the run's [`SchedulerFinal::cache`] carries on.
+    pub cache: CacheCounters,
     /// Write-ahead verdict journal (`None` disables journaling).
     pub journal: Option<JournalConfig>,
 }
@@ -347,8 +346,11 @@ impl Storage {
         let storage = Storage {
             io,
             shared,
-            disk_loaded: disk.as_ref().map_or(0, |d| d.loaded),
-            disk_rejected: disk.as_ref().map_or(0, |d| d.rejected),
+            cache: CacheCounters {
+                disk_loaded: disk.as_ref().map_or(0, |d| d.loaded),
+                disk_rejected: disk.as_ref().map_or(0, |d| d.rejected),
+                ..CacheCounters::default()
+            },
             journal,
         };
         (storage, load)
@@ -434,6 +436,15 @@ impl Rejected {
             Rejected::Draining => "draining",
         }
     }
+
+    /// The request counter this rejection counts in.
+    fn counter(&self) -> CounterId {
+        match self {
+            Rejected::QueueFull { .. } => CounterId::RejectedQueueFull,
+            Rejected::QuotaExceeded { .. } => CounterId::RejectedQuota,
+            Rejected::Draining => CounterId::RejectedDraining,
+        }
+    }
 }
 
 /// The finalized verdict of one submission, delivered on the reply channel
@@ -454,48 +465,13 @@ pub struct Completion {
     pub wall_us: u64,
 }
 
-/// Request counters of a scheduler's lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerCounters {
-    /// Submissions accepted past the gate.
-    pub requests: u64,
-    /// Submissions finalized with a verdict.
-    pub completed: u64,
-    /// Rejections by queue-depth backpressure.
-    pub rejected_queue_full: u64,
-    /// Rejections by per-client quota.
-    pub rejected_quota: u64,
-    /// Rejections while draining.
-    pub rejected_draining: u64,
-    /// Verdicts whose reply channel was gone (client disconnected).
-    pub disconnects: u64,
-}
-
-/// The live form of [`ServerCounters`]: submitters bump the admission
-/// side, the supervisor the finalization side, and
-/// [`Scheduler::admission`] reads all six at any time.
-#[derive(Default)]
-struct LiveCounters {
-    requests: AtomicU64,
-    completed: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_quota: AtomicU64,
-    rejected_draining: AtomicU64,
-    disconnects: AtomicU64,
-}
-
-impl LiveCounters {
-    fn snapshot(&self) -> ServerCounters {
-        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        ServerCounters {
-            requests: read(&self.requests),
-            completed: read(&self.completed),
-            rejected_queue_full: read(&self.rejected_queue_full),
-            rejected_quota: read(&self.rejected_quota),
-            rejected_draining: read(&self.rejected_draining),
-            disconnects: read(&self.disconnects),
-        }
-    }
+/// What the supervisor counts and a running [`Scheduler`] reads at any
+/// time: submitters bump the admission side of `requests`, the supervisor
+/// its finalization side and `solver`.
+struct Live {
+    requests: LiveRequests,
+    /// Solver counters merged over every finished attempt so far.
+    solver: Mutex<SolverStats>,
 }
 
 /// What [`Scheduler::drain`] returns once every accepted submission
@@ -503,10 +479,10 @@ impl LiveCounters {
 pub struct SchedulerFinal {
     /// Merged solver statistics across every attempt.
     pub solver: SolverStats,
-    /// Obligation-cache summary (load + flush + breaker state).
-    pub cache: CacheSummary,
+    /// The obligation cache's own counters (load, flushes, breaker state).
+    pub cache: CacheCounters,
     /// Request counters.
-    pub server: ServerCounters,
+    pub server: RequestCounters,
     /// Submit → finalize latency distribution (µs).
     pub latency: keq_trace::Histogram,
     /// Live-telemetry summary: collector samples and the slow-obligation
@@ -531,12 +507,8 @@ struct StoreFlusher {
     threshold: u32,
     pending: u32,
     consecutive: u32,
-    flushes: u64,
-    flush_failures: u64,
-    degraded: bool,
-    persist_failed: bool,
-    disk_persisted: u64,
-    disk_bytes: u64,
+    /// Starts from the store load's counters; the flushes add theirs.
+    counts: CacheCounters,
 }
 
 impl StoreFlusher {
@@ -546,6 +518,7 @@ impl StoreFlusher {
         io: Arc<dyn StoreIo>,
         every: u32,
         threshold: u32,
+        counts: CacheCounters,
     ) -> StoreFlusher {
         StoreFlusher {
             shared,
@@ -555,12 +528,7 @@ impl StoreFlusher {
             threshold: threshold.max(1),
             pending: 0,
             consecutive: 0,
-            flushes: 0,
-            flush_failures: 0,
-            degraded: false,
-            persist_failed: false,
-            disk_persisted: 0,
-            disk_bytes: 0,
+            counts,
         }
     }
 
@@ -577,20 +545,20 @@ impl StoreFlusher {
 
     fn flush(&mut self, op: &'static str) {
         self.pending = 0;
-        if self.degraded {
+        if self.counts.degraded {
             return;
         }
         let Some(path) = self.path.clone() else { return };
         match self.shared.persist_with(&path, self.io.as_ref()) {
             Ok(persist) => {
-                self.flushes += 1;
+                self.counts.flushes += 1;
                 self.consecutive = 0;
-                self.disk_persisted += persist.written;
-                self.disk_bytes = persist.file_bytes;
+                self.counts.disk_persisted += persist.written;
+                self.counts.disk_bytes = persist.file_bytes;
                 metrics::counter_add(CounterId::StoreFlushes, 1);
             }
             Err(err) => {
-                self.flush_failures += 1;
+                self.counts.flush_failures += 1;
                 self.consecutive += 1;
                 metrics::counter_add(CounterId::StoreFlushFailures, 1);
                 if keq_trace::enabled() {
@@ -601,7 +569,7 @@ impl StoreFlusher {
                     });
                 }
                 if self.consecutive >= self.threshold {
-                    self.degraded = true;
+                    self.counts.degraded = true;
                     keq_trace::emit(keq_trace::Event::StoreDegraded {
                         target: "store",
                         failures: self.consecutive,
@@ -621,14 +589,14 @@ impl StoreFlusher {
         if self.path.is_none() {
             return;
         }
-        if self.degraded {
-            self.persist_failed = true;
+        if self.counts.degraded {
+            self.counts.persist_failed = true;
             return;
         }
-        let failures_before = self.flush_failures;
+        let failures_before = self.counts.flush_failures;
         self.flush("persist");
-        if self.flush_failures > failures_before {
-            self.persist_failed = true;
+        if self.counts.flush_failures > failures_before {
+            self.counts.persist_failed = true;
         }
     }
 }
@@ -943,7 +911,7 @@ pub struct Scheduler {
     default_deadline: Option<Duration>,
     max_attempts: u32,
     request_events: bool,
-    counters: Arc<LiveCounters>,
+    live: Arc<Live>,
     telemetry: Arc<Telemetry>,
 }
 
@@ -973,6 +941,7 @@ impl Scheduler {
             Arc::clone(&storage.io),
             h.store_flush_every,
             h.store_breaker_threshold,
+            storage.cache,
         );
         let (tx, rx) = mpsc::channel::<Msg>();
         let gate = Arc::new(Mutex::new(Gate {
@@ -983,7 +952,12 @@ impl Scheduler {
             tx,
         }));
         let telemetry = Arc::new(Telemetry::new(h.metrics));
-        let counters = Arc::new(LiveCounters::default());
+        let live = Arc::new(Live {
+            requests: LiveRequests::new(
+                telemetry.enabled().then(|| Arc::clone(telemetry.registry())),
+            ),
+            solver: Mutex::default(),
+        });
         let mut scheduler = Scheduler {
             gate: Arc::clone(&gate),
             supervisor: Mutex::new(None),
@@ -992,14 +966,12 @@ impl Scheduler {
             default_deadline: h.deadline,
             max_attempts: h.retry.max_attempts.max(1),
             request_events: config.request_events,
-            counters: Arc::clone(&counters),
+            live: Arc::clone(&live),
             telemetry: Arc::clone(&telemetry),
         };
         let handle = std::thread::Builder::new()
             .name("keq-scheduler".into())
-            .spawn(move || {
-                supervise(config, rx, gate, journal_writer, flusher, telemetry, counters)
-            })
+            .spawn(move || supervise(config, rx, gate, journal_writer, flusher, telemetry, live))
             .expect("spawn scheduler supervisor");
         scheduler.supervisor = Mutex::new(Some(handle));
         scheduler
@@ -1064,10 +1036,7 @@ impl Scheduler {
         };
         match rejection {
             Ok(id) => {
-                self.counters.requests.fetch_add(1, Ordering::Relaxed);
-                if self.telemetry.enabled() {
-                    self.telemetry.registry().counter_add(CounterId::Requests, 1);
-                }
+                self.live.requests.bump(CounterId::Requests);
                 if self.request_events && keq_trace::enabled() {
                     keq_trace::emit(keq_trace::Event::RequestReceived {
                         client: req.client,
@@ -1077,18 +1046,7 @@ impl Scheduler {
                 Ok(id)
             }
             Err(rej) => {
-                let c = &self.counters;
-                let (counter, metric) = match rej {
-                    Rejected::QueueFull { .. } => {
-                        (&c.rejected_queue_full, CounterId::RejectedQueueFull)
-                    }
-                    Rejected::QuotaExceeded { .. } => (&c.rejected_quota, CounterId::RejectedQuota),
-                    Rejected::Draining => (&c.rejected_draining, CounterId::RejectedDraining),
-                };
-                counter.fetch_add(1, Ordering::Relaxed);
-                if self.telemetry.enabled() {
-                    self.telemetry.registry().counter_add(metric, 1);
-                }
+                self.live.requests.bump(rej.counter());
                 if self.request_events && keq_trace::enabled() {
                     keq_trace::emit(keq_trace::Event::RequestRejected {
                         client: req.client,
@@ -1110,8 +1068,15 @@ impl Scheduler {
     /// scheduler). A submission counts as `completed`, and as a disconnect
     /// when its reply finds no receiver, before its [`Self::depth`] slot
     /// frees.
-    pub fn admission(&self) -> ServerCounters {
-        self.counters.snapshot()
+    pub fn admission(&self) -> RequestCounters {
+        self.live.requests.snapshot()
+    }
+
+    /// The solver counters merged over every attempt finished so far
+    /// (what [`Self::drain`] returns as [`SchedulerFinal::solver`]). An
+    /// attempt counts here before its submission completes.
+    pub fn solver(&self) -> SolverStats {
+        *self.live.solver.lock().expect("solver totals poisoned")
     }
 
     /// Stops admissions, waits for every accepted submission to finalize
@@ -1134,7 +1099,7 @@ impl Scheduler {
             .take()
             .expect("scheduler drained twice");
         let mut fin = handle.join().expect("scheduler supervisor panicked");
-        fin.server = self.counters.snapshot();
+        fin.server = self.live.requests.snapshot();
         fin
     }
 
@@ -1168,7 +1133,7 @@ fn supervise(
     mut journal_writer: Option<JournalWriter>,
     mut flusher: StoreFlusher,
     telemetry: Arc<Telemetry>,
-    counters: Arc<LiveCounters>,
+    live: Arc<Live>,
 ) -> SchedulerFinal {
     let SchedulerConfig { harness, request_events, storage, .. } = config;
     let _trace_guard = harness.trace.as_ref().map(keq_trace::install);
@@ -1197,7 +1162,6 @@ fn supervise(
     let mut inflight: HashMap<u64, Inflight> = HashMap::new();
     let mut next_job: u64 = 0;
     let mut draining = false;
-    let mut solver_total = SolverStats::default();
     let mut latency = keq_trace::Histogram::log_us("request latency (µs)");
     let mut last_sample = Instant::now();
 
@@ -1258,7 +1222,7 @@ fn supervise(
                 // Timeout verdict, so the late one is discarded.
                 let Some(info) = inflight.remove(&job) else { continue };
                 job_meta.remove(&job);
-                solver_total.merge(&outcome.solver);
+                live.solver.lock().expect("solver totals poisoned").merge(&outcome.solver);
                 if telemetry.enabled() {
                     let reg = telemetry.registry();
                     reg.counter_add(CounterId::Attempts, 1);
@@ -1333,7 +1297,7 @@ fn supervise(
                         &mut flusher,
                         &gate,
                         &mut latency,
-                        &counters,
+                        &live.requests,
                         request_events,
                         &telemetry,
                     );
@@ -1384,7 +1348,7 @@ fn supervise(
                 &mut flusher,
                 &gate,
                 &mut latency,
-                &counters,
+                &live.requests,
                 request_events,
                 &telemetry,
             );
@@ -1413,12 +1377,12 @@ fn supervise(
             let active =
                 pool.iter().filter(|w| !w.retired.load(Ordering::Acquire)).count() as u64;
             reg.gauge_set(GaugeId::WorkersIdle, active.saturating_sub(busy));
-            let degraded = flusher.degraded
+            let degraded = flusher.counts.degraded
                 || journal_writer.as_ref().is_some_and(|w| w.degraded);
             reg.gauge_set(GaugeId::StoreDegraded, u64::from(degraded));
-            let cache = shared.stats();
-            reg.gauge_set(GaugeId::ObcacheEntries, cache.entries);
-            reg.gauge_set(GaugeId::ObcacheBytes, cache.bytes);
+            let entries = shared.stats().entries;
+            reg.gauge_set(GaugeId::ObcacheEntries, entries);
+            reg.gauge_set(GaugeId::ObcacheBytes, entries * ENTRY_BYTES as u64);
             telemetry.sample_now();
         }
 
@@ -1452,25 +1416,18 @@ fn supervise(
         reg.gauge_set(GaugeId::QueueDepth, 0);
         reg.gauge_set(GaugeId::WorkersBusy, 0);
         reg.gauge_set(GaugeId::ObcacheEntries, cache_stats.entries);
-        reg.gauge_set(GaugeId::ObcacheBytes, cache_stats.bytes);
+        reg.gauge_set(GaugeId::ObcacheBytes, cache_stats.entries * ENTRY_BYTES as u64);
         telemetry.sample_now();
     }
     SchedulerFinal {
-        solver: solver_total,
-        cache: CacheSummary {
+        solver: *live.solver.lock().expect("solver totals poisoned"),
+        cache: CacheCounters {
             evictions: cache_stats.evictions,
             entries: cache_stats.entries,
-            disk_loaded: storage.disk_loaded,
-            disk_rejected: storage.disk_rejected,
-            disk_persisted: flusher.disk_persisted,
-            disk_bytes: flusher.disk_bytes,
-            flushes: flusher.flushes,
-            flush_failures: flusher.flush_failures,
-            degraded: flusher.degraded,
-            persist_failed: flusher.persist_failed,
+            ..flusher.counts
         },
         // Read by `Scheduler::drain` once the supervisor has exited.
-        server: ServerCounters::default(),
+        server: RequestCounters::default(),
         latency,
         telemetry: telemetry.section(),
     }
@@ -1488,7 +1445,7 @@ fn finalize_submission(
     flusher: &mut StoreFlusher,
     gate: &Mutex<Gate>,
     latency: &mut keq_trace::Histogram,
-    counters: &LiveCounters,
+    requests: &LiveRequests,
     request_events: bool,
     telemetry: &Telemetry,
 ) {
@@ -1501,7 +1458,7 @@ fn finalize_submission(
         .map(|t| u64::try_from((t - st.submitted).as_micros()).unwrap_or(u64::MAX))
         .unwrap_or(wall_us);
     latency.add(wall_us as f64);
-    counters.completed.fetch_add(1, Ordering::Relaxed);
+    requests.bump(CounterId::Completed);
     telemetry.observe_request(wall_us, latency);
     if telemetry.enabled() {
         let phase_us: Vec<(Phase, u64)> = Phase::ALL
@@ -1554,10 +1511,7 @@ fn finalize_submission(
             })
             .is_ok();
         if !delivered {
-            counters.disconnects.fetch_add(1, Ordering::Relaxed);
-            if telemetry.enabled() {
-                telemetry.registry().counter_add(CounterId::Disconnects, 1);
-            }
+            requests.bump(CounterId::Disconnects);
         }
         g.depth = g.depth.saturating_sub(1);
     }

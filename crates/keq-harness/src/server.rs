@@ -114,20 +114,12 @@ struct ConnCtx {
 
 impl ConnCtx {
     fn stats(&self) -> StatsSnapshot {
-        let adm = self.scheduler.admission();
-        let depth = self.scheduler.depth() as u64;
-        let cache = self.shared.stats();
         let (p50_us, p90_us, p99_us) = self.scheduler.telemetry().latency_quantiles_us();
         StatsSnapshot {
-            requests: adm.requests,
-            completed: adm.completed,
-            rejected_queue_full: adm.rejected_queue_full,
-            rejected_quota: adm.rejected_quota,
-            disconnects: adm.disconnects,
-            depth,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_entries: cache.entries,
+            server: self.scheduler.admission(),
+            solver: self.scheduler.solver(),
+            cache: self.shared.stats(),
+            depth: self.scheduler.depth() as u64,
             p50_us,
             p90_us,
             p99_us,
@@ -135,32 +127,22 @@ impl ConnCtx {
     }
 
     /// Serves the `metrics` op: one coherent telemetry snapshot. The
-    /// headline gauges come from the live scheduler (meaningful with the
+    /// `stats` view comes from the live scheduler (meaningful with the
     /// registry off); the series, worker-state gauges, and Prometheus text
     /// come from the telemetry registry and read zero when `--metrics`
     /// is off.
     fn metrics(&self) -> MetricsReport {
-        let stats = self.stats();
         let telemetry = self.scheduler.telemetry();
         let registry = telemetry.registry();
-        let sample_ms = self.sample_interval_ms;
         MetricsReport {
             enabled: telemetry.enabled(),
             uptime_ms: telemetry.uptime_ms(),
-            queue_depth: stats.depth,
+            stats: self.stats(),
             workers_busy: registry.gauge(keq_trace::GaugeId::WorkersBusy),
             workers_idle: registry.gauge(keq_trace::GaugeId::WorkersIdle),
-            requests: stats.requests,
-            completed: stats.completed,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            cache_entries: stats.cache_entries,
             // Rate over the last ~4 sample windows: long enough to smooth
             // tick jitter, short enough to track load changes.
-            rate_per_sec: telemetry.rate_per_sec(sample_ms.saturating_mul(4)),
-            p50_us: stats.p50_us,
-            p90_us: stats.p90_us,
-            p99_us: stats.p99_us,
+            rate_per_sec: telemetry.rate_per_sec(self.sample_interval_ms.saturating_mul(4)),
             samples: telemetry.samples(),
             shard_entries: self.shared.shard_entries(),
             series: telemetry.series_json(),
@@ -397,7 +379,7 @@ fn handle_connection(mut stream: Box<dyn Conn>, ctx: &ConnCtx, client: u64) -> i
         };
         let resp = match ClientRequest::parse(&text) {
             Err(detail) => ServerResponse::Error { detail },
-            Ok(ClientRequest::Stats) => ServerResponse::Stats(ctx.stats()),
+            Ok(ClientRequest::Stats) => ServerResponse::Stats(Box::new(ctx.stats())),
             Ok(ClientRequest::Metrics) => ServerResponse::Metrics(Box::new(ctx.metrics())),
             Ok(ClientRequest::Shutdown) => {
                 write_frame(&mut stream, &ServerResponse::ShuttingDown.to_json_string())?;
@@ -618,8 +600,8 @@ mod tests {
         let ServerResponse::Stats(stats) = resp else {
             panic!("expected stats, got {resp:?}");
         };
-        assert_eq!(stats.requests, 3, "three functions admitted");
-        assert_eq!(stats.completed, 3);
+        assert_eq!(stats.server.requests, 3, "three functions admitted");
+        assert_eq!(stats.server.completed, 3);
         assert_eq!(stats.depth, 0);
 
         let resp = conn.roundtrip(&ClientRequest::Shutdown).expect("shutdown round trip");
@@ -673,10 +655,10 @@ mod tests {
             panic!("expected metrics, got {resp:?}");
         };
         assert!(m.enabled);
-        assert_eq!(m.requests, 4, "one admitted submission per function");
-        assert_eq!(m.completed, 4);
-        assert!(m.p99_us >= m.p50_us, "{m:?}");
-        assert!(m.p50_us > 0, "quantiles live after finalizations");
+        assert_eq!(m.stats.server.requests, 4, "one admitted submission per function");
+        assert_eq!(m.stats.server.completed, 4);
+        assert!(m.stats.p99_us >= m.stats.p50_us, "{m:?}");
+        assert!(m.stats.p50_us > 0, "quantiles live after finalizations");
         assert!(!m.slow.is_empty(), "slow table populated");
         assert!(
             m.slow.windows(2).all(|w| w[0].wall_us >= w[1].wall_us),
@@ -703,8 +685,8 @@ mod tests {
         let ServerResponse::Stats(stats) = resp else {
             panic!("expected stats, got {resp:?}");
         };
-        assert_eq!(stats.p50_us, m.p50_us);
-        assert_eq!(stats.p99_us, m.p99_us);
+        assert_eq!(stats.p50_us, m.stats.p50_us);
+        assert_eq!(stats.p99_us, m.stats.p99_us);
 
         conn.roundtrip(&ClientRequest::Shutdown).expect("shutdown");
         run.join().expect("server thread");
@@ -734,9 +716,9 @@ mod tests {
         };
         assert!(!m.enabled);
         // Live scheduler state is still meaningful with the registry off...
-        assert_eq!(m.requests, 1);
-        assert_eq!(m.completed, 1);
-        assert!(m.p50_us > 0, "stats-grade quantiles survive the off switch");
+        assert_eq!(m.stats.server.requests, 1);
+        assert_eq!(m.stats.server.completed, 1);
+        assert!(m.stats.p50_us > 0, "stats-grade quantiles survive the off switch");
         // ...while registry-backed surfaces read empty, not stale.
         assert_eq!(m.samples, 0);
         assert!(m.slow.is_empty(), "profiler off with the registry");

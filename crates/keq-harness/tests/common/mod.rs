@@ -63,7 +63,9 @@ fn stream(
 /// Obligation-cache (hits, misses) so far, from the `stats` op.
 fn cache_counters(conn: &mut ClientConn) -> (u64, u64) {
     match conn.roundtrip(&ClientRequest::Stats).expect("stats round trip") {
-        ServerResponse::Stats(s) => (s.cache_hits, s.cache_misses),
+        ServerResponse::Stats(s) => {
+            (s.solver.obligation_cache_hits, s.solver.obligation_cache_misses)
+        }
         other => panic!("expected stats, got {other:?}"),
     }
 }

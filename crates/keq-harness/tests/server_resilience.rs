@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use keq_harness::protocol::{ClientRequest, ServerResponse};
 use keq_harness::{
-    connect, journal, ClientQuota, HarnessOptions, Rejected, Request, Scheduler, SchedulerConfig,
-    Server, ServerOptions, Storage,
+    connect, journal, ClientQuota, HarnessOptions, MetricsConfig, Rejected, Request, Scheduler,
+    SchedulerConfig, Server, ServerOptions, Storage,
 };
 use keq_llvm::ast::Module;
 use keq_smt::fault::{FaultPlan, Rate};
@@ -48,8 +48,7 @@ fn config(journal_path: Option<PathBuf>, fp: u64) -> SchedulerConfig {
         storage: Storage {
             io: Arc::new(StdStoreIo) as Arc<dyn StoreIo>,
             shared: Arc::new(SharedObligationCache::new()),
-            disk_loaded: 0,
-            disk_rejected: 0,
+            cache: Default::default(),
             journal: journal_path.map(|path| keq_harness::JournalConfig {
                 path,
                 corpus_fp: fp,
@@ -137,7 +136,6 @@ fn mid_request_disconnect_preserves_cache_journal_and_quota() {
     let journal_path = unique_path("disconnect.keqwal");
     let fp = 0xd15c;
     let config = config(Some(journal_path.clone()), fp);
-    let shared = Arc::clone(&config.storage.shared);
     let sched = Scheduler::start(SchedulerConfig {
         quota: ClientQuota { max_inflight: 1, ..ClientQuota::default() },
         ..config
@@ -165,7 +163,7 @@ fn mid_request_disconnect_preserves_cache_journal_and_quota() {
     }
     let done = rx2.recv().expect("revalidation completes");
     assert_eq!(done.result.kind().name(), "succeeded");
-    let hits_after_revalidation = shared.stats().hits;
+    let hits_after_revalidation = sched.solver().obligation_cache_hits;
     assert!(
         hits_after_revalidation > 0,
         "revalidating the vanished client's function rides the cache it warmed"
@@ -242,7 +240,7 @@ fn tcp_client_vanishing_mid_request_leaves_the_server_serving() {
         else {
             panic!("expected stats");
         };
-        if stats.completed >= 2 && stats.depth == 0 {
+        if stats.server.completed >= 2 && stats.depth == 0 {
             break;
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -265,9 +263,9 @@ fn tcp_client_vanishing_mid_request_leaves_the_server_serving() {
     else {
         panic!("expected stats");
     };
-    assert_eq!(stats.requests, 4, "both requests' functions were admitted");
+    assert_eq!(stats.server.requests, 4, "both requests' functions were admitted");
     assert!(
-        stats.cache_hits > 0,
+        stats.solver.obligation_cache_hits > 0,
         "the revalidation rides the cache the vanished client warmed"
     );
 
@@ -275,4 +273,115 @@ fn tcp_client_vanishing_mid_request_leaves_the_server_serving() {
     let summary = run.join().expect("server thread");
     assert_eq!(summary.fin.server.requests, 4);
     assert_eq!(summary.fin.server.completed, 4, "nothing was lost to the disconnect");
+}
+
+/// Every surface that reports a server's counters agrees with the others:
+/// the `stats` op, the `metrics` op's headline and its Prometheus text,
+/// and the drain's `SchedulerFinal`. The corpus is validated twice, so the
+/// second pass hits the cache; then one request carries both functions
+/// from a client allowed one in flight, so its second function is
+/// rejected and the rejection counters are not all zero.
+#[test]
+fn stats_metrics_prometheus_and_drain_agree() {
+    let corpus = generate_corpus(GenConfig { seed: 34, ..GenConfig::default() }, 2);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        &ServerOptions {
+            harness: HarnessOptions {
+                workers: 1,
+                metrics: MetricsConfig {
+                    enabled: true,
+                    sample_interval: Duration::from_millis(10),
+                    ..MetricsConfig::default()
+                },
+                ..HarnessOptions::default()
+            },
+            quota: ClientQuota { max_inflight: 1, ..ClientQuota::default() },
+            ..ServerOptions::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let run = std::thread::spawn(move || server.run());
+    let mut conn = connect(&addr).expect("connect");
+    let mut validate = |tag: u64, ir: String| {
+        conn.roundtrip(&ClientRequest::Validate {
+            tag,
+            unit: 0,
+            pass: keq_isel::PassId::Isel,
+            ir,
+            deadline_ms: None,
+            max_attempts: None,
+        })
+        .expect("validate round trip")
+    };
+    for pass in 0..2u64 {
+        for (i, f) in corpus.functions.iter().enumerate() {
+            let one = Module { functions: vec![f.clone()], ..corpus.clone() };
+            let resp = validate(pass * 10 + i as u64, one.to_string());
+            assert!(matches!(resp, ServerResponse::Validated { .. }), "{resp:?}");
+        }
+    }
+    // The gate counts the first function in flight before the second one
+    // asks, and a verdict needs a whole validation to arrive.
+    let resp = validate(99, corpus.to_string());
+    assert_eq!(resp, ServerResponse::RejectedRequest { tag: 99, reason: "quota".into() });
+
+    let ServerResponse::Stats(stats) = conn.roundtrip(&ClientRequest::Stats).expect("stats")
+    else {
+        panic!("expected stats");
+    };
+    let metrics = |conn: &mut keq_harness::ClientConn| {
+        match conn.roundtrip(&ClientRequest::Metrics).expect("metrics") {
+            ServerResponse::Metrics(m) => m,
+            other => panic!("expected metrics, got {other:?}"),
+        }
+    };
+    // Gauges are sampled, so wait for one sample taken after the last
+    // request finished.
+    let first = metrics(&mut conn);
+    let m = loop {
+        let m = metrics(&mut conn);
+        if m.samples > first.samples {
+            break m;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    conn.roundtrip(&ClientRequest::Shutdown).expect("shutdown");
+    let fin = run.join().expect("server thread").fin;
+
+    let s = &stats;
+    assert_eq!(s.server.requests, 5, "four single-function requests and one admitted function");
+    assert_eq!(s.server.rejected_quota, 1);
+    assert!(s.server.completed <= s.server.requests);
+    assert_eq!(s.depth, 0);
+    assert!(s.solver.obligation_cache_hits > 0, "the second pass rides the cache");
+    assert!(s.cache.entries > 0);
+
+    assert_eq!(m.stats.server, s.server, "metrics headline vs stats");
+    assert_eq!(fin.server, s.server, "drain vs stats");
+    let cache = |solver: &keq_smt::SolverStats, entries: u64| {
+        (solver.obligation_cache_hits, solver.obligation_cache_misses, entries)
+    };
+    let live = cache(&s.solver, s.cache.entries);
+    assert_eq!(cache(&m.stats.solver, m.stats.cache.entries), live, "metrics headline vs stats");
+    assert_eq!(cache(&fin.solver, fin.cache.entries), live, "drain vs stats");
+
+    let prom = |name: &str| -> u64 {
+        let line = m
+            .prometheus
+            .lines()
+            .find(|l| l.split(' ').next() == Some(name))
+            .unwrap_or_else(|| panic!("{name} missing from the scrape"));
+        line.rsplit(' ').next().and_then(|v| v.parse::<f64>().ok()).expect("a value") as u64
+    };
+    for (id, value) in s.server.registry_feed() {
+        assert_eq!(prom(id.name()), value, "{} vs stats", id.name());
+    }
+    let scraped = (
+        prom("keq_obcache_hits_total"),
+        prom("keq_obcache_misses_total"),
+        prom("keq_obcache_entries"),
+    );
+    assert_eq!(scraped, live, "Prometheus vs stats");
 }

@@ -48,7 +48,7 @@ pub use fault::{
 pub use fingerprint::{fingerprint_obligation, ObligationFingerprint, ShapeMemo};
 pub use lower::{lower, Lowered, Lowerer, TermBudgetExceeded};
 pub use obcache::{
-    fnv1a32, CachedVerdict, LoadOutcome, ObligationCacheStats, PersistOutcome,
+    fnv1a32, CachedVerdict, LoadOutcome, PersistOutcome,
     SharedObligationCache, StdStoreIo, StoreIo, SEMANTICS_REVISION,
 };
 pub use rewrite::{RewriteStats, Rewriter, RuleFamily};

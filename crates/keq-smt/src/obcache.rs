@@ -46,6 +46,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use keq_trace::CacheCounters;
+
 use crate::fingerprint::ObligationFingerprint;
 use crate::wire;
 
@@ -152,7 +154,7 @@ impl CachedVerdict {
 }
 
 /// Approximate in-memory footprint of one entry (map slot + FIFO slot).
-const ENTRY_BYTES: usize = 48;
+pub const ENTRY_BYTES: usize = 48;
 /// Shard count: enough stripes that 8–16 workers rarely collide.
 const SHARDS: usize = 16;
 /// Default byte bound across all shards (FIFO eviction past this).
@@ -164,23 +166,6 @@ struct Shard {
     order: VecDeque<u128>,
     /// Entries proven this run and not yet persisted.
     dirty: Vec<(u128, CachedVerdict)>,
-}
-
-/// Aggregated cache statistics at one point in time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ObligationCacheStats {
-    /// Lookups answered.
-    pub hits: u64,
-    /// Lookups missed.
-    pub misses: u64,
-    /// Verdicts inserted.
-    pub inserts: u64,
-    /// Entries evicted by the byte bound.
-    pub evictions: u64,
-    /// Live entries.
-    pub entries: u64,
-    /// Approximate live bytes.
-    pub bytes: u64,
 }
 
 /// Result of loading a persisted store.
@@ -208,9 +193,6 @@ pub struct PersistOutcome {
 #[derive(Debug)]
 pub struct SharedObligationCache {
     shards: Vec<Mutex<Shard>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
     evictions: AtomicU64,
     /// Set when a load found no usable store, so persist must rewrite the
     /// file (fresh header + full contents) instead of appending.
@@ -234,9 +216,6 @@ impl SharedObligationCache {
     pub fn with_max_bytes(max_bytes: usize) -> Self {
         SharedObligationCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             needs_rewrite: AtomicBool::new(false),
             max_bytes_per_shard: (max_bytes / SHARDS).max(ENTRY_BYTES),
@@ -250,19 +229,12 @@ impl SharedObligationCache {
         &self.shards[i]
     }
 
-    /// Looks up a verdict, counting the hit or miss.
+    /// Looks up a verdict. The solver counts the hit or miss
+    /// (`obligation_cache_*`), because only it knows whether a cached
+    /// `Sat` answers its question.
     pub fn lookup(&self, fp: ObligationFingerprint) -> Option<CachedVerdict> {
         let shard = self.shard(fp).lock().unwrap_or_else(|e| e.into_inner());
-        match shard.map.get(&fp.0).copied() {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        shard.map.get(&fp.0).copied()
     }
 
     /// Records a verdict, marking it dirty for the next persist and
@@ -270,7 +242,6 @@ impl SharedObligationCache {
     pub fn insert(&self, fp: ObligationFingerprint, verdict: CachedVerdict) {
         let mut shard = self.shard(fp).lock().unwrap_or_else(|e| e.into_inner());
         self.insert_into(&mut shard, fp.0, verdict, true);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
     }
 
     fn insert_into(&self, shard: &mut Shard, fp: u128, verdict: CachedVerdict, dirty: bool) {
@@ -288,20 +259,19 @@ impl SharedObligationCache {
         }
     }
 
-    /// Point-in-time statistics (counters are relaxed; entry/byte totals
-    /// take each shard lock briefly).
-    pub fn stats(&self) -> ObligationCacheStats {
-        let mut entries = 0u64;
-        for s in &self.shards {
-            entries += s.lock().unwrap_or_else(|e| e.into_inner()).map.len() as u64;
-        }
-        ObligationCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
+    /// The cache's in-memory counters now: `evictions` and `entries`
+    /// (the entry count takes each shard lock briefly; approximate bytes
+    /// are `entries * ENTRY_BYTES`).
+    pub fn stats(&self) -> CacheCounters {
+        let entries = self
+            .shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).map.len() as u64)
+            .sum();
+        CacheCounters {
             evictions: self.evictions.load(Ordering::Relaxed),
             entries,
-            bytes: entries * ENTRY_BYTES as u64,
+            ..CacheCounters::default()
         }
     }
 
@@ -447,9 +417,7 @@ mod tests {
         assert_eq!(cache.lookup(fp(7)), None);
         cache.insert(fp(7), CachedVerdict::Unsat);
         assert_eq!(cache.lookup(fp(7)), Some(CachedVerdict::Unsat));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.inserts), (1, 1, 1));
-        assert_eq!(stats.entries, 1);
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn unsat_verdicts_are_stored_and_shared_across_solvers() {
     a.set_obligation_cache(Some(Arc::clone(&cache)));
     assert_eq!(a.check_sat(&mut bank_a, &parts), CheckOutcome::Unsat);
     assert_eq!(a.stats().obligation_cache_stores, 1);
-    assert_eq!(cache.stats().inserts, 1);
+    assert_eq!(cache.stats().entries, 1);
 
     // Solver B — different bank, different variable name — hits.
     let mut bank_b = TermBank::new();
@@ -74,7 +74,7 @@ fn sat_verdicts_are_stored_model_free() {
     };
     assert!(model.get("v").is_some(), "a computed Sat carries a real witness");
     assert_eq!(s.stats().obligation_cache_stores, 1);
-    assert_eq!(cache.stats().inserts, 1, "the verdict is stored, model-free");
+    assert_eq!(cache.stats().entries, 1, "the verdict is stored, model-free");
 
     // A model-free asker — different solver, different bank, renamed
     // variable — rides the cached verdict without bit-blasting.
@@ -95,7 +95,7 @@ fn model_needing_callers_do_not_ride_a_cached_sat() {
     let mut s = Solver::new();
     s.set_obligation_cache(Some(Arc::clone(&cache)));
     assert!(matches!(s.check_sat(&mut bank, &[q]), CheckOutcome::Sat(_)));
-    assert_eq!(cache.stats().inserts, 1);
+    assert_eq!(cache.stats().entries, 1);
 
     // `check_sat` needs the witness: the cached model-free verdict counts
     // as a miss and the query recomputes a real model.
@@ -130,11 +130,11 @@ fn budgeted_outcomes_are_never_stored() {
     s.set_obligation_cache(Some(Arc::clone(&cache)));
     match s.check_sat(&mut bank, &[eq, x_big, y_big]) {
         CheckOutcome::Budget(BudgetKind::Conflicts) => {
-            assert_eq!(cache.stats().inserts, 0, "budget-class outcomes must never be cached");
+            assert_eq!(cache.stats().entries, 0, "budget-class outcomes must never be cached");
         }
         // Found fast on some search orderings — a decided verdict, which
         // legitimately stores (model-free).
-        CheckOutcome::Sat(_) => assert_eq!(cache.stats().inserts, 1),
+        CheckOutcome::Sat(_) => assert_eq!(cache.stats().entries, 1),
         other => panic!("unexpected outcome {other:?}"),
     }
 }
@@ -152,7 +152,7 @@ fn injected_fault_outcomes_are_never_stored() {
     let mut s = Solver::new();
     s.set_obligation_cache(Some(Arc::clone(&cache)));
     assert!(matches!(s.check_sat(&mut bank, &parts), CheckOutcome::Budget(_)));
-    assert_eq!(cache.stats().inserts, 0, "injected-fault outcomes must never be cached");
+    assert_eq!(cache.stats().entries, 0, "injected-fault outcomes must never be cached");
     assert_eq!(s.stats().obligation_cache_stores, 0);
 }
 

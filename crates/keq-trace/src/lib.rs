@@ -34,7 +34,9 @@ pub mod recorder;
 pub mod report;
 pub mod ring;
 
-pub use counters::SolverCounters;
+pub use counters::{
+    CacheCounters, LiveRequests, OutcomeTable, RequestCounters, ResumeSection, SolverCounters,
+};
 pub use event::{Event, Phase, TraceEvent};
 pub use histogram::Histogram;
 pub use json::{Json, JsonError};
@@ -47,8 +49,7 @@ pub use recorder::{
     Recorder, Span, TraceGuard, TraceSink,
 };
 pub use report::{
-    check_phase_coverage, phase_summaries, validate, AttemptReport, CacheCounters, FunctionReport,
-    OutcomeTable, PassSection, PhaseSummary, ResumeSection, RunReport, ServerSection,
-    SlowObligation, TelemetrySection, Violation, REPORT_SCHEMA,
+    check_phase_coverage, phase_summaries, validate, AttemptReport, FunctionReport, PassSection,
+    PhaseSummary, RunReport, SlowObligation, TelemetrySection, Violation, REPORT_SCHEMA,
 };
 pub use ring::{EventRing, JsonlSink, DEFAULT_RING_CAPACITY};

@@ -13,7 +13,7 @@
 //! phase spans of each fully-observed function must sum to (almost) its
 //! recorded wall time, or the instrumentation has a blind spot.
 
-use crate::counters::SolverCounters;
+use crate::counters::{CacheCounters, OutcomeTable, ResumeSection, SolverCounters};
 use crate::event::{Event, Phase, TraceEvent};
 use crate::histogram::Histogram;
 use crate::json::{self, Json};
@@ -23,56 +23,22 @@ use crate::json::{self, Json};
 /// v2 added the `cache` section (shared obligation-cache counters); v3
 /// added the `resume` section (write-ahead journal recovery), the
 /// `quarantined` outcome category, per-function `recovered` flags, and
-/// the incremental-flush / circuit-breaker cache counters; v4 added the
-/// `server` section (request counters and latency quantiles of the
-/// long-lived `keq-server` front end — all-zero for batch runs); v5 added
-/// `p90_us` to the server section, the solver `restarts` counter, and the
-/// `telemetry` section (metrics sampling plus the slow-obligation table);
-/// v6 added the obligation-normalization counters (`rewrite_rules_fired`,
-/// `rewrite_passes`, `rewrite_nodes_saved`) and the CDCL glue-retention
-/// counter (`lbd_kept`) to the solver section; v7 made the report
-/// pass-aware: every function row carries the validated pass's stable
-/// name (`pass`), and the new top-level `passes` array holds one outcome
-/// table per validated pass, so a run that validates the same corpus
-/// under ISel, regalloc, and GVN reports each pass's Fig. 6 row
-/// separately.
-pub const REPORT_SCHEMA: &str = "keq-run-report/v7";
-
-/// The Fig. 6 outcome table.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OutcomeTable {
-    /// Validated (equivalent or refines).
-    pub succeeded: u64,
-    /// Timeout-class resource exhaustion.
-    pub timeout: u64,
-    /// Memory-class resource exhaustion.
-    pub out_of_memory: u64,
-    /// Isolated panics.
-    pub crashed: u64,
-    /// Still crashing after exhausting every retry attempt.
-    pub quarantined: u64,
-    /// Everything else.
-    pub other: u64,
-    /// Total functions.
-    pub total: u64,
-    /// Total attempts across all functions (≥ total when retries fired).
-    pub attempts: u64,
-}
+/// the incremental-flush / circuit-breaker cache counters; v4 added a
+/// `server` section and v5 gave it `p90_us`, the solver `restarts`
+/// counter, and the `telemetry` section (metrics sampling plus the
+/// slow-obligation table); v6 added the obligation-normalization counters
+/// (`rewrite_rules_fired`, `rewrite_passes`, `rewrite_nodes_saved`) and
+/// the CDCL glue-retention counter (`lbd_kept`) to the solver section; v7
+/// made the report pass-aware: every function row carries the validated
+/// pass's stable name (`pass`), and the new top-level `passes` array holds
+/// one outcome table per validated pass, so a run that validates the same
+/// corpus under ISel, regalloc, and GVN reports each pass's Fig. 6 row
+/// separately; v8 dropped the `server` section, which no run ever filled:
+/// a report describes a batch run, and a server's request counters travel
+/// live in the `stats` and `metrics` ops and its drain line.
+pub const REPORT_SCHEMA: &str = "keq-run-report/v8";
 
 impl OutcomeTable {
-    fn to_json(self) -> Json {
-        json::obj(vec![
-            ("succeeded", json::num(self.succeeded)),
-            ("timeout", json::num(self.timeout)),
-            ("out_of_memory", json::num(self.out_of_memory)),
-            ("crashed", json::num(self.crashed)),
-            ("quarantined", json::num(self.quarantined)),
-            ("other", json::num(self.other)),
-            ("total", json::num(self.total)),
-            ("attempts", json::num(self.attempts)),
-        ])
-    }
-
     /// Serializes the table as one compact JSON object (the form the bench
     /// targets embed).
     pub fn to_json_string(self) -> String {
@@ -98,153 +64,6 @@ impl PassSection {
         json::obj(vec![
             ("pass", Json::Str(self.pass.clone())),
             ("outcome", self.outcome.to_json()),
-        ])
-    }
-}
-
-/// The shared obligation-cache counters of a run (`cache.*` in the v2
-/// schema): canonical-fingerprint lookups, verdict reuse, and the on-disk
-/// store traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    /// Obligations fingerprinted and looked up (must equal hits + misses).
-    pub obligations: u64,
-    /// Lookups answered by the shared cache.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Verdicts recorded into the shared cache.
-    pub stores: u64,
-    /// Entries evicted by the byte bound.
-    pub evictions: u64,
-    /// Live entries at end of run.
-    pub entries: u64,
-    /// Records accepted from the persisted store at startup.
-    pub disk_loaded: u64,
-    /// Records rejected while loading (corruption, stale revision).
-    pub disk_rejected: u64,
-    /// Records written across all flushes of the run.
-    pub disk_persisted: u64,
-    /// Size of the persisted store after the run, bytes (0 when not
-    /// persisting).
-    pub disk_bytes: u64,
-    /// Successful incremental store flushes (including the final one).
-    pub flushes: u64,
-    /// Failed flush attempts (each also emitted a `StoreError` event).
-    pub flush_failures: u64,
-    /// Whether the store circuit breaker tripped: the run finished
-    /// memory-only and the final state was not persisted.
-    pub degraded: bool,
-}
-
-impl CacheCounters {
-    const FIELDS: [&'static str; 12] = [
-        "obligations",
-        "hits",
-        "misses",
-        "stores",
-        "evictions",
-        "entries",
-        "disk_loaded",
-        "disk_rejected",
-        "disk_persisted",
-        "disk_bytes",
-        "flushes",
-        "flush_failures",
-    ];
-
-    fn to_json(self) -> Json {
-        json::obj(vec![
-            ("obligations", json::num(self.obligations)),
-            ("hits", json::num(self.hits)),
-            ("misses", json::num(self.misses)),
-            ("stores", json::num(self.stores)),
-            ("evictions", json::num(self.evictions)),
-            ("entries", json::num(self.entries)),
-            ("disk_loaded", json::num(self.disk_loaded)),
-            ("disk_rejected", json::num(self.disk_rejected)),
-            ("disk_persisted", json::num(self.disk_persisted)),
-            ("disk_bytes", json::num(self.disk_bytes)),
-            ("flushes", json::num(self.flushes)),
-            ("flush_failures", json::num(self.flush_failures)),
-            ("degraded", Json::Bool(self.degraded)),
-        ])
-    }
-}
-
-/// The journal-recovery section of the v3 schema: what resume recovered
-/// from the write-ahead verdict journal before scheduling any work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ResumeSection {
-    /// Whether this run resumed from a journal.
-    pub enabled: bool,
-    /// Functions skipped because a journal record decided them.
-    pub skipped: u64,
-    /// Valid records recovered from the journal.
-    pub recovered: u64,
-    /// Corrupt records skipped fail-soft while loading the journal.
-    pub corrupt: u64,
-}
-
-impl ResumeSection {
-    fn to_json(self) -> Json {
-        json::obj(vec![
-            ("enabled", Json::Bool(self.enabled)),
-            ("skipped", json::num(self.skipped)),
-            ("recovered", json::num(self.recovered)),
-            ("corrupt", json::num(self.corrupt)),
-        ])
-    }
-}
-
-/// The request-serving section of the v4 schema: how the long-lived
-/// `keq-server` front end fared. Batch runs carry the all-zero default
-/// (`enabled: false`).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ServerSection {
-    /// Whether this report came from a server run.
-    pub enabled: bool,
-    /// Validation requests accepted into the scheduler.
-    pub requests: u64,
-    /// Requests that ran to a final verdict.
-    pub completed: u64,
-    /// Requests bounced by queue-depth backpressure.
-    pub rejected_queue_full: u64,
-    /// Requests bounced by a per-client inflight quota.
-    pub rejected_quota: u64,
-    /// Requests whose client disconnected before the verdict was delivered.
-    pub disconnects: u64,
-    /// Median request latency (submit → verdict), µs.
-    pub p50_us: u64,
-    /// 90th-percentile request latency, µs.
-    pub p90_us: u64,
-    /// 99th-percentile request latency, µs.
-    pub p99_us: u64,
-}
-
-impl ServerSection {
-    const FIELDS: [&'static str; 8] = [
-        "requests",
-        "completed",
-        "rejected_queue_full",
-        "rejected_quota",
-        "disconnects",
-        "p50_us",
-        "p90_us",
-        "p99_us",
-    ];
-
-    fn to_json(self) -> Json {
-        json::obj(vec![
-            ("enabled", Json::Bool(self.enabled)),
-            ("requests", json::num(self.requests)),
-            ("completed", json::num(self.completed)),
-            ("rejected_queue_full", json::num(self.rejected_queue_full)),
-            ("rejected_quota", json::num(self.rejected_quota)),
-            ("disconnects", json::num(self.disconnects)),
-            ("p50_us", json::num(self.p50_us)),
-            ("p90_us", json::num(self.p90_us)),
-            ("p99_us", json::num(self.p99_us)),
         ])
     }
 }
@@ -501,12 +320,11 @@ pub struct RunReport {
     pub passes: Vec<PassSection>,
     /// Merged solver counters.
     pub solver: SolverCounters,
-    /// Shared obligation-cache counters.
+    /// The shared obligation cache's own counters; its lookup traffic is
+    /// in `solver`.
     pub cache: CacheCounters,
     /// Write-ahead journal recovery.
     pub resume: ResumeSection,
-    /// Request serving (`keq-server` runs; all-zero default for batch).
-    pub server: ServerSection,
     /// Live telemetry (metrics sampling and the slow-obligation table;
     /// all-default when metrics were disabled).
     pub telemetry: TelemetrySection,
@@ -532,9 +350,8 @@ impl RunReport {
             ("outcome", self.outcome.to_json()),
             ("passes", Json::Arr(self.passes.iter().map(PassSection::to_json).collect())),
             ("solver", self.solver.to_json()),
-            ("cache", self.cache.to_json()),
+            ("cache", self.cache_json()),
             ("resume", self.resume.to_json()),
-            ("server", self.server.to_json()),
             ("telemetry", self.telemetry.to_json()),
             ("phases", Json::Arr(self.phases.iter().map(PhaseSummary::to_json).collect())),
             (
@@ -547,6 +364,21 @@ impl RunReport {
         let mut out = String::new();
         doc.write_pretty(&mut out);
         out
+    }
+
+    /// The `cache` section: the lookup traffic the solver counted, so
+    /// `hits + misses == obligations` holds by construction, then the
+    /// cache's own rows.
+    fn cache_json(&self) -> Json {
+        let s = &self.solver;
+        let mut fields = vec![
+            ("obligations", json::num(s.obligation_cache_hits + s.obligation_cache_misses)),
+            ("hits", json::num(s.obligation_cache_hits)),
+            ("misses", json::num(s.obligation_cache_misses)),
+            ("stores", json::num(s.obligation_cache_stores)),
+        ];
+        fields.extend(self.cache.json_fields());
+        json::obj(fields)
     }
 }
 
@@ -666,20 +498,14 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
     }
 
     if let Some(solver) = require(doc, "$", "solver", &mut v) {
-        for key in SolverCounters::FIELDS {
-            require_u64(solver, "$.solver", key, &mut v);
-        }
+        SolverCounters::check_json(solver, "$.solver", &mut v);
     }
 
     if let Some(cache) = require(doc, "$", "cache", &mut v) {
-        for key in CacheCounters::FIELDS {
+        for key in ["obligations", "hits", "misses", "stores"] {
             require_u64(cache, "$.cache", key, &mut v);
         }
-        if require(cache, "$.cache", "degraded", &mut v)
-            .is_some_and(|d| d.as_bool().is_none())
-        {
-            v.push("$.cache.degraded: expected a boolean".into());
-        }
+        CacheCounters::check_json(cache, "$.cache", &mut v);
         let hits = cache.get("hits").and_then(Json::as_u64);
         let misses = cache.get("misses").and_then(Json::as_u64);
         let obligations = cache.get("obligations").and_then(Json::as_u64);
@@ -724,34 +550,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
     }
 
     if let Some(resume) = require(doc, "$", "resume", &mut v) {
-        if require(resume, "$.resume", "enabled", &mut v)
-            .is_some_and(|d| d.as_bool().is_none())
-        {
-            v.push("$.resume.enabled: expected a boolean".into());
-        }
-        for key in ["skipped", "recovered", "corrupt"] {
-            require_u64(resume, "$.resume", key, &mut v);
-        }
-    }
-
-    if let Some(server) = require(doc, "$", "server", &mut v) {
-        if require(server, "$.server", "enabled", &mut v)
-            .is_some_and(|d| d.as_bool().is_none())
-        {
-            v.push("$.server.enabled: expected a boolean".into());
-        }
-        for key in ServerSection::FIELDS {
-            require_u64(server, "$.server", key, &mut v);
-        }
-        let requests = server.get("requests").and_then(Json::as_u64);
-        let completed = server.get("completed").and_then(Json::as_u64);
-        if let (Some(r), Some(c)) = (requests, completed) {
-            if c > r {
-                v.push(format!(
-                    "$.server: completed ({c}) exceeds accepted requests ({r})"
-                ));
-            }
-        }
+        ResumeSection::check_json(resume, "$.resume", &mut v);
     }
 
     if let Some(telemetry) = require(doc, "$", "telemetry", &mut v) {
@@ -775,9 +574,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
                     require_u64(row, &path, "retries", &mut v);
                     require(row, &path, "phase_us", &mut v);
                     if let Some(solver) = require(row, &path, "solver", &mut v) {
-                        for key in SolverCounters::FIELDS {
-                            require_u64(solver, &format!("{path}.solver"), key, &mut v);
-                        }
+                        SolverCounters::check_json(solver, &format!("{path}.solver"), &mut v);
                     }
                     if let Some(w) = wall {
                         if w > prev_wall {
@@ -812,16 +609,12 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
 }
 
 fn validate_outcome_table(outcome: &Json, path: &str, v: &mut Vec<Violation>) {
-    let mut parts = 0u64;
-    for key in ["succeeded", "timeout", "out_of_memory", "crashed", "quarantined", "other"] {
-        parts += require_u64(outcome, path, key, v).unwrap_or(0);
-    }
-    let total = require_u64(outcome, path, "total", v);
-    require_u64(outcome, path, "attempts", v);
-    if let Some(t) = total {
-        if t != parts {
-            v.push(format!("{path}: categories sum to {parts} but total is {t}"));
-        }
+    let before = v.len();
+    OutcomeTable::check_json(outcome, path, v);
+    let Some(t) = OutcomeTable::from_json(outcome).filter(|_| v.len() == before) else { return };
+    let parts = t.succeeded + t.timeout + t.out_of_memory + t.crashed + t.quarantined + t.other;
+    if t.total != parts {
+        v.push(format!("{path}: categories sum to {parts} but total is {}", t.total));
     }
 }
 
@@ -991,14 +784,12 @@ mod tests {
                 rewrite_passes: 48,
                 rewrite_nodes_saved: 310,
                 lbd_kept: 11,
+                obligation_cache_hits: 9,
+                obligation_cache_misses: 25,
+                obligation_cache_stores: 14,
                 time: Duration::from_micros(80_120),
-                ..SolverCounters::default()
             },
             cache: CacheCounters {
-                obligations: 34,
-                hits: 9,
-                misses: 25,
-                stores: 14,
                 evictions: 1,
                 entries: 13,
                 disk_loaded: 5,
@@ -1008,19 +799,9 @@ mod tests {
                 flushes: 2,
                 flush_failures: 0,
                 degraded: false,
+                persist_failed: false,
             },
             resume: ResumeSection { enabled: false, skipped: 0, recovered: 0, corrupt: 0 },
-            server: ServerSection {
-                enabled: true,
-                requests: 5,
-                completed: 4,
-                rejected_queue_full: 1,
-                rejected_quota: 0,
-                disconnects: 1,
-                p50_us: 12_000,
-                p90_us: 44_000,
-                p99_us: 80_000,
-            },
             telemetry: TelemetrySection {
                 enabled: true,
                 samples: 12,
@@ -1171,9 +952,17 @@ mod tests {
 
     #[test]
     fn cache_hit_miss_sum_must_match_obligations() {
-        let mut report = sample_report();
-        report.cache.obligations = report.cache.hits + report.cache.misses + 1;
-        let doc = Json::parse(&report.to_json()).expect("parses");
+        // The report derives `obligations` from the solver's lookups, so
+        // only an edited document can disagree.
+        let mut doc = Json::parse(&sample_report().to_json()).expect("parses");
+        let Json::Obj(fields) = &mut doc else { panic!("an object") };
+        let (_, Json::Obj(cache)) =
+            fields.iter_mut().find(|(k, _)| k == "cache").expect("a cache section")
+        else {
+            panic!("an object")
+        };
+        cache.iter_mut().find(|(k, _)| k == "obligations").expect("obligations").1 =
+            json::num(35);
         let errs = validate(&doc).expect_err("must fail");
         assert!(
             errs.iter().any(|e| e.contains("disagree with obligations")),
@@ -1229,35 +1018,6 @@ mod tests {
         }
         let errs = validate(&doc).expect_err("must fail");
         assert!(errs.iter().any(|e| e.contains("missing key \"resume\"")), "{errs:?}");
-    }
-
-    #[test]
-    fn missing_server_section_is_reported() {
-        let text = sample_report().to_json();
-        let mut doc = Json::parse(&text).expect("parses");
-        if let Json::Obj(fields) = &mut doc {
-            fields.retain(|(k, _)| k != "server");
-        }
-        let errs = validate(&doc).expect_err("must fail");
-        assert!(errs.iter().any(|e| e.contains("missing key \"server\"")), "{errs:?}");
-    }
-
-    #[test]
-    fn server_completed_cannot_exceed_requests() {
-        let mut report = sample_report();
-        report.server.completed = report.server.requests + 1;
-        let doc = Json::parse(&report.to_json()).expect("parses");
-        let errs = validate(&doc).expect_err("must fail");
-        assert!(errs.iter().any(|e| e.contains("exceeds accepted requests")), "{errs:?}");
-    }
-
-    #[test]
-    fn batch_reports_carry_the_zero_server_section() {
-        let mut report = sample_report();
-        report.server = ServerSection::default();
-        let doc = Json::parse(&report.to_json()).expect("parses");
-        validate(&doc).expect("all-zero server section validates");
-        assert_eq!(doc.get("server").and_then(|s| s.get("enabled")).and_then(Json::as_bool), Some(false));
     }
 
     #[test]

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use keq_trace::{
     check_phase_coverage, validate, AttemptReport, CacheCounters, FunctionReport, Histogram, Json,
-    OutcomeTable, PassSection, Phase, PhaseSummary, ResumeSection, RunReport, ServerSection,
-    SlowObligation, SolverCounters, TelemetrySection,
+    OutcomeTable, PassSection, Phase, PhaseSummary, ResumeSection, RunReport, SlowObligation,
+    SolverCounters, TelemetrySection,
 };
 
 const TRICKY_MESSAGE: &str = "boom \"quoted\"\nsecond line\twith tab \\ backslash and π";
@@ -81,14 +81,12 @@ fn golden_report() -> RunReport {
             rewrite_passes: 48,
             rewrite_nodes_saved: 310,
             lbd_kept: 11,
+            obligation_cache_hits: 9,
+            obligation_cache_misses: 25,
+            obligation_cache_stores: 14,
             time: Duration::from_micros(80_120),
-            ..SolverCounters::default()
         },
         cache: CacheCounters {
-            obligations: 34,
-            hits: 9,
-            misses: 25,
-            stores: 14,
             evictions: 1,
             entries: 13,
             disk_loaded: 5,
@@ -98,19 +96,9 @@ fn golden_report() -> RunReport {
             flushes: 2,
             flush_failures: 1,
             degraded: false,
+            persist_failed: false,
         },
         resume: ResumeSection { enabled: true, skipped: 1, recovered: 1, corrupt: 1 },
-        server: ServerSection {
-            enabled: true,
-            requests: 6,
-            completed: 5,
-            rejected_queue_full: 1,
-            rejected_quota: 1,
-            disconnects: 1,
-            p50_us: 12_000,
-            p90_us: 44_000,
-            p99_us: 80_000,
-        },
         telemetry: TelemetrySection {
             enabled: true,
             samples: 12,

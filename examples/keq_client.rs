@@ -206,13 +206,14 @@ fn main() {
     // ratio shows how much of the stream rode the resident cache.
     match conn.roundtrip(&ClientRequest::Metrics).expect("metrics round trip") {
         ServerResponse::Metrics(m) => {
-            let lookups = m.cache_hits + m.cache_misses;
+            let s = &m.stats;
+            let (hits, misses) = (s.solver.obligation_cache_hits, s.solver.obligation_cache_misses);
             let hit_ratio =
-                if lookups == 0 { 0.0 } else { m.cache_hits as f64 / lookups as f64 };
+                if hits + misses == 0 { 0.0 } else { hits as f64 / (hits + misses) as f64 };
             println!(
                 "server wall p50 {}µs p90 {}µs p99 {}µs; obligation-cache hit ratio {:.2} \
                  ({} entries)",
-                m.p50_us, m.p90_us, m.p99_us, hit_ratio, m.cache_entries,
+                s.p50_us, s.p90_us, s.p99_us, hit_ratio, s.cache.entries,
             );
         }
         other => eprintln!("unexpected metrics response: {other:?}"),
@@ -222,15 +223,16 @@ fn main() {
             ServerResponse::Stats(s) => {
                 println!(
                     "server: {} requests ({} completed, depth {}), rejected {} queue-full / \
-                     {} quota; cache {} hits / {} misses ({} entries)",
-                    s.requests,
-                    s.completed,
+                     {} quota / {} draining; cache {} hits / {} misses ({} entries)",
+                    s.server.requests,
+                    s.server.completed,
                     s.depth,
-                    s.rejected_queue_full,
-                    s.rejected_quota,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.cache_entries,
+                    s.server.rejected_queue_full,
+                    s.server.rejected_quota,
+                    s.server.rejected_draining,
+                    s.solver.obligation_cache_hits,
+                    s.solver.obligation_cache_misses,
+                    s.cache.entries,
                 );
             }
             other => eprintln!("unexpected stats response: {other:?}"),

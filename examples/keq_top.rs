@@ -108,8 +108,10 @@ fn fmt_us(us: u64) -> String {
 
 fn render(addr: &str, m: &MetricsReport) -> String {
     let mut out = String::new();
-    let lookups = m.cache_hits + m.cache_misses;
-    let hit_ratio = if lookups == 0 { 0.0 } else { m.cache_hits as f64 / lookups as f64 };
+    let s = &m.stats;
+    let (hits, misses) = (s.solver.obligation_cache_hits, s.solver.obligation_cache_misses);
+    let lookups = hits + misses;
+    let hit_ratio = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
     out.push_str(&format!(
         "keq_top — {addr} — uptime {:.1}s — metrics {} — {} samples\n",
         m.uptime_ms as f64 / 1e3,
@@ -118,20 +120,25 @@ fn render(addr: &str, m: &MetricsReport) -> String {
     ));
     out.push_str(&format!(
         "requests {} ({} done, {} in flight) | {:.1} done/s | workers {} busy / {} idle\n",
-        m.requests, m.completed, m.queue_depth, m.rate_per_sec, m.workers_busy, m.workers_idle,
+        s.server.requests,
+        s.server.completed,
+        s.depth,
+        m.rate_per_sec,
+        m.workers_busy,
+        m.workers_idle,
     ));
     out.push_str(&format!(
         "latency  p50 {}  p90 {}  p99 {}\n",
-        fmt_us(m.p50_us),
-        fmt_us(m.p90_us),
-        fmt_us(m.p99_us),
+        fmt_us(s.p50_us),
+        fmt_us(s.p90_us),
+        fmt_us(s.p99_us),
     ));
     let occupied = m.shard_entries.iter().filter(|&&e| e > 0).count();
     out.push_str(&format!(
         "obcache  {} lookups, hit ratio {:.2}, {} entries over {}/{} shards\n",
         lookups,
         hit_ratio,
-        m.cache_entries,
+        s.cache.entries,
         occupied,
         m.shard_entries.len(),
     ));

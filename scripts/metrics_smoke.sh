@@ -3,7 +3,9 @@
 # drive real load through keq_client, render one keq_top frame, scrape the
 # Prometheus exposition through the `metrics` op, and validate its shape —
 # every sample line parses, the core counter families are present, and the
-# slow-obligation table made it into the scrape with fingerprints.
+# slow-obligation table made it into the scrape with fingerprints. No
+# validation request arrives between the scrape and the shutdown, so the
+# scraped request counters must equal the ones the drain line prints.
 #
 # Artifacts (uploaded by CI): metrics_serve.log, keq_top.txt,
 # metrics_scrape.prom.
@@ -36,13 +38,14 @@ grep -q "slowest obligations (by wall time)" keq_top.txt
 echo "==> scrape the Prometheus exposition"
 target/release/examples/keq_top --addr "$addr" --prom > metrics_scrape.prom
 
-echo "==> graceful drain"
-target/release/examples/keq_client 1 --addr "$addr" --shutdown
+echo "==> graceful drain (no further validation requests)"
+target/release/examples/keq_client 0 --addr "$addr" --shutdown
 wait "$serve_pid"
 grep -q "keq-server drained" metrics_serve.log
 
 echo "==> validate the scrape"
 python3 - << 'EOF'
+import re
 samples, metrics, helped, typed = 0, set(), set(), set()
 for line in open('metrics_scrape.prom'):
     line = line.rstrip('\n')
@@ -75,8 +78,22 @@ slow = [l for l in open('metrics_scrape.prom')
         if l.startswith('keq_slow_obligation_wall_us{')]
 assert slow, 'slow-obligation table absent from the scrape'
 assert all('fingerprint="' in l and 'result="' in l for l in slow), slow
+# The scrape and the drain line count the same requests.
+scraped = {}
+for line in open('metrics_scrape.prom'):
+    name, _, value = line.strip().rpartition(' ')
+    if name in ('keq_requests_total', 'keq_requests_completed_total'):
+        scraped[name] = int(float(value))
+drained = re.search(r'keq-server drained: \d+ connections, (\d+) requests \((\d+) completed',
+                    open('metrics_serve.log').read())
+assert drained, 'no drain line in metrics_serve.log'
+requests, completed = int(drained.group(1)), int(drained.group(2))
+assert scraped == {'keq_requests_total': requests,
+                   'keq_requests_completed_total': completed}, (
+    f'scrape {scraped} disagrees with the drain line: {requests} requests, '
+    f'{completed} completed')
 print(f'metrics smoke OK: {samples} samples, {len(metrics)} families, '
-      f'{len(slow)} slow-obligation rows')
+      f'{len(slow)} slow-obligation rows, {requests} requests agree with the drain')
 EOF
 
 echo "==> OK"
