@@ -19,5 +19,5 @@ pub use concrete::{
     algorithm1, algorithm1_simulation, fig4_example, is_cut_bisimulation, is_cut_simulation,
     is_strong_bisimulation, CutTs,
 };
-pub use sync::{Side, SideSpec, SyncPoint, SyncSet, ValueExpr};
+pub use sync::{Relation, Side, SideSpec, SyncPoint, SyncSet, ValueExpr};
 pub use verdict::{Failure, FailureClass, FailureReason, KeqReport, KeqStats, Verdict};

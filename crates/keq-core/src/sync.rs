@@ -102,6 +102,151 @@ impl SyncPoint {
     pub fn is_startable(&self) -> bool {
         self.left.start.is_some() && self.right.start.is_some()
     }
+
+    /// The function-entry point, starting each side at its entry block.
+    pub fn entry(
+        name: impl Into<String>,
+        left_block: impl Into<String>,
+        right_block: impl Into<String>,
+        rel: Relation,
+    ) -> Self {
+        Self::startable(
+            name,
+            (LocPattern::Entry, CtrlLoc::entry(left_block)),
+            (LocPattern::Entry, CtrlLoc::entry(right_block)),
+            rel,
+        )
+    }
+
+    /// A block-entry point: each side is `(block, prev)`, matching and
+    /// starting at `block` entered from `prev` (`None`: from anywhere).
+    pub fn block_entry(
+        name: impl Into<String>,
+        left: (&str, Option<&str>),
+        right: (&str, Option<&str>),
+        rel: Relation,
+    ) -> Self {
+        let side = |(block, prev): (&str, Option<&str>)| {
+            let prev = prev.map(str::to_owned);
+            (
+                LocPattern::BlockEntry { block: block.to_owned(), prev: prev.clone() },
+                CtrlLoc::block_start(block, prev),
+            )
+        };
+        Self::startable(name, side(left), side(right), rel)
+    }
+
+    /// The function-exit point: equal memories, and equal return values
+    /// when `ret`.
+    pub fn exit(name: impl Into<String>, ret: bool) -> Self {
+        SyncPoint {
+            name: name.into(),
+            left: SideSpec::arrival(LocPattern::Exit),
+            right: SideSpec::arrival(LocPattern::Exit),
+            equalities: if ret { vec![(ValueExpr::Ret, ValueExpr::Ret)] } else { vec![] },
+            mem_equal: true,
+        }
+    }
+
+    /// The two points around the `nth` call to `callee`, given each side's
+    /// call instruction as `(block, index)`: `call:callee#nth`, where both
+    /// sides arrive with equal arguments and equal `across` values, and
+    /// `ret:callee#nth`, which starts each side just after its call under
+    /// `across` (the values live across the call) followed by `ret` (the
+    /// returned value).
+    pub fn call_pair(
+        callee: &str,
+        nth: usize,
+        left_call: (&str, usize),
+        right_call: (&str, usize),
+        num_args: usize,
+        mut across: Relation,
+        ret: Relation,
+    ) -> [Self; 2] {
+        let arrive =
+            || SideSpec::arrival(LocPattern::BeforeCall { callee: callee.to_owned(), nth });
+        let resume = |(block, index): (&str, usize)| {
+            (
+                LocPattern::AfterCall { callee: callee.to_owned(), nth },
+                CtrlLoc { block: block.to_owned(), index: index + 1, prev: None },
+            )
+        };
+        let before = (0..num_args)
+            .map(|i| (ValueExpr::Arg(i), ValueExpr::Arg(i)))
+            .chain(across.equalities.iter().cloned())
+            .collect();
+        across.left_havoc.extend(ret.left_havoc);
+        across.right_havoc.extend(ret.right_havoc);
+        across.equalities.extend(ret.equalities);
+        [
+            SyncPoint {
+                name: format!("call:{callee}#{nth}"),
+                left: arrive(),
+                right: arrive(),
+                equalities: before,
+                mem_equal: true,
+            },
+            Self::startable(
+                format!("ret:{callee}#{nth}"),
+                resume(left_call),
+                resume(right_call),
+                across,
+            ),
+        ]
+    }
+
+    fn startable(
+        name: impl Into<String>,
+        (left_pattern, left_start): (LocPattern, CtrlLoc),
+        (right_pattern, right_start): (LocPattern, CtrlLoc),
+        rel: Relation,
+    ) -> Self {
+        SyncPoint {
+            name: name.into(),
+            left: SideSpec::startable(left_pattern, left_start, rel.left_havoc),
+            right: SideSpec::startable(right_pattern, right_start, rel.right_havoc),
+            equalities: rel.equalities,
+            mem_equal: true,
+        }
+    }
+}
+
+/// The pass-specific part of a startable point (§4.5): what each side
+/// havocs and which left value equals which right value. The
+/// [`SyncPoint`] constructors wrap it in the cut's shape.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Relation {
+    /// Left registers assigned fresh symbolic values, with widths.
+    pub left_havoc: Vec<(String, u32)>,
+    /// Right registers assigned fresh symbolic values, with widths.
+    pub right_havoc: Vec<(String, u32)>,
+    /// `(left, right)` value pairs that are equal here.
+    pub equalities: Vec<(ValueExpr, ValueExpr)>,
+}
+
+impl Relation {
+    /// A relation with the given havocs and no equalities yet.
+    pub fn havocking(left_havoc: Vec<(String, u32)>, right_havoc: Vec<(String, u32)>) -> Self {
+        Relation { left_havoc, right_havoc, equalities: Vec::new() }
+    }
+
+    /// Havocs `name` on the left unless it already is; `true` when added.
+    pub fn havoc_left_once(&mut self, name: &str, width: u32) -> bool {
+        havoc_once(&mut self.left_havoc, name, width)
+    }
+
+    /// Havocs `name` on the right unless it already is.
+    pub fn havoc_right_once(&mut self, name: &str, width: u32) {
+        havoc_once(&mut self.right_havoc, name, width);
+    }
+}
+
+fn havoc_once(havoc: &mut Vec<(String, u32)>, name: &str, width: u32) -> bool {
+    let fresh = !havoc.iter().any(|(n, _)| n == name);
+    if fresh {
+        havoc.push((name.to_owned(), width));
+    }
+    fresh
 }
 
 /// The full synchronization relation for one function pair.

@@ -110,7 +110,7 @@ pub enum ClientRequest {
     Validate {
         /// Opaque tag echoed in the response.
         tag: u64,
-        /// Fault/backoff unit of the module's first function (function `i`
+        /// Fault unit of the module's first function (function `i`
         /// gets `unit + i`).
         unit: u64,
         /// Which validated pass to run (wire field `pass`, optional — a

@@ -47,13 +47,6 @@ pub struct RetryPolicy {
     /// classified [`CorpusResult::Quarantined`] rather than `Crashed`: the
     /// crash survived retries, so it is reproducible, not transient.
     pub retry_crashes: bool,
-    /// Base delay of the decorrelated-jitter backoff inserted before retry
-    /// attempts ([`Duration::ZERO`] disables backoff — the default, and
-    /// what deterministic tests want). Retries after transient faults
-    /// otherwise stampede the same contended resource in lockstep.
-    pub backoff_base: Duration,
-    /// Upper clamp on the backoff ([`Duration::ZERO`] means `64 × base`).
-    pub backoff_cap: Duration,
 }
 
 impl Default for RetryPolicy {
@@ -62,8 +55,6 @@ impl Default for RetryPolicy {
             max_attempts: 1,
             factor: 4,
             retry_crashes: false,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::ZERO,
         }
     }
 }
@@ -72,32 +63,6 @@ impl RetryPolicy {
     /// The budget multiplier of a 1-based attempt number.
     pub fn scale(&self, attempt: u32) -> u64 {
         self.factor.saturating_pow(attempt.saturating_sub(1))
-    }
-
-    /// The decorrelated-jitter delay slept before a 1-based retry attempt
-    /// (AWS-style: each step draws uniformly from `[base, 3 × previous)`,
-    /// clamped to the cap). Deterministic in `(seed, func, attempt)` —
-    /// the "randomness" is [`keq_smt::mix64`] — so a replayed run sleeps
-    /// identically. Zero for first attempts and when backoff is disabled.
-    pub fn backoff_for(&self, seed: u64, func: u64, attempt: u32) -> Duration {
-        if attempt <= 1 || self.backoff_base.is_zero() {
-            return Duration::ZERO;
-        }
-        let base = u64::try_from(self.backoff_base.as_nanos()).unwrap_or(u64::MAX);
-        let cap = if self.backoff_cap.is_zero() {
-            base.saturating_mul(64)
-        } else {
-            u64::try_from(self.backoff_cap.as_nanos()).unwrap_or(u64::MAX)
-        };
-        let mut prev = base.min(cap);
-        for k in 2..=attempt {
-            let r = keq_smt::mix64(
-                seed ^ func.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (u64::from(k) << 32),
-            );
-            let hi = prev.saturating_mul(3).max(base.saturating_add(1));
-            prev = base.saturating_add(r % (hi - base)).min(cap);
-        }
-        Duration::from_nanos(prev)
     }
 
     /// The checker options of a 1-based attempt: every resource budget
@@ -360,39 +325,4 @@ pub fn run_module(module: &Module, opts: &HarnessOptions) -> CorpusSummary {
         }
     }
     summary
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_is_deterministic_jittered_and_capped() {
-        let policy = RetryPolicy {
-            max_attempts: 5,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(80),
-            ..RetryPolicy::default()
-        };
-        assert_eq!(policy.backoff_for(1, 0, 1), Duration::ZERO, "first attempts never wait");
-        for attempt in 2..=5 {
-            for func in 0..8 {
-                let d = policy.backoff_for(1, func, attempt);
-                assert_eq!(d, policy.backoff_for(1, func, attempt), "replays sleep identically");
-                assert!(d >= Duration::from_millis(10) && d <= Duration::from_millis(80), "{d:?}");
-            }
-        }
-        // Decorrelated: different functions do not stampede in lockstep.
-        assert!(
-            (1..16).any(|func| policy.backoff_for(1, func, 3) != policy.backoff_for(1, 0, 3)),
-            "jitter must separate concurrent retries"
-        );
-        // Disabled (the default) and zero-cap configurations stay sane.
-        assert_eq!(RetryPolicy::default().backoff_for(1, 0, 4), Duration::ZERO);
-        let uncapped = RetryPolicy {
-            backoff_base: Duration::from_millis(10),
-            ..RetryPolicy::default()
-        };
-        assert!(uncapped.backoff_for(9, 2, 4) <= Duration::from_millis(640), "64x base clamp");
-    }
 }

@@ -1555,13 +1555,6 @@ fn spawn_worker(
             let _metrics_guard = settings.metrics.as_ref().map(keq_trace::install_metrics);
             while !retired_in.load(Ordering::Acquire) {
                 let Some(job) = queue.pop(id) else { break };
-                // Decorrelated-jitter backoff before retries, *before*
-                // announcing the job: the sleep must not consume the
-                // attempt's deadline.
-                let backoff = h.retry.backoff_for(h.fault_plan.seed, job.core.unit, job.attempt);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
                 let cancel = CancelToken::new();
                 let started = Msg::Started { job: job.id, worker: id, cancel: cancel.clone() };
                 if tx.send(started).is_err() {

@@ -423,7 +423,7 @@ fn handle_validate(
             func,
             pass,
             func_fp: journal::function_fingerprint(&module.functions[func]),
-            // The fault/backoff unit and trace id key off the *request's*
+            // The fault unit and trace id key off the *request's*
             // unit, so an injected fault lands on the same logical unit a
             // batch run of the same corpus would hit.
             unit: req_unit,

@@ -76,7 +76,6 @@ fn truncated_journal_resume_is_verdict_identical_to_a_clean_run() {
             max_attempts: 2,
             factor: 4,
             retry_crashes: true,
-            ..RetryPolicy::default()
         },
         workers: 2,
         journal_path: Some(journal_path.clone()),
@@ -347,7 +346,6 @@ fn chaos_opts(journal: Option<PathBuf>, resume: bool) -> HarnessOptions {
             max_attempts: 2,
             factor: 4,
             retry_crashes: true,
-            ..RetryPolicy::default()
         },
         workers: 2,
         journal_path: journal,

@@ -55,7 +55,6 @@ fn injected_fault_campaign_classifies_identically_through_both_front_ends() {
             max_attempts: 2,
             factor: 4,
             retry_crashes: true,
-            ..RetryPolicy::default()
         },
         ..HarnessOptions::default()
     };

@@ -154,7 +154,6 @@ fn crash_retries_end_in_quarantine_not_crashed() {
             max_attempts: 2,
             factor: 4,
             retry_crashes: true,
-            ..RetryPolicy::default()
         },
         ..HarnessOptions::default()
     };

@@ -6,8 +6,7 @@
 //! program variable — both semantics name variables identically, making the
 //! cross-language correspondence transparent.
 
-use keq_core::sync::{SideSpec, SyncPoint, SyncSet, ValueExpr};
-use keq_semantics::{CtrlLoc, LocPattern};
+use keq_core::sync::{Relation, SyncPoint, SyncSet, ValueExpr};
 
 use crate::compile::{ImpFlat, StackFn};
 use crate::sem::{ImpSemantics, StackSemantics};
@@ -15,54 +14,25 @@ use crate::sem::{ImpSemantics, StackSemantics};
 /// Generates the sync set for a flattened IMP program and its compiled
 /// stack-machine form.
 pub fn imp_sync_points(flat: &ImpFlat, sf: &StackFn) -> SyncSet {
+    let havoc: Vec<(String, u32)> = flat.vars.iter().map(|v| (v.clone(), 32)).collect();
+    let mut vars = Relation::havocking(havoc.clone(), havoc);
+    vars.equalities = flat.vars.iter().map(|v| (ValueExpr::reg(v), ValueExpr::reg(v))).collect();
+
     let mut set = SyncSet::new();
-    let var_havocs: Vec<(String, u32)> = flat.vars.iter().map(|v| (v.clone(), 32)).collect();
-    let var_eqs: Vec<(ValueExpr, ValueExpr)> = flat
-        .vars
-        .iter()
-        .map(|v| (ValueExpr::Reg(v.clone()), ValueExpr::Reg(v.clone())))
-        .collect();
-
-    set.push(SyncPoint {
-        name: "entry".into(),
-        left: SideSpec::startable(
-            LocPattern::Entry,
-            CtrlLoc::entry(ImpSemantics::loc_name(0)),
-            var_havocs.clone(),
-        ),
-        right: SideSpec::startable(
-            LocPattern::Entry,
-            CtrlLoc::entry(StackSemantics::loc_name(0)),
-            var_havocs.clone(),
-        ),
-        equalities: var_eqs.clone(),
-        mem_equal: true,
-    });
-
-    set.push(SyncPoint {
-        name: "exit".into(),
-        left: SideSpec::arrival(LocPattern::Exit),
-        right: SideSpec::arrival(LocPattern::Exit),
-        equalities: vec![(ValueExpr::Ret, ValueExpr::Ret)],
-        mem_equal: true,
-    });
-
+    set.push(SyncPoint::entry(
+        "entry",
+        ImpSemantics::loc_name(0),
+        StackSemantics::loc_name(0),
+        vars.clone(),
+    ));
+    set.push(SyncPoint::exit("exit", true));
     for (k, (&ih, &sh)) in flat.loop_heads.iter().zip(&sf.loop_heads).enumerate() {
-        set.push(SyncPoint {
-            name: format!("loop{k}"),
-            left: SideSpec::startable(
-                LocPattern::BlockEntry { block: ImpSemantics::loc_name(ih), prev: None },
-                CtrlLoc::block_start(ImpSemantics::loc_name(ih), None),
-                var_havocs.clone(),
-            ),
-            right: SideSpec::startable(
-                LocPattern::BlockEntry { block: StackSemantics::loc_name(sh), prev: None },
-                CtrlLoc::block_start(StackSemantics::loc_name(sh), None),
-                var_havocs.clone(),
-            ),
-            equalities: var_eqs.clone(),
-            mem_equal: true,
-        });
+        set.push(SyncPoint::block_entry(
+            format!("loop{k}"),
+            (&ImpSemantics::loc_name(ih), None),
+            (&StackSemantics::loc_name(sh), None),
+            vars.clone(),
+        ));
     }
     set
 }

@@ -20,11 +20,10 @@
 
 use std::collections::BTreeMap;
 
-use keq_core::sync::{SideSpec, SyncPoint, SyncSet, ValueExpr};
+use keq_core::sync::{Relation, SyncPoint, SyncSet, ValueExpr};
 use keq_llvm::ast::{Function, Instr, Operand};
 use keq_llvm::gvn::GvnOutput;
 use keq_llvm::types::Type;
-use keq_semantics::{CtrlLoc, LocPattern};
 
 use crate::isel::loop_headers;
 use crate::liveness::{phi_uses_from, predecessors, Liveness};
@@ -77,24 +76,14 @@ fn call_locs(func: &Function) -> Vec<CallLoc> {
 /// Relates one left-side live local to its representative on the right:
 /// havocs it on the left, havocs the representative (when it is a local)
 /// on the right, and emits the equality.
-fn relate_local(
-    local: &str,
-    types: &BTreeMap<String, u32>,
-    out: &GvnOutput,
-    left_havoc: &mut Vec<(String, u32)>,
-    right_havoc: &mut Vec<(String, u32)>,
-    equalities: &mut Vec<(ValueExpr, ValueExpr)>,
-) {
+fn relate_local(local: &str, types: &BTreeMap<String, u32>, out: &GvnOutput, rel: &mut Relation) {
     let Some(&w) = types.get(local) else { return };
-    if left_havoc.iter().any(|(n, _)| n == local) {
+    if !rel.havoc_left_once(local, w) {
         return;
     }
-    left_havoc.push((local.to_owned(), w));
     let rhs = match out.repr(local) {
         Operand::Local(n) => {
-            if !right_havoc.iter().any(|(h, _)| *h == n) {
-                right_havoc.push((n.clone(), w));
-            }
+            rel.havoc_right_once(&n, w);
             ValueExpr::Reg(n)
         }
         Operand::Const(c) => const_expr(c, w),
@@ -104,7 +93,7 @@ fn relate_local(
             return;
         }
     };
-    equalities.push((ValueExpr::Reg(local.to_owned()), rhs));
+    rel.equalities.push((ValueExpr::Reg(local.to_owned()), rhs));
 }
 
 /// Generates the synchronization points for a GVN instance.
@@ -115,71 +104,30 @@ pub fn gvn_sync_points(pre: &Function, out: &GvnOutput) -> SyncSet {
     let mut set = SyncSet::new();
 
     // Entry: parameters are never rewritten, so they relate one-to-one.
-    let entry_havoc: Vec<(String, u32)> =
+    let havoc: Vec<(String, u32)> =
         pre.params.iter().map(|(n, ty)| (n.clone(), ty.value_bits())).collect();
-    set.push(SyncPoint {
-        name: "p0".into(),
-        left: SideSpec::startable(
-            LocPattern::Entry,
-            CtrlLoc::entry(pre.entry().name.clone()),
-            entry_havoc.clone(),
-        ),
-        right: SideSpec::startable(
-            LocPattern::Entry,
-            CtrlLoc::entry(out.func.entry().name.clone()),
-            entry_havoc,
-        ),
-        equalities: pre
-            .params
-            .iter()
-            .map(|(n, _)| (ValueExpr::Reg(n.clone()), ValueExpr::Reg(n.clone())))
-            .collect(),
-        mem_equal: true,
-    });
-
-    set.push(SyncPoint {
-        name: "p_exit".into(),
-        left: SideSpec::arrival(LocPattern::Exit),
-        right: SideSpec::arrival(LocPattern::Exit),
-        equalities: if pre.ret_ty == Type::Void {
-            vec![]
-        } else {
-            vec![(ValueExpr::Ret, ValueExpr::Ret)]
-        },
-        mem_equal: true,
-    });
+    let mut entry = Relation::havocking(havoc.clone(), havoc);
+    entry.equalities =
+        pre.params.iter().map(|(n, _)| (ValueExpr::reg(n), ValueExpr::reg(n))).collect();
+    set.push(SyncPoint::entry(
+        "p0",
+        pre.entry().name.clone(),
+        out.func.entry().name.clone(),
+        entry,
+    ));
+    set.push(SyncPoint::exit("p_exit", pre.ret_ty != Type::Void));
 
     // Loop points, one per (header, predecessor) edge. GVN preserves the
     // CFG, so block and predecessor names coincide on both sides.
-    let empty = Vec::new();
     for header in loop_headers(pre) {
-        for pred in preds.get(&header).unwrap_or(&empty) {
-            let mut left_havoc = Vec::new();
-            let mut right_havoc = Vec::new();
-            let mut equalities = Vec::new();
-            if let Some(live) = lv.live_in.get(&header) {
-                for l in live {
-                    relate_local(l, &types, out, &mut left_havoc, &mut right_havoc, &mut equalities);
-                }
+        for pred in preds.get(&header).into_iter().flatten() {
+            let mut rel = Relation::default();
+            let edge_uses = phi_uses_from(pre, &header, pred);
+            for l in lv.live_in.get(&header).into_iter().flatten().chain(&edge_uses) {
+                relate_local(l, &types, out, &mut rel);
             }
-            for l in phi_uses_from(pre, &header, pred) {
-                relate_local(&l, &types, out, &mut left_havoc, &mut right_havoc, &mut equalities);
-            }
-            set.push(SyncPoint {
-                name: format!("loop:{header}<-{pred}"),
-                left: SideSpec::startable(
-                    LocPattern::BlockEntry { block: header.clone(), prev: Some(pred.clone()) },
-                    CtrlLoc::block_start(&header, Some(pred.clone())),
-                    left_havoc,
-                ),
-                right: SideSpec::startable(
-                    LocPattern::BlockEntry { block: header.clone(), prev: Some(pred.clone()) },
-                    CtrlLoc::block_start(&header, Some(pred.clone())),
-                    right_havoc,
-                ),
-                equalities,
-                mem_equal: true,
-            });
+            let edge = (header.as_str(), Some(pred.as_str()));
+            set.push(SyncPoint::block_entry(format!("loop:{header}<-{pred}"), edge, edge, rel));
         }
     }
 
@@ -190,61 +138,67 @@ pub fn gvn_sync_points(pre: &Function, out: &GvnOutput) -> SyncSet {
     let post_calls = call_locs(&out.func);
     debug_assert_eq!(pre_calls.len(), post_calls.len());
     for (lc, rc) in pre_calls.iter().zip(&post_calls) {
-        debug_assert_eq!(lc.callee, rc.callee);
-        let live: Vec<String> = lv
-            .live_after(pre, &lc.block, lc.index)
-            .into_iter()
-            .filter(|l| lc.dst.as_deref() != Some(l))
-            .collect();
-        let mut before_eq: Vec<(ValueExpr, ValueExpr)> =
-            (0..lc.num_args).map(|i| (ValueExpr::Arg(i), ValueExpr::Arg(i))).collect();
-        let mut after_left_havoc = Vec::new();
-        let mut after_right_havoc = Vec::new();
-        let mut after_eq = Vec::new();
-        for l in &live {
-            relate_local(
-                l,
-                &types,
-                out,
-                &mut after_left_havoc,
-                &mut after_right_havoc,
-                &mut after_eq,
-            );
+        debug_assert_eq!((&lc.callee, lc.nth), (&rc.callee, rc.nth));
+        let mut across = Relation::default();
+        for l in lv.live_after(pre, &lc.block, lc.index) {
+            if lc.dst.as_deref() != Some(&l) {
+                relate_local(&l, &types, out, &mut across);
+            }
         }
-        before_eq.extend(after_eq.iter().cloned());
+        let mut ret = Relation::default();
         if let (Some(dst), Some(w)) = (&lc.dst, lc.ret_bits) {
-            after_left_havoc.push((dst.clone(), w));
-            after_right_havoc.push((dst.clone(), w));
-            after_eq.push((ValueExpr::Reg(dst.clone()), ValueExpr::Reg(dst.clone())));
+            ret.left_havoc.push((dst.clone(), w));
+            ret.right_havoc.push((dst.clone(), w));
+            ret.equalities.push((ValueExpr::reg(dst), ValueExpr::reg(dst)));
         }
-        set.push(SyncPoint {
-            name: format!("call:{}#{}", lc.callee, lc.nth),
-            left: SideSpec::arrival(LocPattern::BeforeCall {
-                callee: lc.callee.clone(),
-                nth: lc.nth,
-            }),
-            right: SideSpec::arrival(LocPattern::BeforeCall {
-                callee: lc.callee.clone(),
-                nth: lc.nth,
-            }),
-            equalities: before_eq,
-            mem_equal: true,
-        });
-        set.push(SyncPoint {
-            name: format!("ret:{}#{}", lc.callee, lc.nth),
-            left: SideSpec::startable(
-                LocPattern::AfterCall { callee: lc.callee.clone(), nth: lc.nth },
-                CtrlLoc { block: lc.block.clone(), index: lc.index + 1, prev: None },
-                after_left_havoc,
-            ),
-            right: SideSpec::startable(
-                LocPattern::AfterCall { callee: rc.callee.clone(), nth: rc.nth },
-                CtrlLoc { block: rc.block.clone(), index: rc.index + 1, prev: None },
-                after_right_havoc,
-            ),
-            equalities: after_eq,
-            mem_equal: true,
-        });
+        set.points.extend(SyncPoint::call_pair(
+            &lc.callee,
+            lc.nth,
+            (&lc.block, lc.index),
+            (&rc.block, rc.index),
+            lc.num_args,
+            across,
+            ret,
+        ));
     }
     set
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use keq_llvm::gvn::{run_gvn, GvnOptions};
+    use keq_llvm::parser::parse_function;
+
+    #[test]
+    fn locals_sharing_a_leader_havoc_it_once() {
+        // GVN forwards %b to %a; both stay live across the loop.
+        let f = parse_function(
+            "define i32 @f(i32 %x, i32 %n) {
+entry:
+  %a = add i32 %x, 1
+  %b = add i32 %x, 1
+  br label %loop
+loop:
+  %i = phi i32 [ 0, %entry ], [ %i1, %loop ]
+  %i1 = add i32 %i, 1
+  %c = icmp ult i32 %i1, %n
+  br i1 %c, label %loop, label %exit
+exit:
+  %r = add i32 %a, %b
+  ret i32 %r
+}",
+        )
+        .expect("parses");
+        let out = run_gvn(&f, GvnOptions::default());
+        assert_eq!(out.repr("%b"), Operand::Local("%a".into()));
+        let set = gvn_sync_points(&f, &out);
+        let point = set.iter().find(|p| p.name == "loop:loop<-entry").expect("loop point");
+        let leaders = point.right.havoc_regs.iter().filter(|(n, _)| n == "%a").count();
+        assert_eq!(leaders, 1, "{:?}", point.right.havoc_regs);
+        for local in ["%a", "%b"] {
+            let eq = (ValueExpr::reg(local), ValueExpr::reg("%a"));
+            assert!(point.equalities.contains(&eq), "{local}: {:?}", point.equalities);
+        }
+    }
 }

@@ -22,14 +22,14 @@ pub use isel::{
 };
 pub use gvn_vcgen::gvn_sync_points;
 pub use keq_llvm::gvn::{GvnBug, GvnOptions, GvnOutput};
-pub use liveness::{phi_uses_from, predecessors, Liveness};
+pub use liveness::{phi_uses_from, predecessors, Cfg, Liveness};
 pub use pipeline::{
     validate_function, validate_gvn_with_context, validate_pass_with_context, validate_regalloc,
     validate_regalloc_with_context, PassId, ValidationContext, ValidationOutcome,
 };
 pub use ra_vcgen::regalloc_sync_points;
 pub use regalloc::{
-    allocate, allocate_with_options, RaError, RaMap, RaOptions, SpillBug,
-    VxLiveness, SPILL_BASE, SPILL_SLOT_BYTES,
+    allocate, allocate_with_options, RaError, RaMap, RaOptions, SpillBug, SPILL_BASE,
+    SPILL_SLOT_BYTES,
 };
 pub use vcgen::{generate_sync_points, render_sync_table, VcOptions};

@@ -243,8 +243,10 @@ pub fn validate_regalloc_with_context(
 ) -> Result<(KeqReport, keq_vx86::ast::VxFunction), crate::regalloc::RaError> {
     let ra_span = keq_trace::span(keq_trace::Phase::Regalloc);
     let (post, map) = crate::regalloc::allocate_with_options(pre, ra_opts, cancel)?;
-    let sync = crate::ra_vcgen::regalloc_sync_points(pre, &post, &map);
     ra_span.done();
+    let vcgen_span = keq_trace::span(keq_trace::Phase::Vcgen);
+    let sync = crate::ra_vcgen::regalloc_sync_points(pre, &post, &map);
+    vcgen_span.done();
     let globals: std::collections::BTreeMap<String, u64> =
         layout.globals.iter().map(|(k, v)| (k.clone(), *v)).collect();
     let mut right_mem = layout.mem.clone();
@@ -383,5 +385,76 @@ mod tests {
     fn void_function_validates() {
         let r = validate("define void @f(i32 %x) {\n ret void\n}");
         assert_eq!(r.verdict, Verdict::Equivalent, "{}", r.verdict);
+    }
+
+    fn regalloc_input() -> (Module, Function, keq_vx86::ast::VxFunction) {
+        let m = parse_module(keq_llvm::corpus::ARITHM_SEQ_SUM).expect("parses");
+        let f = m.functions[0].clone();
+        let layout = Layout::of(&m, &f);
+        let pre = select(&m, &f, &layout, IselOptions::default()).expect("supported").func;
+        (m, f, pre)
+    }
+
+    #[test]
+    fn regalloc_times_allocation_and_vcgen_as_separate_spans() {
+        use std::sync::Arc;
+        let (m, f, _) = regalloc_input();
+        let ring = Arc::new(keq_trace::EventRing::new(1 << 12));
+        let report = {
+            let _guard = keq_trace::install(&keq_trace::TraceSink::from(Arc::clone(&ring)));
+            let mut ctx = ValidationContext::new();
+            validate_pass_with_context(
+                PassId::Regalloc,
+                &m,
+                &f,
+                KeqOptions::default(),
+                None,
+                &mut ctx,
+            )
+            .expect("supported")
+        };
+        assert_eq!(report.verdict, Verdict::Equivalent, "{}", report.verdict);
+        let spans = |phase| -> Vec<(u64, u64)> {
+            ring.snapshot()
+                .into_iter()
+                .filter_map(|e| match e.event {
+                    keq_trace::Event::Span { phase: p, start_us, dur_us } if p == phase => {
+                        Some((start_us, dur_us))
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        let (ra, vc) = (spans(keq_trace::Phase::Regalloc), spans(keq_trace::Phase::Vcgen));
+        assert_eq!((ra.len(), vc.len()), (1, 1), "one span each: regalloc {ra:?}, vcgen {vc:?}");
+        let ((ra_start, ra_dur), (vc_start, _)) = (ra[0], vc[0]);
+        assert!(ra_start + ra_dur <= vc_start, "allocation {ra:?} overlaps VC generation {vc:?}");
+    }
+
+    #[test]
+    fn a_raised_token_cancels_the_allocator() {
+        let (m, f, pre) = regalloc_input();
+        let token = CancelToken::new();
+        token.cancel();
+        let err = crate::regalloc::allocate_with_options(&pre, RaOptions::default(), Some(&token))
+            .expect_err("a raised token stops the liveness fixpoint");
+        assert_eq!(err, crate::regalloc::RaError::Cancelled);
+        let mut ctx = ValidationContext::new();
+        let report = validate_pass_with_context(
+            PassId::Regalloc,
+            &m,
+            &f,
+            KeqOptions::default(),
+            Some(&token),
+            &mut ctx,
+        )
+        .expect("supported");
+        assert_eq!(
+            report.verdict,
+            Verdict::NotValidated(keq_core::Failure {
+                point: "<regalloc>".into(),
+                reason: keq_core::FailureReason::Cancelled,
+            })
+        );
     }
 }

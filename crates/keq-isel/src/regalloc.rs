@@ -22,8 +22,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use keq_smt::{stop_requested, CancelToken};
+use keq_smt::CancelToken;
 use keq_vx86::ast::{Addr, PhysReg, Reg, RegImm, VxBlock, VxFunction, VxInstr, VxTerm};
+
+use crate::liveness::{Cfg, Liveness};
 
 /// A liveness key: a virtual register id or a physical register.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -35,7 +37,7 @@ pub enum RegKey {
 }
 
 impl RegKey {
-    fn of(r: Reg) -> RegKey {
+    pub(crate) fn of(r: Reg) -> RegKey {
         match r {
             Reg::Virt(id, _) => RegKey::Virt(id),
             Reg::Phys(p, _) => RegKey::Phys(p),
@@ -219,124 +221,8 @@ pub fn uses_defs(instr: &VxInstr) -> (Vec<RegKey>, Vec<RegKey>) {
     (uses, defs)
 }
 
-fn term_uses(func: &VxFunction, block: &VxBlock) -> Vec<RegKey> {
-    let _ = func;
-    match &block.term {
-        // Flags, not registers.
-        VxTerm::Jmp { .. } | VxTerm::CondJmp { .. } | VxTerm::Ret | VxTerm::Ud2 => vec![],
-    }
-}
-
-/// Live-in/live-out per block over [`RegKey`]s, with SSA-aware PHI edges.
-#[derive(Debug, Clone, Default)]
-pub struct VxLiveness {
-    /// Live at block entry.
-    pub live_in: BTreeMap<String, BTreeSet<RegKey>>,
-    /// Live at block exit (including successors' phi uses from this block).
-    pub live_out: BTreeMap<String, BTreeSet<RegKey>>,
-}
-
-impl VxLiveness {
-    /// Runs the fixpoint.
-    pub fn compute(func: &VxFunction) -> VxLiveness {
-        Self::compute_cancellable(func, None).expect("uncancellable fixpoint cannot be cancelled")
-    }
-
-    /// Runs the fixpoint, polling the supervisor's cancellation flag once
-    /// per sweep — the allocator's only unbounded loop, so this is the poll
-    /// site that keeps regalloc validation responsive to the harness's
-    /// watchdog.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaError::Cancelled`] when the flag is raised mid-fixpoint.
-    pub fn compute_cancellable(
-        func: &VxFunction,
-        cancel: Option<&CancelToken>,
-    ) -> Result<VxLiveness, RaError> {
-        // Return value lives out of every Ret block.
-        let ret_live: BTreeSet<RegKey> = if func.ret_width.is_some() {
-            [RegKey::Phys(PhysReg::Rax)].into_iter().collect()
-        } else {
-            BTreeSet::new()
-        };
-        let mut live_in: BTreeMap<String, BTreeSet<RegKey>> = BTreeMap::new();
-        let mut live_out: BTreeMap<String, BTreeSet<RegKey>> = BTreeMap::new();
-        for b in &func.blocks {
-            live_in.insert(b.name.clone(), BTreeSet::new());
-            live_out.insert(b.name.clone(), BTreeSet::new());
-        }
-        let mut changed = true;
-        while changed {
-            if stop_requested(None, cancel).is_some() {
-                return Err(RaError::Cancelled);
-            }
-            changed = false;
-            for b in func.blocks.iter().rev() {
-                let mut out: BTreeSet<RegKey> = if matches!(b.term, VxTerm::Ret) {
-                    ret_live.clone()
-                } else {
-                    BTreeSet::new()
-                };
-                for succ in b.term.successors() {
-                    if let (Some(sin), Some(sb)) = (live_in.get(succ), func.block(succ)) {
-                        let phidefs: BTreeSet<RegKey> = sb
-                            .instrs
-                            .iter()
-                            .filter_map(|i| match i {
-                                VxInstr::Phi { dst, .. } => Some(RegKey::of(*dst)),
-                                _ => None,
-                            })
-                            .collect();
-                        out.extend(sin.difference(&phidefs).copied());
-                        for i in &sb.instrs {
-                            if let VxInstr::Phi { incomings, .. } = i {
-                                for (src, pred) in incomings {
-                                    if pred == &b.name {
-                                        out.insert(RegKey::of(*src));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                // Backward transfer through the block.
-                let mut live = out.clone();
-                for k in term_uses(func, b) {
-                    live.insert(k);
-                }
-                for i in b.instrs.iter().rev() {
-                    let (uses, defs) = uses_defs(i);
-                    for d in defs {
-                        live.remove(&d);
-                    }
-                    if !matches!(i, VxInstr::Phi { .. }) {
-                        live.extend(uses);
-                    }
-                }
-                // Phi defs are killed above; their block-entry value is the
-                // phi result set, which is what live_in models.
-                for i in &b.instrs {
-                    if let VxInstr::Phi { dst, .. } = i {
-                        let _ = dst;
-                    }
-                }
-                if live_out.get(&b.name) != Some(&out) {
-                    live_out.insert(b.name.clone(), out);
-                    changed = true;
-                }
-                if live_in.get(&b.name) != Some(&live) {
-                    live_in.insert(b.name.clone(), live);
-                    changed = true;
-                }
-            }
-        }
-        Ok(VxLiveness { live_in, live_out })
-    }
-}
-
 /// Builds the interference graph: pairs of keys simultaneously live.
-fn interference(func: &VxFunction, lv: &VxLiveness) -> BTreeMap<RegKey, BTreeSet<RegKey>> {
+fn interference(func: &VxFunction, lv: &Liveness<RegKey>) -> BTreeMap<RegKey, BTreeSet<RegKey>> {
     let mut graph: BTreeMap<RegKey, BTreeSet<RegKey>> = BTreeMap::new();
     let edge = |a: RegKey, b: RegKey, graph: &mut BTreeMap<RegKey, BTreeSet<RegKey>>| {
         if a != b {
@@ -347,20 +233,14 @@ fn interference(func: &VxFunction, lv: &VxLiveness) -> BTreeMap<RegKey, BTreeSet
     for b in &func.blocks {
         let mut live = lv.live_out.get(&b.name).cloned().unwrap_or_default();
         for i in b.instrs.iter().rev() {
-            let (uses, defs) = uses_defs(i);
-            for &d in &defs {
+            // An instruction defines at most one key, so its defs never
+            // interfere with each other.
+            for d in uses_defs(i).1 {
                 for &l in &live {
                     edge(d, l, &mut graph);
                 }
-                // Defs in the same instruction interfere with each other
-                // trivially (there is at most one here).
             }
-            for d in &defs {
-                live.remove(d);
-            }
-            if !matches!(i, VxInstr::Phi { .. }) {
-                live.extend(uses);
-            }
+            VxFunction::transfer(i, &mut live);
         }
         // Phi destinations all interfere with each other and with live-in.
         let phidefs: Vec<RegKey> = b
@@ -409,21 +289,18 @@ pub fn allocate_with_options(
 ) -> Result<(VxFunction, RaMap), RaError> {
     let mut func = func.clone();
     split_critical_edges(&mut func);
-    let lv = VxLiveness::compute_cancellable(&func, cancel)?;
+    let lv = Liveness::compute_cancellable(&func, cancel).ok_or(RaError::Cancelled)?;
     let graph = interference(&func, &lv);
     // Collect vregs and widths.
     let mut map = RaMap::default();
     for b in &func.blocks {
         for i in &b.instrs {
-            let (uses, defs) = uses_defs(i);
-            let remember = |r: Reg, map: &mut RaMap| {
+            visit_regs(i, &mut |r| {
                 if let Reg::Virt(id, w) = r {
                     let e = map.widths.entry(id).or_insert(w);
                     *e = (*e).max(w);
                 }
-            };
-            let _ = (&uses, &defs);
-            visit_regs(i, &mut |r| remember(r, &mut map));
+            });
         }
     }
     // Greedy coloring in id order; the uncolorable get spill slots.

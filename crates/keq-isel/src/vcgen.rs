@@ -16,10 +16,9 @@
 
 use std::collections::BTreeMap;
 
-use keq_core::sync::{SideSpec, SyncPoint, SyncSet, ValueExpr};
+use keq_core::sync::{Relation, SyncPoint, SyncSet, ValueExpr};
 use keq_llvm::ast::{Function, Instr, Operand};
 use keq_llvm::types::Type;
-use keq_semantics::{CtrlLoc, LocPattern};
 use keq_vx86::sem::reg_key;
 
 use crate::isel::{Hints, IselOutput};
@@ -35,8 +34,8 @@ pub struct VcOptions {
 }
 
 /// The four x86 condition flags, havocked (as booleans) at every start
-/// point on the right side.
-fn flag_havocs() -> Vec<(String, u32)> {
+/// point on a Virtual x86 side.
+pub(crate) fn flag_havocs() -> Vec<(String, u32)> {
     ["zf", "sf", "cf", "of"].iter().map(|f| (f.to_string(), 0)).collect()
 }
 
@@ -78,161 +77,96 @@ pub fn generate_sync_points(func: &Function, out: &IselOutput, opts: VcOptions) 
     let mut set = SyncSet::new();
 
     set.push(entry_point(func, hints));
-    set.push(exit_point(hints));
+    set.push(SyncPoint::exit("p_exit", hints.ret_width.is_some()));
 
     for header in &hints.loop_headers {
-        let empty = Vec::new();
-        for pred in preds.get(header).unwrap_or(&empty) {
+        for pred in preds.get(header).into_iter().flatten() {
             set.push(loop_point(func, hints, &lv, &types, header, pred, opts));
         }
     }
 
     for cs in &hints.call_sites {
-        let (before, after) = call_points(func, hints, &lv, &types, cs, opts);
-        set.push(before);
-        set.push(after);
+        set.points.extend(call_points(func, hints, &lv, &types, cs, opts));
     }
     set
 }
 
 fn entry_point(func: &Function, hints: &Hints) -> SyncPoint {
-    let mut left_havoc = Vec::new();
-    let mut right_havoc = flag_havocs();
-    let mut equalities = Vec::new();
+    let mut rel = Relation::havocking(Vec::new(), flag_havocs());
     for ((name, ty), (hname, w, phys)) in func.params.iter().zip(&hints.params) {
         debug_assert_eq!(name, hname);
-        left_havoc.push((name.clone(), ty.value_bits()));
-        let key = phys.name64().to_owned();
-        if !right_havoc.iter().any(|(n, _)| *n == key) {
-            right_havoc.push((key.clone(), 64));
-        }
-        equalities.push((
+        let key = phys.name64();
+        rel.left_havoc.push((name.clone(), ty.value_bits()));
+        rel.havoc_right_once(key, 64);
+        rel.equalities.push((
             ValueExpr::Reg(name.clone()),
-            ValueExpr::RegSlice { name: key, hi: w - 1, lo: 0 },
+            ValueExpr::RegSlice { name: key.to_owned(), hi: w - 1, lo: 0 },
         ));
     }
-    SyncPoint {
-        name: "p0".into(),
-        left: SideSpec::startable(
-            LocPattern::Entry,
-            CtrlLoc::entry(func.entry().name.clone()),
-            left_havoc,
-        ),
-        right: SideSpec::startable(LocPattern::Entry, CtrlLoc::entry("LBB0"), right_havoc),
-        equalities,
-        mem_equal: true,
-    }
-}
-
-fn exit_point(hints: &Hints) -> SyncPoint {
-    SyncPoint {
-        name: "p_exit".into(),
-        left: SideSpec::arrival(LocPattern::Exit),
-        right: SideSpec::arrival(LocPattern::Exit),
-        equalities: if hints.ret_width.is_some() {
-            vec![(ValueExpr::Ret, ValueExpr::Ret)]
-        } else {
-            vec![]
-        },
-        mem_equal: true,
-    }
+    SyncPoint::entry("p0", func.entry().name.clone(), "LBB0", rel)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn loop_point(
     func: &Function,
     hints: &Hints,
-    lv: &Liveness,
+    lv: &Liveness<String>,
     types: &BTreeMap<String, u32>,
     header: &str,
     pred: &str,
     opts: VcOptions,
 ) -> SyncPoint {
-    let vx_header = hints.block_map[header].clone();
-    let vx_pred = hints.block_map[pred].clone();
-    let mut left_havoc: Vec<(String, u32)> = Vec::new();
-    let mut right_havoc = flag_havocs();
-    let mut equalities = Vec::new();
-
-    let relate = |local: &str,
-                      left_havoc: &mut Vec<(String, u32)>,
-                      right_havoc: &mut Vec<(String, u32)>,
-                      equalities: &mut Vec<(ValueExpr, ValueExpr)>| {
-        let Some(&w) = types.get(local) else { return };
-        let Some(&vx) = hints.reg_map.get(local) else { return };
-        if left_havoc.iter().any(|(n, _)| n == local) {
-            return;
+    let mut rel = Relation::havocking(Vec::new(), flag_havocs());
+    // Ordinary live-in registers, then the phi-incoming values along this
+    // edge.
+    let edge_uses = phi_uses_from(func, header, pred);
+    for local in lv.live_in.get(header).into_iter().flatten().chain(&edge_uses) {
+        let (Some(&w), Some(&vx)) = (types.get(local), hints.reg_map.get(local)) else {
+            continue;
+        };
+        if rel.havoc_left_once(local, w) {
+            rel.right_havoc.push((reg_key(vx), vx.width()));
+            rel.equalities.push((ValueExpr::Reg(local.clone()), ValueExpr::Reg(reg_key(vx))));
         }
-        left_havoc.push((local.to_owned(), w));
-        right_havoc.push((reg_key(vx), vx.width()));
-        equalities.push((ValueExpr::Reg(local.to_owned()), ValueExpr::Reg(reg_key(vx))));
-    };
-
-    // Ordinary live-in registers.
-    if let Some(live) = lv.live_in.get(header) {
-        for l in live {
-            relate(l, &mut left_havoc, &mut right_havoc, &mut equalities);
-        }
-    }
-    // Phi-incoming values along this edge.
-    for l in phi_uses_from(func, header, pred) {
-        relate(&l, &mut left_havoc, &mut right_havoc, &mut equalities);
     }
     // Constant incomings: pin the register ISel materialized them in.
-    if let Some(b) = func.block(header) {
-        for i in &b.instrs {
-            if let Instr::Phi { dst, ty, incomings } = i {
-                for (op, p) in incomings {
-                    if p == pred {
-                        if let Operand::Const(c) = op {
-                            if let Some((cv, reg)) =
-                                hints.phi_const_regs.get(&(dst.clone(), p.clone()))
-                            {
-                                debug_assert_eq!(cv, c);
-                                right_havoc.push((reg_key(*reg), reg.width()));
-                                equalities.push((
-                                    ValueExpr::Const {
-                                        value: *c as u128,
-                                        width: ty.value_bits(),
-                                    },
-                                    ValueExpr::Reg(reg_key(*reg)),
-                                ));
-                            }
-                        }
-                    }
-                }
+    for i in func.block(header).into_iter().flat_map(|b| &b.instrs) {
+        let Instr::Phi { dst, ty, incomings } = i else { continue };
+        for (op, p) in incomings {
+            let Operand::Const(c) = op else { continue };
+            if p != pred {
+                continue;
+            }
+            if let Some((cv, reg)) = hints.phi_const_regs.get(&(dst.clone(), p.clone())) {
+                debug_assert_eq!(cv, c);
+                rel.right_havoc.push((reg_key(*reg), reg.width()));
+                rel.equalities.push((
+                    ValueExpr::Const { value: *c as u128, width: ty.value_bits() },
+                    ValueExpr::Reg(reg_key(*reg)),
+                ));
             }
         }
     }
     if opts.imprecise_liveness {
         // Simulate a liveness bug: silently forget the last relation.
-        equalities.pop();
+        rel.equalities.pop();
     }
-    SyncPoint {
-        name: format!("loop:{header}<-{pred}"),
-        left: SideSpec::startable(
-            LocPattern::BlockEntry { block: header.to_owned(), prev: Some(pred.to_owned()) },
-            CtrlLoc::block_start(header, Some(pred.to_owned())),
-            left_havoc,
-        ),
-        right: SideSpec::startable(
-            LocPattern::BlockEntry { block: vx_header.clone(), prev: Some(vx_pred.clone()) },
-            CtrlLoc::block_start(vx_header, Some(vx_pred)),
-            right_havoc,
-        ),
-        equalities,
-        mem_equal: true,
-    }
+    SyncPoint::block_entry(
+        format!("loop:{header}<-{pred}"),
+        (header, Some(pred)),
+        (&hints.block_map[header], Some(&hints.block_map[pred])),
+        rel,
+    )
 }
 
 fn call_points(
     func: &Function,
     hints: &Hints,
-    lv: &Liveness,
+    lv: &Liveness<String>,
     types: &BTreeMap<String, u32>,
     cs: &crate::isel::CallSite,
     opts: VcOptions,
-) -> (SyncPoint, SyncPoint) {
+) -> [SyncPoint; 2] {
     // Live-across locals (excluding the call result, which is born at the
     // return).
     let mut live: Vec<String> = lv
@@ -243,57 +177,31 @@ fn call_points(
     if opts.imprecise_liveness {
         live.pop();
     }
-    let mut before_eq: Vec<(ValueExpr, ValueExpr)> =
-        (0..cs.num_args).map(|i| (ValueExpr::Arg(i), ValueExpr::Arg(i))).collect();
-    let mut after_left_havoc: Vec<(String, u32)> = Vec::new();
-    let mut after_right_havoc = flag_havocs();
-    let mut after_eq: Vec<(ValueExpr, ValueExpr)> = Vec::new();
+    let mut across = Relation::havocking(Vec::new(), flag_havocs());
     for l in &live {
-        let Some(&w) = types.get(l) else { continue };
-        let Some(&vx) = hints.reg_map.get(l) else { continue };
-        before_eq.push((ValueExpr::Reg(l.clone()), ValueExpr::Reg(reg_key(vx))));
-        after_left_havoc.push((l.clone(), w));
-        after_right_havoc.push((reg_key(vx), vx.width()));
-        after_eq.push((ValueExpr::Reg(l.clone()), ValueExpr::Reg(reg_key(vx))));
+        let (Some(&w), Some(&vx)) = (types.get(l), hints.reg_map.get(l)) else { continue };
+        across.left_havoc.push((l.clone(), w));
+        across.right_havoc.push((reg_key(vx), vx.width()));
+        across.equalities.push((ValueExpr::Reg(l.clone()), ValueExpr::Reg(reg_key(vx))));
     }
+    let mut ret = Relation::default();
     if let Some((r, w)) = &cs.ret {
-        let rw = types.get(r).copied().unwrap_or(*w);
-        after_left_havoc.push((r.clone(), rw));
-        after_right_havoc.push(("rax".into(), 64));
-        after_eq.push((
+        ret.left_havoc.push((r.clone(), types.get(r).copied().unwrap_or(*w)));
+        ret.right_havoc.push(("rax".into(), 64));
+        ret.equalities.push((
             ValueExpr::Reg(r.clone()),
             ValueExpr::RegSlice { name: "rax".into(), hi: w - 1, lo: 0 },
         ));
     }
-    let before = SyncPoint {
-        name: format!("call:{}#{}", cs.callee, cs.nth),
-        left: SideSpec::arrival(LocPattern::BeforeCall {
-            callee: cs.callee.clone(),
-            nth: cs.nth,
-        }),
-        right: SideSpec::arrival(LocPattern::BeforeCall {
-            callee: cs.callee.clone(),
-            nth: cs.nth,
-        }),
-        equalities: before_eq,
-        mem_equal: true,
-    };
-    let after = SyncPoint {
-        name: format!("ret:{}#{}", cs.callee, cs.nth),
-        left: SideSpec::startable(
-            LocPattern::AfterCall { callee: cs.callee.clone(), nth: cs.nth },
-            CtrlLoc { block: cs.llvm_loc.0.clone(), index: cs.llvm_loc.1 + 1, prev: None },
-            after_left_havoc,
-        ),
-        right: SideSpec::startable(
-            LocPattern::AfterCall { callee: cs.callee.clone(), nth: cs.nth },
-            CtrlLoc { block: cs.vx_loc.0.clone(), index: cs.vx_loc.1 + 1, prev: None },
-            after_right_havoc,
-        ),
-        equalities: after_eq,
-        mem_equal: true,
-    };
-    (before, after)
+    SyncPoint::call_pair(
+        &cs.callee,
+        cs.nth,
+        (&cs.llvm_loc.0, cs.llvm_loc.1),
+        (&cs.vx_loc.0, cs.vx_loc.1),
+        cs.num_args,
+        across,
+        ret,
+    )
 }
 
 /// Renders the Fig. 3-style table of a sync set (for examples and the

@@ -206,7 +206,7 @@ impl FaultPlan {
 
 /// SplitMix64 finalizer (duplicated from `keq-prng` to keep this crate
 /// dependency-free at the bottom of the workspace). Public so harness-side
-/// deterministic derivations (retry backoff jitter, chaos kill schedules)
+/// deterministic derivations (chaos kill schedules)
 /// share the same mixer instead of growing their own.
 pub fn mix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -12,7 +12,7 @@
 //!
 //! Each request wraps one corpus function in a module that carries the
 //! corpus globals and external declarations, with `unit` set to the
-//! function's corpus index — so the server's fault plan and backoff land
+//! function's corpus index — so the server's fault plan lands
 //! on the same logical units a batch run of the same seed would hit, and a
 //! batch-vs-server differential comparison is meaningful. `--repeat`
 //! streams the corpus again (the second pass should ride the server's

@@ -168,7 +168,7 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 }
 
 fn chaos_retry() -> RetryPolicy {
-    RetryPolicy { max_attempts: 2, factor: 4, retry_crashes: true, ..RetryPolicy::default() }
+    RetryPolicy { max_attempts: 2, factor: 4, retry_crashes: true }
 }
 
 fn kinds(summary: &keq_bench::CorpusSummary) -> Vec<&'static str> {
