@@ -5,7 +5,8 @@
 //!
 //! * the running example's Fig. 3 table, byte for byte (with and without
 //!   `imprecise_liveness`);
-//! * the `Debug` form of the IMP `sum_to_n` set;
+//! * the `Debug` form of the IMP `sum_to_n` set, and of an ISel set whose
+//!   hinted call index is stale;
 //! * one FNV-1a digest of `format!("{set:?}")` per function of the default
 //!   corpus under ISel and GVN, and per function of the `pressure` corpus
 //!   under regalloc.
@@ -25,6 +26,7 @@ use keq_llvm::gvn::run_gvn;
 use keq_llvm::parser::parse_module;
 use keq_llvm::Layout;
 use keq_smt::wire::fnv1a64;
+use keq_vx86::ast::VxInstr;
 use keq_workload::{generate_corpus, GenConfig};
 
 const CORPUS_LEN: usize = 24;
@@ -64,6 +66,44 @@ fn running_example_table_is_pinned() {
     assert_eq!(table, FIG3_TABLE, "\n{table}");
     let table = render_sync_table(&running_example(VcOptions { imprecise_liveness: true }));
     assert_eq!(table, FIG3_TABLE_IMPRECISE, "\n{table}");
+}
+
+/// Two contiguous constant `i16` stores to one global, merged into one
+/// store after lowering, then a call whose result is used. The hinted
+/// right-side call index (`Hints::call_sites`) is recorded before
+/// `merge_stores` deletes the second store, so `ret:g#0` resumes the
+/// Virtual x86 side one instruction late, past the copy out of `eax`.
+/// This pins that stale index as generated today (CHANGES.md, the FOUND
+/// line on the stale ISel call index); the fix changes this set on
+/// purpose.
+const STALE_CALL: &str = r#"
+@b = external global [8 x i8]
+
+declare i32 @g(i32)
+
+define i32 @f(i32 %x) {
+entry:
+  store i16 1, i16* bitcast (i8* getelementptr inbounds ([8 x i8], [8 x i8]* @b, i64 0, i64 0) to i16*)
+  store i16 2, i16* bitcast (i8* getelementptr inbounds ([8 x i8], [8 x i8]* @b, i64 0, i64 2) to i16*)
+  %r = call i32 @g(i32 %x)
+  %s = add i32 %r, %x
+  ret i32 %s
+}
+"#;
+
+const STALE_CALL_SET: &str = r#"SyncSet { points: [SyncPoint { name: "p0", left: SideSpec { pattern: Entry, start: Some(CtrlLoc { block: "entry", index: 0, prev: None }), havoc_regs: [("%x", 32)] }, right: SideSpec { pattern: Entry, start: Some(CtrlLoc { block: "LBB0", index: 0, prev: None }), havoc_regs: [("zf", 0), ("sf", 0), ("cf", 0), ("of", 0), ("rdi", 64)] }, equalities: [(Reg("%x"), RegSlice { name: "rdi", hi: 31, lo: 0 })], mem_equal: true }, SyncPoint { name: "p_exit", left: SideSpec { pattern: Exit, start: None, havoc_regs: [] }, right: SideSpec { pattern: Exit, start: None, havoc_regs: [] }, equalities: [(Ret, Ret)], mem_equal: true }, SyncPoint { name: "call:g#0", left: SideSpec { pattern: BeforeCall { callee: "g", nth: 0 }, start: None, havoc_regs: [] }, right: SideSpec { pattern: BeforeCall { callee: "g", nth: 0 }, start: None, havoc_regs: [] }, equalities: [(Arg(0), Arg(0)), (Reg("%x"), Reg("%vr0_32"))], mem_equal: true }, SyncPoint { name: "ret:g#0", left: SideSpec { pattern: AfterCall { callee: "g", nth: 0 }, start: Some(CtrlLoc { block: "entry", index: 3, prev: None }), havoc_regs: [("%x", 32), ("%r", 32)] }, right: SideSpec { pattern: AfterCall { callee: "g", nth: 0 }, start: Some(CtrlLoc { block: "LBB0", index: 5, prev: None }), havoc_regs: [("zf", 0), ("sf", 0), ("cf", 0), ("of", 0), ("%vr0_32", 32), ("rax", 64)] }, equalities: [(Reg("%x"), Reg("%vr0_32")), (Reg("%r"), RegSlice { name: "rax", hi: 31, lo: 0 })], mem_equal: true }], right_private: [] }"#;
+
+#[test]
+fn stale_isel_call_index_is_pinned() {
+    let m = parse_module(STALE_CALL).expect("parses");
+    let f = m.function("f").expect("present");
+    let layout = Layout::of(&m, f);
+    let out = select(&m, f, &layout, IselOptions::default()).expect("supported");
+    // The call sits at index 3 of LBB0; `ret:g#0` resumes at index 5.
+    let call = out.func.blocks[0].instrs.iter().position(|i| matches!(i, VxInstr::Call { .. }));
+    assert_eq!(call, Some(3));
+    let text = format!("{:?}", generate_sync_points(f, &out, VcOptions::default()));
+    assert_eq!(text, STALE_CALL_SET, "\n{text}");
 }
 
 fn sum_to_n() -> ImpProgram {
