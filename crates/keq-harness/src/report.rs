@@ -3,7 +3,7 @@
 //! [`build_report`] joins the supervisor's [`CorpusSummary`] (the
 //! authoritative outcome of every function) with the trace ring's event
 //! stream (phase spans, injected faults, attempt windows) into one
-//! [`RunReport`](keq_trace::RunReport). The summary side never depends on
+//! [`RunReport`]. The summary side never depends on
 //! the trace: a run without tracing still yields a schema-valid report,
 //! just with empty phase sections and `trace_enabled: false`.
 

@@ -124,7 +124,7 @@ pub struct HarnessOptions {
     /// stream (`None` disables tracing: probe sites cost one flag read).
     pub trace: Option<keq_trace::TraceSink>,
     /// On-disk obligation store for persistent warm starts: loaded into
-    /// the run's [`SharedObligationCache`] before the first attempt and
+    /// the run's [`keq_smt::SharedObligationCache`] before the first attempt and
     /// written back (append-only for a store of the current semantics
     /// revision) incrementally during the run and once more at the end.
     /// `None` keeps the cache purely in-memory — it is still shared across

@@ -6,162 +6,85 @@
 //! generator consumes — the checker, the acceptability relation, and the
 //! memory model are exactly the ones the ISel and regalloc instantiations
 //! use, which is the language-parametric claim this crate exists to
-//! demonstrate.
-//!
-//! The cut is maximal on loops: one point per (loop header, predecessor)
-//! edge, as in the ISel generator, plus function entry/exit and a
-//! before/after pair per call site. At every point each *left* live local
-//! `x` is related to its representative in the optimized program:
-//! `x = y` when GVN forwarded `x` to a surviving leader `y`, or `x = c`
-//! when it folded `x` to a constant. Blocks, labels, and call ordinals are
-//! preserved by the pass, so the two sides' control locations correspond
-//! by name; only instruction *indices* shift (eliminated instructions
-//! vanish), which is why call sites carry per-side indices.
+//! demonstrate. The loop headers are cut, as for ISel, and each left local
+//! `x` is related to its representative: `x = y` when GVN forwarded `x` to
+//! a surviving leader `y`, or `x = c` when it folded `x` to a constant.
 
 use std::collections::BTreeMap;
 
-use keq_core::sync::{Relation, SyncPoint, SyncSet, ValueExpr};
-use keq_llvm::ast::{Function, Instr, Operand};
+use keq_core::sync::{Relation, SyncSet, ValueExpr};
+use keq_llvm::ast::{Function, Operand};
 use keq_llvm::gvn::GvnOutput;
-use keq_llvm::types::Type;
 
+use crate::cut::{cut_sync_points, Correspondence, Havoc};
 use crate::isel::loop_headers;
-use crate::liveness::{phi_uses_from, predecessors, Liveness};
-use crate::vcgen::local_types;
-
-fn const_expr(c: i128, w: u32) -> ValueExpr {
-    let mask = if w >= 128 { u128::MAX } else { (1u128 << w) - 1 };
-    ValueExpr::Const { value: (c as u128) & mask, width: w }
-}
-
-/// A call instruction's location in one side of the pair.
-struct CallLoc {
-    callee: String,
-    nth: usize,
-    block: String,
-    index: usize,
-    dst: Option<String>,
-    ret_bits: Option<u32>,
-    num_args: usize,
-}
-
-fn call_locs(func: &Function) -> Vec<CallLoc> {
-    let mut ordinals: BTreeMap<String, usize> = BTreeMap::new();
-    let mut locs = Vec::new();
-    for b in &func.blocks {
-        for (idx, i) in b.instrs.iter().enumerate() {
-            if let Instr::Call { dst, ret_ty, callee, args } = i {
-                let nth = *ordinals
-                    .entry(callee.clone())
-                    .and_modify(|n| *n += 1)
-                    .or_insert(0);
-                locs.push(CallLoc {
-                    callee: callee.clone(),
-                    nth,
-                    block: b.name.clone(),
-                    index: idx,
-                    dst: dst.clone(),
-                    ret_bits: match ret_ty {
-                        Type::Void => None,
-                        ty => Some(ty.value_bits()),
-                    },
-                    num_args: args.len(),
-                });
-            }
-        }
-    }
-    locs
-}
-
-/// Relates one left-side live local to its representative on the right:
-/// havocs it on the left, havocs the representative (when it is a local)
-/// on the right, and emits the equality.
-fn relate_local(local: &str, types: &BTreeMap<String, u32>, out: &GvnOutput, rel: &mut Relation) {
-    let Some(&w) = types.get(local) else { return };
-    if !rel.havoc_left_once(local, w) {
-        return;
-    }
-    let rhs = match out.repr(local) {
-        Operand::Local(n) => {
-            rel.havoc_right_once(&n, w);
-            ValueExpr::Reg(n)
-        }
-        Operand::Const(c) => const_expr(c, w),
-        other => {
-            // `run_gvn` only ever forwards to locals and constants.
-            debug_assert!(false, "inadmissible representative {other}");
-            return;
-        }
-    };
-    rel.equalities.push((ValueExpr::Reg(local.to_owned()), rhs));
-}
+use crate::liveness::Call;
+use crate::vcgen::{local_types, VcOptions};
 
 /// Generates the synchronization points for a GVN instance.
 pub fn gvn_sync_points(pre: &Function, out: &GvnOutput) -> SyncSet {
-    let lv = Liveness::compute(pre);
-    let types = local_types(pre);
-    let preds = predecessors(pre);
-    let mut set = SyncSet::new();
+    cut_sync_points(&Gvn { pre, out, types: local_types(pre) }, VcOptions::default())
+}
 
-    // Entry: parameters are never rewritten, so they relate one-to-one.
-    let havoc: Vec<(String, u32)> =
-        pre.params.iter().map(|(n, ty)| (n.clone(), ty.value_bits())).collect();
-    let mut entry = Relation::havocking(havoc.clone(), havoc);
-    entry.equalities =
-        pre.params.iter().map(|(n, _)| (ValueExpr::reg(n), ValueExpr::reg(n))).collect();
-    set.push(SyncPoint::entry(
-        "p0",
-        pre.entry().name.clone(),
-        out.func.entry().name.clone(),
-        entry,
-    ));
-    set.push(SyncPoint::exit("p_exit", pre.ret_ty != Type::Void));
+/// GVN's correspondence: each local's representative. The pass preserves
+/// the CFG, so block and predecessor names coincide on both sides.
+struct Gvn<'a> {
+    pre: &'a Function,
+    out: &'a GvnOutput,
+    types: BTreeMap<String, u32>,
+}
 
-    // Loop points, one per (header, predecessor) edge. GVN preserves the
-    // CFG, so block and predecessor names coincide on both sides.
-    for header in loop_headers(pre) {
-        for pred in preds.get(&header).into_iter().flatten() {
-            let mut rel = Relation::default();
-            let edge_uses = phi_uses_from(pre, &header, pred);
-            for l in lv.live_in.get(&header).into_iter().flatten().chain(&edge_uses) {
-                relate_local(l, &types, out, &mut rel);
-            }
-            let edge = (header.as_str(), Some(pred.as_str()));
-            set.push(SyncPoint::block_entry(format!("loop:{header}<-{pred}"), edge, edge, rel));
+impl Correspondence for Gvn<'_> {
+    type Left = Function;
+    type Right = Function;
+
+    fn left(&self) -> &Function {
+        self.pre
+    }
+
+    fn right(&self) -> &Function {
+        &self.out.func
+    }
+
+    /// Parameters are never rewritten, so they relate one-to-one.
+    fn entry(&self, rel: &mut Relation) {
+        for (n, ty) in &self.pre.params {
+            rel.left_havoc.push((n.clone(), ty.value_bits()));
+            rel.right_havoc.push((n.clone(), ty.value_bits()));
+            rel.equalities.push((ValueExpr::reg(n), ValueExpr::reg(n)));
         }
     }
 
-    // Call points. The pass never adds, removes, or reorders calls, so the
-    // two sides' per-callee ordinals line up; eliminated instructions do
-    // shift in-block indices, hence the per-side resume locations.
-    let pre_calls = call_locs(pre);
-    let post_calls = call_locs(&out.func);
-    debug_assert_eq!(pre_calls.len(), post_calls.len());
-    for (lc, rc) in pre_calls.iter().zip(&post_calls) {
-        debug_assert_eq!((&lc.callee, lc.nth), (&rc.callee, rc.nth));
-        let mut across = Relation::default();
-        for l in lv.live_after(pre, &lc.block, lc.index) {
-            if lc.dst.as_deref() != Some(&l) {
-                relate_local(&l, &types, out, &mut across);
+    fn cut(&self) -> (&'static str, Vec<String>) {
+        ("loop:", loop_headers(self.pre))
+    }
+
+    fn locate(&self, local: &String) -> Option<(Havoc, Option<Havoc>, ValueExpr)> {
+        let w = *self.types.get(local)?;
+        let (havoc, right) = match self.out.repr(local) {
+            Operand::Local(n) => (Some((n.clone(), w)), ValueExpr::Reg(n)),
+            Operand::Const(c) => {
+                let mask = if w >= 128 { u128::MAX } else { (1u128 << w) - 1 };
+                (None, ValueExpr::Const { value: (c as u128) & mask, width: w })
             }
-        }
+            other => {
+                // `run_gvn` only ever forwards to locals and constants.
+                debug_assert!(false, "inadmissible representative {other}");
+                return None;
+            }
+        };
+        Some(((local.clone(), w), havoc, right))
+    }
+
+    fn call_ret(&self, call: &Call<String>) -> Relation {
         let mut ret = Relation::default();
-        if let (Some(dst), Some(w)) = (&lc.dst, lc.ret_bits) {
+        if let Some((dst, &w)) = call.result.as_ref().and_then(|d| Some((d, self.types.get(d)?))) {
             ret.left_havoc.push((dst.clone(), w));
             ret.right_havoc.push((dst.clone(), w));
             ret.equalities.push((ValueExpr::reg(dst), ValueExpr::reg(dst)));
         }
-        set.points.extend(SyncPoint::call_pair(
-            &lc.callee,
-            lc.nth,
-            (&lc.block, lc.index),
-            (&rc.block, rc.index),
-            lc.num_args,
-            across,
-            ret,
-        ));
+        ret
     }
-    set
 }
 
 #[cfg(test)]

@@ -17,9 +17,10 @@
 //!   bounds (Fig. 10/11, LLVM PR4737).
 //!
 //! Alongside the translation, the pass emits the *hints* of §4.5 — the
-//! virtual-register correspondence, the block map, and loop-header pairs —
-//! consumed by the synchronization-point generator. The hint surface is
-//! deliberately tiny, mirroring the paper's ~500-line hint generator.
+//! virtual-register correspondence, the block map, the phi-constant
+//! registers and the call locations — consumed by the synchronization-point
+//! generator. The hint surface is deliberately tiny, mirroring the paper's
+//! ~500-line hint generator.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -76,23 +77,6 @@ impl std::fmt::Display for IselError {
 
 impl std::error::Error for IselError {}
 
-/// A recorded call site (used by the VC generator for §4.5 call points).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallSite {
-    /// Callee symbol.
-    pub callee: String,
-    /// Ordinal among calls to this callee.
-    pub nth: usize,
-    /// LLVM block and instruction index of the call.
-    pub llvm_loc: (String, usize),
-    /// Virtual x86 block and instruction index of the call.
-    pub vx_loc: (String, usize),
-    /// Result local and width, if non-void.
-    pub ret: Option<(String, u32)>,
-    /// Number of arguments.
-    pub num_args: usize,
-}
-
 /// The compiler-generated hints of §4.5.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Hints {
@@ -105,12 +89,9 @@ pub struct Hints {
     pub phi_const_regs: BTreeMap<(String, String), (i128, Reg)>,
     /// Parameters: `(local, width, argument register)`.
     pub params: Vec<(String, u32, PhysReg)>,
-    /// LLVM loop-header blocks (back-edge targets).
-    pub loop_headers: Vec<String>,
-    /// Call sites in source order.
-    pub call_sites: Vec<CallSite>,
-    /// Width of the return value (`None` for void).
-    pub ret_width: Option<u32>,
+    /// Virtual x86 block and instruction index of each call, in source
+    /// order, as lowered (before `merge_stores` runs).
+    pub call_sites: Vec<(String, usize)>,
 }
 
 /// Result of instruction selection.
@@ -173,7 +154,6 @@ pub fn select(
         hints: Hints::default(),
         pending_consts: BTreeMap::new(),
         use_counts: count_uses(func),
-        per_callee: HashMap::new(),
     };
     lw.run()
 }
@@ -187,7 +167,6 @@ struct Lowerer<'a> {
     /// Constant materializations to append to a predecessor block.
     pending_consts: BTreeMap<String, Vec<VxInstr>>,
     use_counts: HashMap<String, usize>,
-    per_callee: HashMap<String, usize>,
 }
 
 impl Lowerer<'_> {
@@ -248,8 +227,7 @@ impl Lowerer<'_> {
         for (i, b) in self.func.blocks.iter().enumerate() {
             self.hints.block_map.insert(b.name.clone(), format!("LBB{i}"));
         }
-        self.hints.loop_headers = loop_headers(self.func);
-        self.hints.ret_width = match &self.func.ret_ty {
+        let ret_width = match &self.func.ret_ty {
             Type::Void => None,
             ty => Some(x86_width(ty)?),
         };
@@ -319,7 +297,7 @@ impl Lowerer<'_> {
                 .iter()
                 .map(|(_, w, _)| *w)
                 .collect(),
-            ret_width: self.hints.ret_width,
+            ret_width,
             blocks,
         };
         if self.opts.merge_stores {
@@ -356,7 +334,7 @@ impl Lowerer<'_> {
                     return Ok(()); // terminator handled
                 }
             }
-            self.lower_instr(b, i, instr, out)?;
+            self.lower_instr(instr, out)?;
             i += 1;
         }
         self.lower_terminator(&b.term, out)?;
@@ -446,13 +424,7 @@ impl Lowerer<'_> {
         Ok(())
     }
 
-    fn lower_instr(
-        &mut self,
-        b: &keq_llvm::ast::Block,
-        idx: usize,
-        instr: &Instr,
-        out: &mut VxBlock,
-    ) -> Result<(), IselError> {
+    fn lower_instr(&mut self, instr: &Instr, out: &mut VxBlock) -> Result<(), IselError> {
         match instr {
             Instr::Bin { op, ty, dst, lhs, rhs, .. } => {
                 let l = self.operand_ri(lhs, ty)?;
@@ -582,35 +554,16 @@ impl Lowerer<'_> {
                     Type::Void => None,
                     ty => Some(x86_width(ty)?),
                 };
-                let nth = {
-                    let n = self.per_callee.entry(callee.clone()).or_insert(0);
-                    let nth = *n;
-                    *n += 1;
-                    nth
-                };
-                let vx_idx = out.instrs.len();
+                self.hints.call_sites.push((out.name.clone(), out.instrs.len()));
                 out.instrs.push(VxInstr::Call {
                     callee: callee.clone(),
                     arg_widths: widths,
                     ret_width,
                 });
-                let ret = match (dst, ret_width) {
-                    (Some(d), Some(w)) => {
-                        let dr = self.vreg_of(d, ret_ty)?;
-                        out.instrs
-                            .push(VxInstr::Copy { dst: dr, src: Reg::Phys(PhysReg::Rax, w) });
-                        Some((d.clone(), w))
-                    }
-                    _ => None,
-                };
-                self.hints.call_sites.push(CallSite {
-                    callee: callee.clone(),
-                    nth,
-                    llvm_loc: (b.name.clone(), idx),
-                    vx_loc: (out.name.clone(), vx_idx),
-                    ret,
-                    num_args: args.len(),
-                });
+                if let (Some(d), Some(w)) = (dst, ret_width) {
+                    let dr = self.vreg_of(d, ret_ty)?;
+                    out.instrs.push(VxInstr::Copy { dst: dr, src: Reg::Phys(PhysReg::Rax, w) });
+                }
             }
         }
         Ok(())
@@ -1258,8 +1211,8 @@ mod tests {
             matches!(i, VxInstr::Copy { src: Reg::Phys(PhysReg::Rax, _), .. })
         });
         assert!(has_arg_copy && has_imm_arg && has_ret_copy, "{entry:?}");
-        assert_eq!(out.hints.call_sites.len(), 1);
-        assert_eq!(out.hints.call_sites[0].callee, "g");
+        let call = entry.instrs.iter().position(|i| matches!(i, VxInstr::Call { .. }));
+        assert_eq!(out.hints.call_sites, vec![(entry.name.clone(), call.expect("a call"))]);
     }
 
     #[test]

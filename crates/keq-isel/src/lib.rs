@@ -3,11 +3,13 @@
 //! The compiler under validation (the paper's §4.1 subject): an O0-style
 //! instruction selector from LLVM IR to Virtual x86, with the two §5.2
 //! miscompilations re-introducible via [`BugInjection`]; the §4.5 hint
-//! generator ([`Hints`]); the live-variables analysis; the
-//! synchronization-point generator ([`vcgen`]); and [`pipeline`], the
+//! generator ([`Hints`]); the live-variables analysis; one cut walk and
+//! the synchronization-point generators built on it ([`vcgen`],
+//! [`ra_vcgen`], [`gvn_vcgen`]); and [`pipeline`], the
 //! end-to-end translation-validation driver that mirrors the paper's Fig. 5
 //! system diagram.
 
+mod cut;
 pub mod gvn_vcgen;
 pub mod isel;
 pub mod liveness;
@@ -17,7 +19,7 @@ pub mod regalloc;
 pub mod vcgen;
 
 pub use isel::{
-    cc_of, loop_headers, merge_stores, select, x86_width, BugInjection, CallSite, Hints,
+    cc_of, loop_headers, merge_stores, select, x86_width, BugInjection, Hints,
     IselError, IselOptions, IselOutput,
 };
 pub use gvn_vcgen::gvn_sync_points;

@@ -8,11 +8,13 @@
 //! phi destination is a definition of its own block). It runs on any
 //! [`Cfg`]: LLVM IR functions (keys are local names) for the ISel and GVN
 //! generators, SSA Virtual x86 functions (keys are [`RegKey`]s) for the
-//! register allocator and its black-box generator.
+//! register allocator and its black-box generator. The same trait
+//! enumerates a function's calls (`calls`) for every generator.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use keq_llvm::ast::{Block, Function, Instr, Operand, Terminator};
+use keq_llvm::types::Type;
 use keq_smt::{stop_requested, CancelToken};
 use keq_vx86::ast::{PhysReg, VxBlock, VxFunction, VxInstr, VxTerm};
 
@@ -47,6 +49,11 @@ pub trait Cfg {
     /// Adds what is live out of `block` whatever its successors (the
     /// return register at a return).
     fn live_out_seed(&self, _block: &Self::Block, _live: &mut BTreeSet<Self::Key>) {}
+    /// The callee, argument count and defined result of `instr`, if it is
+    /// a call.
+    fn call(instr: &Self::Instr) -> Option<(&str, usize, Option<Self::Key>)>;
+    /// Whether the function returns a value.
+    fn returns_value(&self) -> bool;
 
     /// The block labelled `label`.
     fn block(&self, label: &str) -> Option<&Self::Block> {
@@ -145,6 +152,38 @@ pub fn phi_uses_from<C: Cfg>(cfg: &C, block: &str, pred: &str) -> BTreeSet<C::Ke
     uses
 }
 
+/// One call instruction of a function.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Call<K> {
+    /// Callee symbol.
+    pub callee: String,
+    /// Ordinal among the calls to this callee, in layout order.
+    pub nth: usize,
+    /// The block holding the call.
+    pub block: String,
+    /// The call's index among the block's instructions.
+    pub index: usize,
+    /// Number of arguments.
+    pub num_args: usize,
+    /// The key the call defines, if any.
+    pub result: Option<K>,
+}
+
+/// Every call of `cfg`, in layout order.
+pub(crate) fn calls<C: Cfg>(cfg: &C) -> Vec<Call<C::Key>> {
+    let mut ordinals: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut out = Vec::new();
+    for b in cfg.blocks() {
+        for (index, instr) in C::instrs(b).iter().enumerate() {
+            let Some((callee, num_args, result)) = C::call(instr) else { continue };
+            let nth = *ordinals.entry(callee).and_modify(|n| *n += 1).or_insert(0);
+            let block = C::label(b).to_owned();
+            out.push(Call { callee: callee.to_owned(), nth, block, index, num_args, result });
+        }
+    }
+    out
+}
+
 /// Predecessors of each block.
 pub fn predecessors<C: Cfg>(cfg: &C) -> BTreeMap<String, Vec<String>> {
     let mut preds: BTreeMap<String, Vec<String>> = BTreeMap::new();
@@ -206,6 +245,17 @@ impl Cfg for Function {
             visit_operand_locals(v, &mut |l| insert(live, l));
         }
     }
+
+    fn call(instr: &Instr) -> Option<(&str, usize, Option<String>)> {
+        match instr {
+            Instr::Call { dst, callee, args, .. } => Some((callee, args.len(), dst.clone())),
+            _ => None,
+        }
+    }
+
+    fn returns_value(&self) -> bool {
+        self.ret_ty != Type::Void
+    }
 }
 
 fn insert(live: &mut BTreeSet<String>, local: &str) {
@@ -254,9 +304,22 @@ impl Cfg for VxFunction {
     }
 
     fn live_out_seed(&self, block: &VxBlock, live: &mut BTreeSet<RegKey>) {
-        if self.ret_width.is_some() && matches!(block.term, VxTerm::Ret) {
+        if self.returns_value() && matches!(block.term, VxTerm::Ret) {
             live.insert(RegKey::Phys(PhysReg::Rax));
         }
+    }
+
+    fn call(instr: &VxInstr) -> Option<(&str, usize, Option<RegKey>)> {
+        match instr {
+            VxInstr::Call { callee, arg_widths, ret_width } => {
+                Some((callee, arg_widths.len(), ret_width.map(|_| RegKey::Phys(PhysReg::Rax))))
+            }
+            _ => None,
+        }
+    }
+
+    fn returns_value(&self) -> bool {
+        self.ret_width.is_some()
     }
 }
 
@@ -279,10 +342,7 @@ mod tests {
         assert!(uses.contains("%a0"), "{uses:?}");
         // for.inc edge carries %add, %add1, %inc.
         let uses = phi_uses_from(&f, "for.cond", "for.inc");
-        assert_eq!(
-            uses,
-            ["%add", "%add1", "%inc"].iter().map(|s| s.to_string()).collect()
-        );
+        assert_eq!(uses, ["%add", "%add1", "%inc"].iter().map(|s| s.to_string()).collect());
     }
 
     #[test]
@@ -320,5 +380,58 @@ define i32 @f(i32 %x, i32 %y) {
         let inn = &lv.live_in["entry"];
         assert!(inn.contains("%x"));
         assert!(!inn.contains("%y"), "unused param not live");
+    }
+
+    #[test]
+    fn calls_are_enumerated_once_for_both_languages() {
+        let src = r#"
+define i32 @f(i32 %x, i1 %c) {
+entry:
+  %a = call i32 @g(i32 %x)
+  call void @h(i32 %a, i32 7)
+  br i1 %c, label %then, label %done
+then:
+  %b = call i32 @g(i32 %a)
+  br label %done
+done:
+  %r = phi i32 [ %a, %entry ], [ %b, %then ]
+  ret i32 %r
+}
+"#;
+        fn call<K>(
+            callee: &str,
+            nth: usize,
+            at: (&str, usize),
+            args: usize,
+            result: Option<K>,
+        ) -> Call<K> {
+            let (block, index) = (at.0.to_owned(), at.1);
+            Call { callee: callee.to_owned(), nth, block, index, num_args: args, result }
+        }
+        let m = keq_llvm::parser::parse_module(src).expect("parses");
+        let f = &m.functions[0];
+        let local = |l: &str| Some(l.to_owned());
+        assert_eq!(
+            calls(f),
+            vec![
+                call("g", 0, ("entry", 0), 1, local("%a")),
+                call("h", 0, ("entry", 1), 2, None),
+                call("g", 1, ("then", 0), 1, local("%b")),
+            ]
+        );
+        // On Virtual x86, each call follows its argument moves and returns
+        // in `rax`.
+        let layout = keq_llvm::Layout::of(&m, f);
+        let out =
+            crate::isel::select(&m, f, &layout, crate::IselOptions::default()).expect("supported");
+        let rax = Some(RegKey::Phys(PhysReg::Rax));
+        assert_eq!(
+            calls(&out.func),
+            vec![
+                call("g", 0, ("LBB0", 3), 1, rax),
+                call("h", 0, ("LBB0", 7), 2, None),
+                call("g", 1, ("LBB1", 1), 1, rax),
+            ]
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Bit-blasting: lowering bitvector terms to CNF over a [`SatSolver`].
 //!
 //! Preconditions: the input term DAG contains no memory-sorted subterms
-//! (array elimination, [`crate::lower`], runs first) and no signed
+//! (array elimination, [`crate::lower()`], runs first) and no signed
 //! division/remainder (lowered to unsigned forms first). Every other
 //! operator is translated structurally: ripple-carry adders, shift-add
 //! multipliers, restoring dividers, barrel shifters, and comparison chains.

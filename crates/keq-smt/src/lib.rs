@@ -7,7 +7,7 @@
 //!
 //! Pipeline: hash-consed terms with normalizing constructors
 //! ([`term::TermBank`]) → saturating rewrite normalization ([`rewrite`]) →
-//! array elimination + signed-division lowering ([`lower`]) → bit-blasting
+//! array elimination + signed-division lowering ([`mod@lower`]) → bit-blasting
 //! ([`bitblast`]) → CDCL SAT ([`sat`]), fronted by [`solver::Solver`] which
 //! also implements the paper's §3 positive-form query optimization.
 //!

@@ -28,7 +28,7 @@
 //!   merging through `∧`/`∨`.
 //!
 //! Every rule is a pure `fn(&mut TermBank, TermId) -> Option<TermId>`
-//! registered in [`RULES`]; a rule must return a term *equivalent* to its
+//! registered in `RULES`; a rule must return a term *equivalent* to its
 //! input and should only fire when the result is smaller or strictly more
 //! canonical, so the per-node iteration cap is a backstop, not the
 //! termination argument. Results are memoized in a dense table indexed by

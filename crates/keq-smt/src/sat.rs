@@ -7,7 +7,7 @@
 //! restarts, and learnt-clause database reduction.
 //!
 //! The layout is flat for memory locality. Every clause lives in one
-//! `Vec<u32>` arena: a [`HEADER`] (length, `lbd << 1 | learnt`, and the
+//! `Vec<u32>` arena: a `HEADER` (length, `lbd << 1 | learnt`, and the
 //! activity `f64` as two words) followed by its literals, and a clause is
 //! named by its arena offset. Assignments are indexed by literal, so reading
 //! a literal's value is one load, and conflict analysis, minimization and
@@ -835,8 +835,8 @@ impl SatSolver {
     ///
     /// The search stops with [`SatBudget::Conflicts`] after `max_conflicts`
     /// conflicts in this call. The deadline/cancellation pair is polled on
-    /// *both* kinds of search progress: every [`CONFLICT_POLL_INTERVAL`]
-    /// conflicts and every [`DECISION_POLL_INTERVAL`] decisions. Polling
+    /// *both* kinds of search progress: every `CONFLICT_POLL_INTERVAL`
+    /// conflicts and every `DECISION_POLL_INTERVAL` decisions. Polling
     /// decisions matters on near-satisfiable instances that propagate for a
     /// long time without ever conflicting — with conflict-only polling
     /// those would sail past any deadline. An already-expired deadline is

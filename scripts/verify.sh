@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline verification: build, test, and lint the whole workspace.
+# Offline verification: build, test, lint and document the whole workspace.
 # No network access required — the workspace has zero external
 # dependencies (see DESIGN.md §5).
 set -euo pipefail
@@ -17,5 +17,8 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "==> clippy not installed; skipping lint"
 fi
+
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> OK"
