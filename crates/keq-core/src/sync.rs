@@ -287,6 +287,19 @@ impl SyncSet {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
+
+    /// All block-entry patterns on the chosen side — the side's cut
+    /// locations for block starts.
+    pub fn block_patterns(&self, side: Side) -> Vec<&LocPattern> {
+        self.points
+            .iter()
+            .map(|p| match side {
+                Side::Left => &p.left.pattern,
+                Side::Right => &p.right.pattern,
+            })
+            .filter(|p| matches!(p, LocPattern::BlockEntry { .. }))
+            .collect()
+    }
 }
 
 /// Which side of the relation a pattern belongs to.
@@ -344,5 +357,23 @@ mod tests {
             mem_equal: true,
         };
         assert!(!exit.is_startable());
+    }
+
+    #[test]
+    fn block_patterns_filter() {
+        let mut set = SyncSet::new();
+        set.push(SyncPoint {
+            name: "p1".into(),
+            left: SideSpec::startable(
+                LocPattern::BlockEntry { block: "loop".into(), prev: Some("entry".into()) },
+                CtrlLoc::block_start("loop", Some("entry".into())),
+                vec![],
+            ),
+            right: SideSpec::arrival(LocPattern::Exit),
+            equalities: vec![],
+            mem_equal: true,
+        });
+        assert_eq!(set.block_patterns(Side::Left).len(), 1);
+        assert_eq!(set.block_patterns(Side::Right).len(), 0);
     }
 }

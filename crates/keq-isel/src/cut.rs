@@ -14,6 +14,8 @@ pub(crate) type Havoc = (String, u32);
 
 /// The left key type of a correspondence.
 pub(crate) type Key<C> = <<C as Correspondence>::Left as Cfg>::Key;
+/// The right key type of a correspondence.
+pub(crate) type RightKey<C> = <<C as Correspondence>::Right as Cfg>::Key;
 
 /// What one pass says about where its output keeps its input's values.
 pub(crate) trait Correspondence {
@@ -22,10 +24,8 @@ pub(crate) trait Correspondence {
     /// The output program.
     type Right: Cfg;
 
-    /// The input program.
-    fn left(&self) -> &Self::Left;
-    /// The output program.
-    fn right(&self) -> &Self::Right;
+    /// The input and the output program.
+    fn sides(&self) -> (&Self::Left, &Self::Right);
     /// The havocs every startable point begins with; by default, none.
     fn base(&self) -> Relation {
         Relation::default()
@@ -46,16 +46,17 @@ pub(crate) trait Correspondence {
     /// Adds the relation of the phis of `block` along the edge from `pred`;
     /// by default, each value they read is located like a live-in.
     fn phi_edge(&self, block: &str, pred: &str, rel: &mut Relation) {
-        for key in &phi_uses_from(self.left(), block, pred) {
+        for key in &phi_uses_from(self.sides().0, block, pred) {
             self.relate(rel, key);
         }
     }
     /// The relation for the value `call` returns.
     fn call_ret(&self, call: &Call<Key<Self>>) -> Relation;
-    /// Each left call's right-side `(block, index)`, in left call order; by
-    /// default, the calls of the right program in layout order.
-    fn right_calls(&self) -> Vec<(String, usize)> {
-        calls(self.right()).into_iter().map(|c| (c.block, c.index)).collect()
+    /// Where the right program makes its `i`-th call, `call`; by default,
+    /// where `call` sits. Temporary: only ISel overrides it, with its stale
+    /// hinted locations, and ROADMAP item 1 deletes it with `Hints::call_sites`.
+    fn right_call_loc(&self, _i: usize, call: &Call<RightKey<Self>>) -> (String, usize) {
+        (call.block.clone(), call.index)
     }
 
     /// Relates the left value `key` to its location, unless `rel` already
@@ -79,13 +80,13 @@ fn entry_label<C: Cfg>(cfg: &C) -> &str {
 /// last equality of every block point and the last value live across every
 /// call.
 pub(crate) fn cut_sync_points<C: Correspondence>(c: &C, opts: VcOptions) -> SyncSet {
-    let left = c.left();
+    let (left, right) = c.sides();
     let lv = Liveness::compute(left);
     let mut set = SyncSet::new();
 
     let mut entry = c.base();
     c.entry(&mut entry);
-    set.push(SyncPoint::entry("p0", entry_label(left), entry_label(c.right()), entry));
+    set.push(SyncPoint::entry("p0", entry_label(left), entry_label(right), entry));
     set.push(SyncPoint::exit("p_exit", left.returns_value()));
 
     let preds = predecessors(left);
@@ -110,10 +111,13 @@ pub(crate) fn cut_sync_points<C: Correspondence>(c: &C, opts: VcOptions) -> Sync
         }
     }
 
+    // Every pass keeps each call and its order, so the calls pair by position.
     let left_calls = calls(left);
-    let right_calls = c.right_calls();
-    debug_assert_eq!(left_calls.len(), right_calls.len());
-    for (call, (right_block, right_index)) in left_calls.iter().zip(right_calls) {
+    let right_calls = calls(right);
+    assert_eq!(left_calls.len(), right_calls.len(), "the two sides make different calls");
+    for (i, (call, right_call)) in left_calls.iter().zip(&right_calls).enumerate() {
+        debug_assert_eq!((&call.callee, call.nth), (&right_call.callee, right_call.nth));
+        let (right_block, right_index) = c.right_call_loc(i, right_call);
         // The call's own result is born at the return, not live across it.
         let mut live: Vec<_> = lv
             .live_after(left, &call.block, call.index)

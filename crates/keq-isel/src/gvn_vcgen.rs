@@ -38,12 +38,8 @@ impl Correspondence for Gvn<'_> {
     type Left = Function;
     type Right = Function;
 
-    fn left(&self) -> &Function {
-        self.pre
-    }
-
-    fn right(&self) -> &Function {
-        &self.out.func
+    fn sides(&self) -> (&Function, &Function) {
+        (self.pre, &self.out.func)
     }
 
     /// Parameters are never rewritten, so they relate one-to-one.

@@ -69,12 +69,8 @@ impl Correspondence for Regalloc<'_> {
     type Left = VxFunction;
     type Right = VxFunction;
 
-    fn left(&self) -> &VxFunction {
-        self.pre
-    }
-
-    fn right(&self) -> &VxFunction {
-        self.post
+    fn sides(&self) -> (&VxFunction, &VxFunction) {
+        (self.pre, self.post)
     }
 
     fn base(&self) -> Relation {

@@ -13,7 +13,7 @@ use keq_llvm::types::Type;
 use keq_vx86::ast::VxFunction;
 use keq_vx86::sem::reg_key;
 
-use crate::cut::{cut_sync_points, Correspondence, Havoc};
+use crate::cut::{cut_sync_points, Correspondence, Havoc, RightKey};
 use crate::isel::{loop_headers, result_type, IselOutput};
 use crate::liveness::{phi_uses_from, Call};
 
@@ -58,12 +58,8 @@ impl Correspondence for Isel<'_> {
     type Left = Function;
     type Right = VxFunction;
 
-    fn left(&self) -> &Function {
-        self.func
-    }
-
-    fn right(&self) -> &VxFunction {
-        &self.out.func
+    fn sides(&self) -> (&Function, &VxFunction) {
+        (self.func, &self.out.func)
     }
 
     fn base(&self) -> Relation {
@@ -127,12 +123,12 @@ impl Correspondence for Isel<'_> {
         ret
     }
 
-    /// The hinted call locations. They are recorded before `merge_stores`
-    /// runs, so one is stale when a store earlier in its block was merged
-    /// away (CHANGES.md, FOUND); the benchmark's answer keys pin the
-    /// verdicts that follow from them.
-    fn right_calls(&self) -> Vec<(String, usize)> {
-        self.out.hints.call_sites.clone()
+    /// The hinted location of the `i`-th call. It is recorded before
+    /// `merge_stores` runs, so it is stale when a store earlier in its block
+    /// was merged away (CHANGES.md, FOUND); the benchmark's answer keys pin the
+    /// verdicts that follow from it.
+    fn right_call_loc(&self, i: usize, _: &Call<RightKey<Self>>) -> (String, usize) {
+        self.out.hints.call_sites[i].clone()
     }
 }
 
