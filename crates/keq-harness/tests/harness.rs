@@ -334,32 +334,34 @@ fn slow_cancel_still_times_out_without_abandonment() {
 
 #[test]
 fn warm_start_retries_classify_like_cold_ones() {
-    // A solver-budget-starved first attempt plus an escalated retry, run
-    // twice: once warm-starting the retry from the first attempt's
+    // A step-starved first attempt plus an escalated retry, run twice:
+    // once warm-starting the retry from the first attempt's
     // ValidationContext (the default) and once from scratch. Budgeted
     // outcomes are never cached, so the warm retry must reach the very
-    // same verdicts.
-    let module = small_corpus(5);
-    let rows = |warm_start: bool| {
+    // same verdicts — and, carrying its predecessor's query memo, answer
+    // more queries from it than the cold retry can.
+    let module = small_corpus(8);
+    let run = |warm_start: bool| {
         let opts = HarnessOptions {
-            keq: KeqOptions {
-                solver_budget: Budget { max_conflicts: 1, ..Budget::default() },
-                ..KeqOptions::default()
-            },
-            workers: 2,
+            keq: KeqOptions { max_steps: 8, ..KeqOptions::default() },
+            workers: 1,
             retry: RetryPolicy { max_attempts: 3, factor: 8, ..RetryPolicy::default() },
             warm_start,
             ..HarnessOptions::default()
         };
-        run_module(&module, &opts)
-            .rows
-            .iter()
-            .map(|r| (r.result.kind(), r.attempts.len()))
-            .collect::<Vec<_>>()
+        let summary = run_module(&module, &opts);
+        let rows: Vec<_> =
+            summary.rows.iter().map(|r| (r.result.kind(), r.attempts.len())).collect();
+        (rows, summary.solver.cache_hits)
     };
-    let warm = rows(true);
-    let cold = rows(false);
+    let (warm, warm_hits) = run(true);
+    let (cold, cold_hits) = run(false);
+    assert!(warm.iter().all(|&(_, attempts)| attempts > 1), "every row must retry: {warm:?}");
     assert_eq!(warm, cold, "warm-started retries must not change classification");
+    assert!(
+        warm_hits > cold_hits,
+        "warm retries must reuse their predecessor's memo: warm {warm_hits}, cold {cold_hits}"
+    );
 }
 
 #[test]
