@@ -18,9 +18,7 @@
 //!
 //! Because both language semantics are deterministic, the per-valuation
 //! successor pairing is exactly the set-inclusion check
-//! `[[(n1, n2)]] ⊆ [[P]]` of the paper's symbolic Algorithm 1, and the §3
-//! positive-form query optimization applies to the path-condition
-//! equivalence pre-check (toggle [`KeqOptions::use_positive_form`]).
+//! `[[(n1, n2)]] ⊆ [[P]]` of the paper's symbolic Algorithm 1.
 
 use keq_semantics::{
     memory_equal_obligations_masked, read_bytes, Acceptability, CtrlLoc, ErrorRelation, Language,
@@ -46,22 +44,11 @@ pub struct KeqOptions {
     pub time_limit: Option<std::time::Duration>,
     /// SMT budget per query.
     pub solver_budget: Budget,
-    /// Enable the §3 positive-form path-equivalence pre-check.
-    pub use_positive_form: bool,
-    /// Prune infeasible successors with solver calls (cheap syntactic
-    /// pruning always happens).
-    pub prune_infeasible: bool,
 }
 
 impl Default for KeqOptions {
     fn default() -> Self {
-        KeqOptions {
-            max_steps: 4_000,
-            time_limit: None,
-            solver_budget: Budget::default(),
-            use_positive_form: true,
-            prune_infeasible: true,
-        }
+        KeqOptions { max_steps: 4_000, time_limit: None, solver_budget: Budget::default() }
     }
 }
 
@@ -256,7 +243,7 @@ impl<'a> Keq<'a> {
                     continue;
                 }
                 // Solver pruning for real branches only.
-                if branching && self.opts.prune_infeasible {
+                if branching {
                     let span = keq_trace::span(keq_trace::Phase::Feasibility);
                     let feasible = session.is_feasible(bank, &s.path);
                     span.done();
@@ -412,49 +399,6 @@ impl<'a> Keq<'a> {
             }
         }
         Ok(())
-    }
-
-    /// The §3 optimization, exposed for ablation benchmarks: proves the
-    /// path conditions of `s1` and `s2` equivalent using positive-form
-    /// queries over the sibling successors, given deterministic semantics.
-    ///
-    /// Returns `None` when the option is disabled.
-    #[allow(clippy::too_many_arguments)]
-    pub fn path_equivalent_positive(
-        &self,
-        bank: &mut TermBank,
-        solver: &mut Solver,
-        assumptions: &[TermId],
-        s1: &SymConfig,
-        s1_siblings: &[&SymConfig],
-        s2: &SymConfig,
-        s2_siblings: &[&SymConfig],
-    ) -> Option<bool> {
-        if !self.opts.use_positive_form {
-            return None;
-        }
-        // φ1 ⇒ φ2 via unsat(assumptions ∧ φ1 ∧ ⋁ siblings(φ2)).
-        let mut hyp1 = assumptions.to_vec();
-        hyp1.extend(s1.path.iter().copied());
-        let sib2: Vec<TermId> = s2_siblings
-            .iter()
-            .map(|s| {
-                let c = s.path.iter().copied();
-                bank.mk_and(c)
-            })
-            .collect();
-        let fwd = solver.prove_implies_positive(bank, &hyp1, &sib2).is_proved();
-        let mut hyp2 = assumptions.to_vec();
-        hyp2.extend(s2.path.iter().copied());
-        let sib1: Vec<TermId> = s1_siblings
-            .iter()
-            .map(|s| {
-                let c = s.path.iter().copied();
-                bank.mk_and(c)
-            })
-            .collect();
-        let bwd = solver.prove_implies_positive(bank, &hyp2, &sib1).is_proved();
-        Some(fwd && bwd)
     }
 }
 

@@ -82,7 +82,6 @@ impl RetryPolicy {
                     .saturating_mul(usize::try_from(scale).unwrap_or(usize::MAX)),
                 max_time: base.solver_budget.max_time.map(|d| d.saturating_mul(scale32)),
             },
-            ..base
         }
     }
 }

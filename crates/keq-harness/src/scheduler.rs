@@ -1,5 +1,5 @@
-//! The scheduler core: a submission queue, work-stealing worker shards,
-//! and the supervision machinery — panic isolation, watchdog deadlines,
+//! The scheduler core: a submission queue, a worker pool, and the
+//! supervision machinery — panic isolation, watchdog deadlines,
 //! escalating-budget retry, warm-start contexts, incremental store
 //! flushing, and the write-ahead verdict journal — rehosted as policies of
 //! one long-lived [`Scheduler`].
@@ -10,8 +10,8 @@
 //!   corpus, awaits every verdict, drains, and assembles the classic
 //!   [`crate::CorpusSummary`];
 //! * **server** — [`crate::server`] keeps one scheduler resident across
-//!   many requests, so the shared obligation cache, warm-start contexts,
-//!   and journal amortize across clients.
+//!   many requests, so the shared obligation cache and journal amortize
+//!   across clients.
 //!
 //! The scheduler adds what a long-lived front end needs and a batch run
 //! never exercised:
@@ -26,17 +26,22 @@
 //!   every accepted submission finish (the watchdog still bounds wedged
 //!   ones), then flushes the store and returns the final counters.
 //!
-//! Work distribution is a sharded work-stealing queue: submissions hash to
-//! a shard, each worker prefers its home shard's front (FIFO), and an idle
-//! worker steals from the *back* of other shards. A job is pushed into its
-//! shard **before** the global ready-count is bumped, so a woken worker
-//! always finds a job by scanning.
+//! Work distribution is one FIFO channel of attempts: the supervisor holds
+//! its only sender and the workers share its receiver, so dropping the
+//! sender closes the queue. An attempt owns its warm-start context: the
+//! job carries it to the worker, the outcome carries it back, and the
+//! supervisor moves it into the retry or drops it at finalization. At most
+//! one attempt of a submission is in flight at a time, so
+//! `(submission, attempt)` names a job; a late result from an abandoned
+//! worker, whose submission has already finalized, is discarded together
+//! with its context.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use keq_core::{FailureReason, Verdict};
@@ -90,49 +95,39 @@ pub struct MetricsConfig {
     pub enabled: bool,
     /// How often the collector samples the registry into its series rings.
     pub sample_interval: Duration,
-    /// Ring capacity of each time series, in samples.
-    pub series_capacity: usize,
-    /// Rows retained by the slow-obligation profiler (top-K by wall time;
-    /// 0 disables the table).
-    pub slow_k: usize,
 }
+
+/// Ring capacity of each time series, in samples (one minute at the
+/// default sample interval).
+const SERIES_CAPACITY: usize = 240;
+
+/// Rows retained by the slow-obligation profiler (top-K by wall time).
+const SLOW_K: usize = 16;
 
 impl Default for MetricsConfig {
     fn default() -> Self {
-        MetricsConfig {
-            enabled: false,
-            sample_interval: Duration::from_millis(250),
-            series_capacity: 240,
-            slow_k: 16,
-        }
+        MetricsConfig { enabled: false, sample_interval: Duration::from_millis(250) }
     }
 }
 
 /// Bounded top-K table of the slowest finalized submissions, kept sorted
 /// by descending wall time (the report-schema invariant). An offer below
 /// the current floor of a full table is O(1).
+#[derive(Default)]
 struct SlowTable {
-    k: usize,
     rows: Vec<SlowObligation>,
 }
 
 impl SlowTable {
-    fn new(k: usize) -> SlowTable {
-        SlowTable { k, rows: Vec::new() }
-    }
-
     fn offer(&mut self, row: SlowObligation) {
-        if self.k == 0 {
-            return;
-        }
-        if self.rows.len() >= self.k
+        if self.rows.len() >= SLOW_K
             && row.wall_us <= self.rows.last().map_or(0, |r| r.wall_us)
         {
             return;
         }
         let at = self.rows.partition_point(|r| r.wall_us >= row.wall_us);
         self.rows.insert(at, row);
-        self.rows.truncate(self.k);
+        self.rows.truncate(SLOW_K);
     }
 }
 
@@ -157,8 +152,8 @@ impl Telemetry {
         Telemetry {
             enabled: cfg.enabled,
             registry: Arc::new(Registry::new()),
-            collector: Mutex::new(Collector::new(cfg.series_capacity)),
-            slow: Mutex::new(SlowTable::new(cfg.slow_k)),
+            collector: Mutex::new(Collector::new(SERIES_CAPACITY)),
+            slow: Mutex::default(),
             started: Instant::now(),
             p50_us: AtomicU64::new(0),
             p90_us: AtomicU64::new(0),
@@ -624,85 +619,6 @@ fn journal_finalize(
     });
 }
 
-/// Per-submission warm-start contexts, keyed by the unique submission id
-/// and guarded by a per-key *generation*. A worker [`WarmStarts::take`]s
-/// the entry (and the key's current generation) before an attempt and
-/// [`WarmStarts::put`]s it back afterwards, so the map never hands the
-/// same context to two threads (the supervisor only ever has one attempt
-/// of a submission in flight).
-///
-/// Finalization cleans up one of two ways:
-///
-/// * a **delivered** result ([`WarmStarts::remove`]) erases the entry and
-///   its generation outright — the worker's `put` happened before its
-///   `Finished` send on the same thread, so no late writer exists, and
-///   submission ids are never reused, so a fresh generation 0 is safe;
-/// * an **abandonment** ([`WarmStarts::retire`]) bumps the generation and
-///   leaves a tombstone, because the abandoned worker's detached thread
-///   may still try to put its context back; the stale generation no longer
-///   matches, so the context is dropped instead of resurrecting a dead
-///   submission's term bank. The tombstone costs a few bytes per (rare)
-///   abandonment.
-#[derive(Default)]
-struct WarmStarts {
-    inner: Mutex<WarmInner>,
-}
-
-#[derive(Default)]
-struct WarmInner {
-    generations: HashMap<u64, u64>,
-    ctxs: HashMap<u64, ValidationContext>,
-}
-
-impl WarmStarts {
-    /// Removes and returns the key's context (if any) together with the
-    /// generation the caller must present to [`WarmStarts::put`].
-    fn take(&self, key: u64) -> (u64, Option<ValidationContext>) {
-        let mut st = self.inner.lock().expect("warm-start map poisoned");
-        let generation = st.generations.get(&key).copied().unwrap_or(0);
-        (generation, st.ctxs.remove(&key))
-    }
-
-    /// Puts a context back for the key's next attempt — unless the
-    /// supervisor retired the key since the matching [`WarmStarts::take`],
-    /// in which case the stale context is dropped.
-    fn put(&self, key: u64, generation: u64, ctx: ValidationContext) {
-        let mut st = self.inner.lock().expect("warm-start map poisoned");
-        if st.generations.get(&key).copied().unwrap_or(0) == generation {
-            st.ctxs.insert(key, ctx);
-        }
-    }
-
-    /// Tombstone-finalizes the key: drops its context and bumps its
-    /// generation so an in-flight abandoned attempt can no longer put one
-    /// back.
-    fn retire(&self, key: u64) {
-        let mut st = self.inner.lock().expect("warm-start map poisoned");
-        *st.generations.entry(key).or_insert(0) += 1;
-        st.ctxs.remove(&key);
-    }
-
-    /// Erases the key entirely (delivered-result finalization: no late
-    /// writer can exist, and the id is never reused). Keeps a long-lived
-    /// server's map from growing with every request ever served.
-    fn remove(&self, key: u64) {
-        let mut st = self.inner.lock().expect("warm-start map poisoned");
-        st.generations.remove(&key);
-        st.ctxs.remove(&key);
-    }
-
-    #[cfg(test)]
-    fn contains(&self, key: u64) -> bool {
-        self.inner.lock().expect("warm-start map poisoned").ctxs.contains_key(&key)
-    }
-
-    #[cfg(test)]
-    fn tracked(&self, key: u64) -> bool {
-        let st = self.inner.lock().expect("warm-start map poisoned");
-        st.generations.contains_key(&key) || st.ctxs.contains_key(&key)
-    }
-}
-
 /// The immutable part of a submission every attempt shares.
 struct JobCore {
     module: Arc<Module>,
@@ -713,89 +629,13 @@ struct JobCore {
 }
 
 /// One unit of queued work: one attempt at one submission.
-#[derive(Clone)]
 struct Job {
-    id: u64,
     submission: u64,
     attempt: u32,
     core: Arc<JobCore>,
-}
-
-/// Closable blocking work-stealing queue, sharded by submission id.
-///
-/// Invariant: a job is pushed into its shard **before** the ready count is
-/// bumped, so a reservation (decrementing the count) is always backed by a
-/// job already visible in some shard — the claim scan below can spin but
-/// never starve.
-struct ShardedQueue {
-    shards: Vec<Mutex<VecDeque<Job>>>,
-    sync: Mutex<QueueSync>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct QueueSync {
-    ready: usize,
-    closed: bool,
-}
-
-impl ShardedQueue {
-    fn new(shards: usize) -> ShardedQueue {
-        ShardedQueue {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(VecDeque::new())).collect(),
-            sync: Mutex::new(QueueSync::default()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job: Job) {
-        let shard = (job.submission as usize) % self.shards.len();
-        self.shards[shard].lock().expect("shard poisoned").push_back(job);
-        let mut sync = self.sync.lock().expect("queue poisoned");
-        sync.ready += 1;
-        self.cv.notify_one();
-    }
-
-    fn close(&self) {
-        let mut sync = self.sync.lock().expect("queue poisoned");
-        sync.closed = true;
-        self.cv.notify_all();
-    }
-
-    /// Blocks for the next job; `None` once closed and drained. The worker
-    /// prefers the *front* of its home shard (FIFO for its own stream) and
-    /// steals from the *back* of the others.
-    fn pop(&self, worker: usize) -> Option<Job> {
-        {
-            let mut sync = self.sync.lock().expect("queue poisoned");
-            loop {
-                if sync.ready > 0 {
-                    sync.ready -= 1;
-                    break;
-                }
-                if sync.closed {
-                    return None;
-                }
-                sync = self.cv.wait(sync).expect("queue poisoned");
-            }
-        }
-        let n = self.shards.len();
-        let home = worker % n;
-        loop {
-            if let Some(job) = self.shards[home].lock().expect("shard poisoned").pop_front() {
-                return Some(job);
-            }
-            for k in 1..n {
-                let victim = (home + k) % n;
-                if let Some(job) = self.shards[victim].lock().expect("shard poisoned").pop_back() {
-                    return Some(job);
-                }
-            }
-            // The reserved job is still in flight between its shard push
-            // and a concurrent claimer's removal; re-scan.
-            std::thread::yield_now();
-        }
-    }
+    /// The warm-start context the previous attempt handed back (`None` for
+    /// a first attempt, after a crash, or with warm starts off).
+    ctx: Option<ValidationContext>,
 }
 
 /// What one attempt produced, as reported by the worker.
@@ -813,6 +653,10 @@ struct AttemptOutcome {
     /// [`Phase::ALL`] position (all-zero when metrics are disabled; the
     /// worker drains its thread-local phase accumulator per attempt).
     phase_us: [u64; Phase::ALL.len()],
+    /// The attempt's context, handed back for a retry to warm-start from
+    /// (`None` with warm starts off, or when validation failed or
+    /// panicked).
+    ctx: Option<ValidationContext>,
 }
 
 /// A submission accepted past the gate, en route to the supervisor.
@@ -831,11 +675,13 @@ struct Submission {
 enum Msg {
     /// A gated submission entering the scheduler.
     Submit(Submission),
-    /// A worker picked up a job and will honor this cancellation token.
-    Started { job: u64, worker: usize, cancel: CancelToken },
-    /// A worker finished a job. Boxed: the outcome carries the per-phase
-    /// time table and solver counters, and must not bloat every message.
-    Finished { job: u64, outcome: Box<AttemptOutcome> },
+    /// A worker picked up an attempt and will honor this cancellation
+    /// token.
+    Started { submission: u64, attempt: u32, worker: usize, cancel: CancelToken },
+    /// A worker finished an attempt. Boxed: the outcome carries the
+    /// context, the per-phase time table and solver counters, and must not
+    /// bloat every message.
+    Finished { submission: u64, attempt: u32, outcome: Box<AttemptOutcome> },
     /// Stop admitting (the gate already is) and exit once idle.
     Drain,
 }
@@ -848,9 +694,8 @@ struct Worker {
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Book-keeping for a job between `Started` and `Finished`.
+/// Book-keeping for an attempt between `Started` and `Finished`.
 struct Inflight {
-    submission: u64,
     trace_id: u32,
     attempt: u32,
     worker: usize,
@@ -1148,19 +993,22 @@ fn supervise(
     });
     let h = &settings.harness;
     let shared = &storage.shared;
-    let queue = Arc::new(ShardedQueue::new(h.workers));
-    let ctxs = Arc::new(WarmStarts::default());
+    // The supervisor holds the only sender: dropping it closes the queue.
+    let (jobs_tx, jobs_rx) = mpsc::channel::<Job>();
+    let jobs = Arc::new(Mutex::new(jobs_rx));
     let worker_tx = gate.lock().expect("gate poisoned").tx.clone();
 
     let mut pool: Vec<Worker> = Vec::new();
     for id in 0..h.workers {
-        pool.push(spawn_worker(&settings, &queue, &ctxs, shared, &worker_tx, id));
+        pool.push(spawn_worker(&settings, &jobs, shared, &worker_tx, id));
     }
+    // The pool shares the receiver, which this thread keeps alive for
+    // replacement workers, so a send never fails.
+    let enqueue = |job: Job| jobs_tx.send(job).expect("the supervisor holds the job receiver");
 
     let mut subs: HashMap<u64, SubState> = HashMap::new();
-    let mut job_meta: HashMap<u64, (u64, u32)> = HashMap::new();
+    // Keyed by submission: at most one attempt of each is in flight.
     let mut inflight: HashMap<u64, Inflight> = HashMap::new();
-    let mut next_job: u64 = 0;
     let mut draining = false;
     let mut latency = keq_trace::Histogram::log_us("request latency (µs)");
     let mut last_sample = Instant::now();
@@ -1168,14 +1016,8 @@ fn supervise(
     loop {
         match rx.recv_timeout(h.watchdog_tick) {
             Ok(Msg::Submit(sub)) => {
-                let job = Job {
-                    id: next_job,
-                    submission: sub.id,
-                    attempt: 1,
-                    core: Arc::clone(&sub.core),
-                };
-                job_meta.insert(next_job, (sub.id, 1));
-                next_job += 1;
+                let job =
+                    Job { submission: sub.id, attempt: 1, core: Arc::clone(&sub.core), ctx: None };
                 subs.insert(
                     sub.id,
                     SubState {
@@ -1193,19 +1035,17 @@ fn supervise(
                         phase_acc: [0; Phase::ALL.len()],
                     },
                 );
-                queue.push(job);
+                enqueue(job);
             }
-            Ok(Msg::Started { job, worker, cancel }) => {
-                let Some(&(submission, attempt)) = job_meta.get(&job) else { continue };
+            Ok(Msg::Started { submission, attempt, worker, cancel }) => {
                 let Some(st) = subs.get_mut(&submission) else { continue };
                 let now = Instant::now();
                 if st.first_started.is_none() {
                     st.first_started = Some(now);
                 }
                 inflight.insert(
-                    job,
+                    submission,
                     Inflight {
-                        submission,
                         trace_id: st.core.trace_id,
                         attempt,
                         worker,
@@ -1216,81 +1056,71 @@ fn supervise(
                     },
                 );
             }
-            Ok(Msg::Finished { job, outcome }) => {
-                // A `Finished` with no inflight entry is a stale result
-                // from an abandoned worker: its submission already has a
-                // Timeout verdict, so the late one is discarded.
-                let Some(info) = inflight.remove(&job) else { continue };
-                job_meta.remove(&job);
-                live.solver.lock().expect("solver totals poisoned").merge(&outcome.solver);
+            Ok(Msg::Finished { submission, attempt, outcome }) => {
+                // A `Finished` that matches no inflight attempt is a stale
+                // result from an abandoned worker: its submission already
+                // has a Timeout verdict, so the late one is discarded,
+                // context and all.
+                let info = match inflight.entry(submission) {
+                    Entry::Occupied(e) if e.get().attempt == attempt => e.remove(),
+                    _ => continue,
+                };
+                let AttemptOutcome { result, retryable, time, solver, phase_us, ctx } = *outcome;
+                live.solver.lock().expect("solver totals poisoned").merge(&solver);
                 if telemetry.enabled() {
                     let reg = telemetry.registry();
                     reg.counter_add(CounterId::Attempts, 1);
-                    if info.attempt > 1 {
+                    if attempt > 1 {
                         reg.counter_add(CounterId::Retries, 1);
                     }
                     // The counter table says which solver counters feed
                     // the registry; the rewrite counters are emitted at
                     // source by the rewriter itself.
-                    for (id, n) in outcome.solver.registry_feed() {
+                    for (id, n) in solver.registry_feed() {
                         reg.counter_add(id, n);
                     }
                     reg.observe_us(
                         HistId::AttemptWallUs,
-                        u64::try_from(outcome.time.as_micros()).unwrap_or(u64::MAX),
+                        u64::try_from(time.as_micros()).unwrap_or(u64::MAX),
                     );
                 }
-                let Some(st) = subs.get_mut(&info.submission) else { continue };
-                st.solver_acc.merge(&outcome.solver);
-                for (acc, us) in st.phase_acc.iter_mut().zip(outcome.phase_us) {
+                let Some(st) = subs.get_mut(&submission) else { continue };
+                st.solver_acc.merge(&solver);
+                for (acc, us) in st.phase_acc.iter_mut().zip(phase_us) {
                     *acc += us;
                 }
                 st.attempts.push(AttemptRecord {
-                    attempt: info.attempt,
-                    budget_scale: h.retry.scale(info.attempt),
-                    time: outcome.time,
-                    result: outcome.result.clone(),
+                    attempt,
+                    budget_scale: h.retry.scale(attempt),
+                    time,
+                    result: result.clone(),
                     abandoned: false,
                 });
                 // A supervisor-cancelled attempt hit the *hard* deadline;
                 // escalated budgets cannot outrun the wall clock, so it is
                 // final regardless of the in-band failure reason.
-                let may_retry = outcome.retryable
-                    && info.cancelled_at.is_none()
-                    && info.attempt < st.max_attempts;
+                let may_retry =
+                    retryable && info.cancelled_at.is_none() && attempt < st.max_attempts;
                 if may_retry {
-                    let job = Job {
-                        id: next_job,
-                        submission: info.submission,
-                        attempt: info.attempt + 1,
-                        core: Arc::clone(&st.core),
-                    };
-                    job_meta.insert(next_job, (info.submission, info.attempt + 1));
-                    next_job += 1;
-                    queue.push(job);
+                    let core = Arc::clone(&st.core);
+                    enqueue(Job { submission, attempt: attempt + 1, core, ctx });
                 } else {
                     // A crash that survived its retries (`retry_crashes`
                     // made it retryable, and this was the last allowed
                     // attempt) is reproducible, not transient: quarantine
                     // it so the summary separates "crashed once" from
                     // "still crashing after N attempts".
-                    let result = match outcome.result {
+                    let result = match result {
                         CorpusResult::Crashed { message, location }
-                            if outcome.retryable
-                                && info.attempt >= st.max_attempts
-                                && info.attempt > 1 =>
+                            if retryable && attempt >= st.max_attempts && attempt > 1 =>
                         {
                             CorpusResult::Quarantined { message, location }
                         }
                         result => result,
                     };
-                    let st = subs.remove(&info.submission).expect("present above");
-                    // No further attempt will run, and the worker's put
-                    // happened before its `Finished` send: erase the
-                    // warm-start entry outright.
-                    ctxs.remove(info.submission);
+                    let st = subs.remove(&submission).expect("present above");
                     finalize_submission(
-                        info.submission,
+                        submission,
                         st,
                         result,
                         &mut journal_writer,
@@ -1301,6 +1131,9 @@ fn supervise(
                         request_events,
                         &telemetry,
                     );
+                    // No further attempt will run: the context is dropped
+                    // here, after the reply went out.
+                    drop(ctx);
                 }
             }
             Ok(Msg::Drain) => draining = true,
@@ -1312,7 +1145,7 @@ fn supervise(
         // ignore the cancellation past the grace period.
         let now = Instant::now();
         let mut abandon: Vec<u64> = Vec::new();
-        for (&job, info) in inflight.iter_mut() {
+        for (&submission, info) in inflight.iter_mut() {
             if info.cancelled_at.is_none() && info.deadline.is_some_and(|d| now >= d) {
                 info.cancel.cancel();
                 info.cancelled_at = Some(now);
@@ -1322,17 +1155,16 @@ fn supervise(
                 });
             }
             if info.cancelled_at.is_some_and(|t| now >= t + h.grace) {
-                abandon.push(job);
+                abandon.push(submission);
             }
         }
-        for job in abandon {
-            let info = inflight.remove(&job).expect("selected above");
-            job_meta.remove(&job);
+        for submission in abandon {
+            let info = inflight.remove(&submission).expect("selected above");
             keq_trace::emit(keq_trace::Event::WatchdogAbandoned {
                 func: info.trace_id,
                 attempt: info.attempt,
             });
-            let Some(mut st) = subs.remove(&info.submission) else { continue };
+            let Some(mut st) = subs.remove(&submission) else { continue };
             st.attempts.push(AttemptRecord {
                 attempt: info.attempt,
                 budget_scale: h.retry.scale(info.attempt),
@@ -1341,7 +1173,7 @@ fn supervise(
                 abandoned: true,
             });
             finalize_submission(
-                info.submission,
+                submission,
                 st,
                 CorpusResult::Timeout,
                 &mut journal_writer,
@@ -1352,16 +1184,11 @@ fn supervise(
                 request_events,
                 &telemetry,
             );
-            // The abandoned worker still *owns* the submission's context
-            // (it took it before the attempt) and may try to re-insert it
-            // if it ever finishes; retiring bumps the generation so that
-            // late insert is dropped instead of resurrecting a dead entry.
-            ctxs.retire(info.submission);
             // Retire the wedged worker (its thread stays detached) and
             // keep the pool at strength with a fresh replacement.
             retire_worker(&mut pool, info.worker);
             let id = pool.len();
-            pool.push(spawn_worker(&settings, &queue, &ctxs, shared, &worker_tx, id));
+            pool.push(spawn_worker(&settings, &jobs, shared, &worker_tx, id));
         }
 
         // Gauge refresh + one collector sample per interval. Gauges are
@@ -1391,7 +1218,7 @@ fn supervise(
         }
     }
 
-    queue.close();
+    drop(jobs_tx);
     drop(worker_tx);
     for w in &mut pool {
         if w.retired.load(Ordering::Acquire) {
@@ -1534,15 +1361,13 @@ fn retire_worker(pool: &mut [Worker], worker: usize) {
 
 fn spawn_worker(
     settings: &Arc<AttemptSettings>,
-    queue: &Arc<ShardedQueue>,
-    ctxs: &Arc<WarmStarts>,
+    jobs: &Arc<Mutex<mpsc::Receiver<Job>>>,
     shared: &Arc<SharedObligationCache>,
     tx: &mpsc::Sender<Msg>,
     id: usize,
 ) -> Worker {
     let settings = Arc::clone(settings);
-    let queue = Arc::clone(queue);
-    let ctxs = Arc::clone(ctxs);
+    let jobs = Arc::clone(jobs);
     let shared = Arc::clone(shared);
     let tx = tx.clone();
     let retired = Arc::new(AtomicBool::new(false));
@@ -1554,15 +1379,21 @@ fn spawn_worker(
             let _trace_guard = h.trace.as_ref().map(keq_trace::install);
             let _metrics_guard = settings.metrics.as_ref().map(keq_trace::install_metrics);
             while !retired_in.load(Ordering::Acquire) {
-                let Some(job) = queue.pop(id) else { break };
+                // The guard is a temporary of this statement: the lock is
+                // held while waiting for a job, never while running one.
+                // A closed queue (the supervisor dropped its sender) ends
+                // the worker.
+                let Ok(job) = jobs.lock().expect("job queue poisoned").recv() else { break };
+                let (submission, attempt) = (job.submission, job.attempt);
                 let cancel = CancelToken::new();
-                let started = Msg::Started { job: job.id, worker: id, cancel: cancel.clone() };
+                let started =
+                    Msg::Started { submission, attempt, worker: id, cancel: cancel.clone() };
                 if tx.send(started).is_err() {
                     break;
                 }
-                let start = Instant::now();
-                let outcome = run_attempt(&settings, &ctxs, &shared, &job, &cancel, start);
-                if tx.send(Msg::Finished { job: job.id, outcome: Box::new(outcome) }).is_err() {
+                let outcome = run_attempt(&settings, &shared, job, &cancel, Instant::now());
+                let finished = Msg::Finished { submission, attempt, outcome: Box::new(outcome) };
+                if tx.send(finished).is_err() {
                     break;
                 }
             }
@@ -1572,32 +1403,26 @@ fn spawn_worker(
 }
 
 /// Runs one attempt on the worker thread: arm the unit's injected fault,
-/// take the submission's warm-start context, validate under
-/// `catch_unwind`, put the context back, classify.
+/// validate under `catch_unwind` in the job's warm-start context (or a
+/// fresh one), classify, and hand the context back in the outcome.
 fn run_attempt(
     settings: &AttemptSettings,
-    ctxs: &WarmStarts,
     shared: &Arc<SharedObligationCache>,
-    job: &Job,
+    job: Job,
     cancel: &CancelToken,
     start: Instant,
 ) -> AttemptOutcome {
-    let core = &job.core;
+    let Job { attempt, core, ctx, .. } = job;
     let h = &settings.harness;
-    let keq = h.retry.options_for_attempt(h.keq, job.attempt);
+    let keq = h.retry.options_for_attempt(h.keq, attempt);
     let _fault = fault::install(&h.fault_plan, core.unit);
-    let _trace_ctx = keq_trace::with_attempt(core.trace_id, job.attempt);
+    let _trace_ctx = keq_trace::with_attempt(core.trace_id, attempt);
     keq_trace::emit(keq_trace::Event::AttemptStart {
         func: core.trace_id,
-        attempt: job.attempt,
-        budget_scale: h.retry.scale(job.attempt),
+        attempt,
+        budget_scale: h.retry.scale(attempt),
     });
-    let (generation, mut ctx) = if h.warm_start {
-        let (generation, ctx) = ctxs.take(job.submission);
-        (generation, ctx.unwrap_or_default())
-    } else {
-        (0, ValidationContext::new())
-    };
+    let mut ctx = ctx.unwrap_or_default();
     // (Re-)attach the run's shared obligation cache on every attempt:
     // fresh contexts start detached, and a warm-started context carries
     // whatever was attached last time.
@@ -1623,14 +1448,11 @@ fn run_attempt(
         (r, ctx)
     });
     let mut solver = SolverStats::default();
+    let mut warm = None;
     let (result, retryable) = match outcome {
         Ok((Ok(report), ctx)) => {
             solver = ctx.solver.stats().since(&stats_before);
-            if h.warm_start {
-                // Dropped, not inserted, if the supervisor retired the
-                // submission while this attempt ran (watchdog abandonment).
-                ctxs.put(job.submission, generation, ctx);
-            }
+            warm = h.warm_start.then_some(ctx);
             classify(&report.verdict)
         }
         // Unsupported functions never get better with bigger budgets.
@@ -1642,7 +1464,7 @@ fn run_attempt(
             if keq_trace::enabled() {
                 keq_trace::emit(keq_trace::Event::PanicCaptured {
                     func: core.trace_id,
-                    attempt: job.attempt,
+                    attempt,
                     message: panic.message.clone(),
                     location: panic.location.clone(),
                 });
@@ -1659,7 +1481,7 @@ fn run_attempt(
     let time = start.elapsed();
     keq_trace::emit(keq_trace::Event::AttemptEnd {
         func: core.trace_id,
-        attempt: job.attempt,
+        attempt,
         result: result.kind().name(),
         dur_us: u64::try_from(time.as_micros()).unwrap_or(u64::MAX),
     });
@@ -1669,7 +1491,7 @@ fn run_attempt(
     // panic unwind still landed in the accumulator, so even a crashed
     // attempt reports where its time went.
     let phase_us = keq_trace::take_phase_totals();
-    AttemptOutcome { result, retryable, time, solver, phase_us }
+    AttemptOutcome { result, retryable, time, solver, phase_us, ctx: warm }
 }
 
 /// Maps a verdict to its Fig. 6 row and decides whether escalated budgets
@@ -1691,115 +1513,5 @@ fn classify(verdict: &Verdict) -> (CorpusResult, bool) {
             };
             (result, retryable)
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The stale-context resurrection regression: a watchdog-abandoned
-    /// worker's detached thread finishes *after* the supervisor retired
-    /// its submission. Its put must be dropped — before the generation
-    /// check, the late insert parked a dead submission's term bank in the
-    /// map for the rest of the run.
-    #[test]
-    fn late_put_after_retire_is_dropped() {
-        let warm = WarmStarts::default();
-        warm.put(3, 0, ValidationContext::new());
-        let (generation, ctx) = warm.take(3);
-        assert!(ctx.is_some());
-
-        // Supervisor abandons the attempt and finalizes the submission.
-        warm.retire(3);
-
-        // The detached worker eventually finishes and puts "back".
-        warm.put(3, generation, ValidationContext::new());
-        assert!(!warm.contains(3), "retired submission must not resurrect its context");
-
-        // And a *current*-generation put after the retire still works
-        // (not relevant to finalized submissions, but proves retire only
-        // invalidates earlier takes, not the map entry forever).
-        let (generation, ctx) = warm.take(3);
-        assert!(ctx.is_none());
-        warm.put(3, generation, ValidationContext::new());
-        assert!(warm.contains(3));
-    }
-
-    #[test]
-    fn put_with_matching_generation_round_trips() {
-        let warm = WarmStarts::default();
-        let (generation, ctx) = warm.take(7);
-        assert_eq!(generation, 0);
-        assert!(ctx.is_none(), "fresh submission has no context yet");
-        warm.put(7, generation, ValidationContext::new());
-        assert!(warm.contains(7));
-
-        // A take hands the context out exclusively.
-        let (generation, ctx) = warm.take(7);
-        assert!(ctx.is_some());
-        assert!(!warm.contains(7));
-        warm.put(7, generation, ctx.unwrap());
-        assert!(warm.contains(7));
-    }
-
-    #[test]
-    fn retire_is_per_submission() {
-        let warm = WarmStarts::default();
-        let (g1, _) = warm.take(1);
-        let (g2, _) = warm.take(2);
-        warm.retire(1);
-        warm.put(1, g1, ValidationContext::new());
-        warm.put(2, g2, ValidationContext::new());
-        assert!(!warm.contains(1), "retired submission dropped");
-        assert!(warm.contains(2), "unrelated submission unaffected");
-    }
-
-    /// Delivered-result cleanup erases the whole entry — generation
-    /// included — so a long-lived server's map does not grow with every
-    /// request ever served. Safe because submission ids are never reused.
-    #[test]
-    fn remove_erases_the_entry_entirely() {
-        let warm = WarmStarts::default();
-        let (g, _) = warm.take(9);
-        warm.put(9, g, ValidationContext::new());
-        warm.retire(9); // tombstone exists now
-        assert!(warm.tracked(9));
-        warm.remove(9);
-        assert!(!warm.tracked(9), "remove leaves nothing behind");
-    }
-
-    #[test]
-    fn sharded_queue_round_trips_and_steals() {
-        let core = Arc::new(JobCore {
-            module: Arc::new(Module::default()),
-            func: 0,
-            pass: PassId::Isel,
-            unit: 0,
-            trace_id: 0,
-        });
-        let q = ShardedQueue::new(2);
-        for i in 0..4u64 {
-            q.push(Job { id: i, submission: i, attempt: 1, core: Arc::clone(&core) });
-        }
-        // Worker 0's home shard holds even submissions; it drains its own
-        // in FIFO order first, then steals the odd ones.
-        let mut seen: Vec<u64> = (0..4).map(|_| q.pop(0).expect("job").id).collect();
-        assert_eq!(seen[0], 0, "home shard served FIFO");
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2, 3], "every job claimed exactly once");
-        q.close();
-        assert!(q.pop(0).is_none(), "closed and drained");
-        assert!(q.pop(1).is_none());
-    }
-
-    #[test]
-    fn sharded_queue_wakes_blocked_workers_on_close() {
-        let q = Arc::new(ShardedQueue::new(4));
-        let q2 = Arc::clone(&q);
-        let waiter = std::thread::spawn(move || q2.pop(3));
-        std::thread::sleep(Duration::from_millis(20));
-        q.close();
-        assert!(waiter.join().expect("waiter thread").is_none());
     }
 }

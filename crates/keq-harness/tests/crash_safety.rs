@@ -13,7 +13,7 @@
 //!   `StoreError` trace event), not silently swallowed;
 //! * resume composes with the watchdog: a function the killed run had
 //!   abandoned (and whose record died with it) replays from a fresh
-//!   warm-start generation instead of inheriting stale state.
+//!   warm-start context instead of inheriting stale state.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -257,7 +257,7 @@ fn resume_replays_a_function_the_killed_run_abandoned() {
     // the process dies *while* the function is wedged, before its record
     // lands — the journal is rewritten without that record. The resumed
     // run (fault gone, as after a toolchain fix) must then replay function
-    // 1 from a *fresh* warm-start generation and validate it cleanly,
+    // 1 from a *fresh* warm-start context and validate it cleanly,
     // while still recovering function 0 from the journal.
     let module = small_corpus(2);
     let journal_path = temp_path("abandoned");
@@ -301,8 +301,8 @@ fn resume_replays_a_function_the_killed_run_abandoned() {
     assert!(!rewriter.degraded);
 
     // Resume with the fault gone: the survivor is recovered, the formerly
-    // wedged function replays and succeeds — proof the generation guard
-    // handed it a fresh context rather than resurrecting abandoned state.
+    // wedged function replays and succeeds — proof the abandoned attempt's
+    // context died with it rather than being resurrected.
     let resumed = run_module(
         &module,
         &HarnessOptions {

@@ -27,7 +27,6 @@ fn metrics_keep_95_percent_of_the_resident_request_rate() {
                 // Fast sampling, so even short windows land collector
                 // samples.
                 sample_interval: Duration::from_millis(50),
-                ..MetricsConfig::default()
             },
             ..HarnessOptions::default()
         };

@@ -1,7 +1,7 @@
 //! Resilience regressions for the scheduler's server-facing edges:
 //! backpressure rejections and mid-request client disconnects must leave
-//! the shared obligation cache, warm-start generation tracking, and the
-//! write-ahead journal consistent — subsequent requests run normally and
+//! the shared obligation cache, the warm-start contexts that travel with
+//! each retry, and the write-ahead journal consistent — subsequent requests run normally and
 //! the drain accounts for everything.
 
 use std::path::PathBuf;
@@ -292,7 +292,6 @@ fn stats_metrics_prometheus_and_drain_agree() {
                 metrics: MetricsConfig {
                     enabled: true,
                     sample_interval: Duration::from_millis(10),
-                    ..MetricsConfig::default()
                 },
                 ..HarnessOptions::default()
             },

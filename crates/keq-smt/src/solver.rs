@@ -20,7 +20,6 @@ use crate::lower::Lowerer;
 use crate::obcache::{CachedVerdict, SharedObligationCache};
 use crate::rewrite::Rewriter;
 use crate::sat::{Lit, SatBudget, SatOutcome, SatSolver};
-use crate::sort::Sort;
 use crate::term::{Op, TermBank, TermId};
 
 /// Resource budget for a single query.
@@ -40,17 +39,6 @@ pub struct Budget {
 impl Default for Budget {
     fn default() -> Self {
         Budget { max_conflicts: 2_000_000, max_terms: 4_000_000, max_time: None }
-    }
-}
-
-impl Budget {
-    /// A tight budget for tests and corpus sweeps.
-    pub fn tight() -> Self {
-        Budget {
-            max_conflicts: 50_000,
-            max_terms: 400_000,
-            max_time: Some(Duration::from_secs(5)),
-        }
     }
 }
 
@@ -466,11 +454,6 @@ impl Solver {
         self.rewrite_disabled = !on;
     }
 
-    /// Whether obligation normalization is currently applied.
-    pub fn rewrite_enabled(&self) -> bool {
-        !self.rewrite_disabled
-    }
-
     /// Cumulative statistics.
     pub fn stats(&self) -> SolverStats {
         self.stats
@@ -488,11 +471,6 @@ impl Solver {
     /// fingerprinting overhead.
     pub fn set_obligation_cache(&mut self, cache: Option<Arc<SharedObligationCache>>) {
         self.shared = cache;
-    }
-
-    /// The attached shared obligation cache, if any.
-    pub fn obligation_cache(&self) -> Option<&Arc<SharedObligationCache>> {
-        self.shared.as_ref()
     }
 
     /// Consults the shared cache for the obligation `parts` (a conjunction,
@@ -1043,26 +1021,11 @@ fn contains_expensive(bank: &TermBank, root: TermId) -> bool {
     false
 }
 
-/// Returns `true` if `t` mentions any memory-sorted subterm (diagnostics).
-pub fn mentions_memory(bank: &TermBank, root: TermId) -> bool {
-    let mut stack = vec![root];
-    let mut seen = std::collections::HashSet::new();
-    while let Some(t) = stack.pop() {
-        if !seen.insert(t) {
-            continue;
-        }
-        if bank.sort(t) == Sort::Memory || matches!(bank.node(t).op, Op::Select | Op::Store) {
-            return true;
-        }
-        stack.extend(bank.node(t).args.iter().copied());
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, Rate};
+    use crate::sort::Sort;
 
     fn solver() -> Solver {
         Solver::new()

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Offline verification: build, test, lint and document the whole workspace.
+# Offline verification: build, test, lint and document the whole workspace,
+# and check that the benchmark still builds against it.
 # No network access required — the workspace has zero external
 # dependencies (see DESIGN.md §5).
 set -euo pipefail
@@ -7,6 +8,11 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release --workspace --all-targets"
 cargo build --release --workspace --all-targets
+
+# The benchmark is a workspace of its own that builds the product crates
+# by path, so a removed public item breaks it without breaking the above.
+echo "==> cargo check --manifest-path bench/Cargo.toml --all-targets"
+cargo check --manifest-path bench/Cargo.toml --all-targets
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
