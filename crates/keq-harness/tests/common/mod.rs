@@ -27,14 +27,14 @@ pub fn request_ir(corpus: &Module, i: usize) -> String {
 
 /// Validates corpus functions `units` over `conn`, one function per
 /// request tagged `tag_base + i`; returns their verdicts in `units` order,
-/// each with its wire overhead: the client's round trip less the
+/// each with its round trip and its wire overhead: the round trip less the
 /// scheduler's submit-to-verdict `wall_us`.
 fn stream(
     conn: &mut ClientConn,
     corpus: &Module,
     units: &[usize],
     tag_base: u64,
-) -> Vec<(Verdict, Duration)> {
+) -> Vec<(Verdict, Duration, Duration)> {
     let mut out = Vec::with_capacity(units.len());
     for &i in units {
         let sent = Instant::now();
@@ -55,7 +55,7 @@ fn stream(
         assert_eq!(tag, tag_base + i as u64);
         assert_eq!(results.len(), 1, "one function per request module");
         let overhead = round_trip.saturating_sub(Duration::from_micros(results[0].wall_us));
-        out.push(((results[0].result.clone(), results[0].attempts), overhead));
+        out.push(((results[0].result.clone(), results[0].attempts), round_trip, overhead));
     }
     out
 }
@@ -90,7 +90,7 @@ impl Live {
         let run = std::thread::spawn(move || server.run());
         let mut ctl = connect(&addr).expect("connect");
         let all: Vec<usize> = (0..corpus.functions.len()).collect();
-        let first = stream(&mut ctl, corpus, &all, 0).into_iter().map(|(v, _)| v).collect();
+        let first = stream(&mut ctl, corpus, &all, 0).into_iter().map(|(v, ..)| v).collect();
         Live { addr, ctl, run, first, passes: 1 }
     }
 
@@ -105,7 +105,7 @@ impl Live {
         self.passes += 1;
         rows.into_iter()
             .enumerate()
-            .map(|(i, (v, overhead))| {
+            .map(|(i, (v, _, overhead))| {
                 assert_eq!(v, self.first[i], "f{i} drifted from the first pass");
                 overhead
             })
@@ -116,6 +116,7 @@ impl Live {
     /// parallel connections, and returns their wall time. Residency must be
     /// invisible in verdicts, and the passes must discharge at least 74% of
     /// their obligation lookups from the resident cache.
+    #[allow(dead_code)] // `metrics_rate.rs` of the binaries sharing this module does not call it
     pub fn repeat(&mut self, corpus: &Module, rounds: usize, conns: usize) -> Duration {
         let n = corpus.functions.len();
         let (hits_before, misses_before) = cache_counters(&mut self.ctl);
@@ -128,7 +129,7 @@ impl Live {
                     let mut conn = connect(addr).expect("connect");
                     for r in 0..rounds {
                         let verdicts = stream(&mut conn, corpus, &units, ((passes + r) * n) as u64);
-                        for (&i, (v, _)) in units.iter().zip(verdicts) {
+                        for (&i, (v, ..)) in units.iter().zip(verdicts) {
                             assert_eq!(v, first[i], "f{i} drifted from the first pass");
                         }
                     }
@@ -148,6 +149,42 @@ impl Live {
         wall
     }
 
+    /// Streams one more corpus pass through each of two servers over their
+    /// control connections, request by request: function `i` goes to `a`
+    /// first when `i + flip` is even and to `b` first otherwise, so each
+    /// pair of round trips sees the same machine. Returns each function's
+    /// `(a, b)` round trips; the verdicts must match each server's first
+    /// pass.
+    #[allow(dead_code)] // only `metrics_rate.rs` of the binaries sharing this module calls it
+    pub fn paired_pass(
+        a: &mut Live,
+        b: &mut Live,
+        corpus: &Module,
+        flip: bool,
+    ) -> Vec<(Duration, Duration)> {
+        let n = corpus.functions.len();
+        let trip = |live: &mut Live, i: usize| {
+            let rows = stream(&mut live.ctl, corpus, &[i], (live.passes * n) as u64);
+            let (verdict, round_trip, _) = &rows[0];
+            assert_eq!(*verdict, live.first[i], "f{i} drifted from the first pass");
+            *round_trip
+        };
+        let pairs = (0..n)
+            .map(|i| {
+                if (i + usize::from(flip)) % 2 == 0 {
+                    let ta = trip(a, i);
+                    (ta, trip(b, i))
+                } else {
+                    let tb = trip(b, i);
+                    (trip(a, i), tb)
+                }
+            })
+            .collect();
+        a.passes += 1;
+        b.passes += 1;
+        pairs
+    }
+
     /// Shuts the server down, which must account for every submission, and
     /// returns the first pass's verdict table.
     pub fn drain(mut self, corpus: &Module) -> Vec<Verdict> {
@@ -163,4 +200,3 @@ impl Live {
         self.first
     }
 }
-

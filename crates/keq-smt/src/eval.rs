@@ -1,9 +1,12 @@
 //! Concrete evaluation of terms under variable assignments.
 //!
-//! Used for (a) model validation — every `Sat` answer from the solver is
-//! double-checked by evaluating the original formula under the model — and
-//! (b) property tests that compare the symbolic machinery against ground
-//! truth.
+//! Used for (a) model validation: in debug builds, every model the SAT core
+//! finds is checked against the lowered terms it was asked to satisfy (the
+//! session's hard assertions and the query's delta), not against the
+//! original formula; (b) answering a session's feasibility queries from its
+//! earlier models, where the session keeps one [`eval_memo`] value memo
+//! per model for its lifetime; and (c) property tests that compare the symbolic
+//! machinery against ground truth.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -104,6 +107,11 @@ impl Assignment {
         self.values.get(&var)
     }
 
+    /// The assigned variables and their values, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (VarId, &Value)> {
+        self.values.iter().map(|(&v, value)| (v, value))
+    }
+
     /// Sets a variable by name, interning it in `bank` if necessary.
     pub fn set_named(&mut self, bank: &mut TermBank, name: &str, sort: Sort, value: Value) {
         let t = bank.mk_var(name, sort);
@@ -128,84 +136,97 @@ impl Assignment {
 /// Panics if the term DAG is ill-sorted; the [`TermBank`] constructors make
 /// that unreachable for terms built through the public API.
 pub fn eval(bank: &TermBank, term: TermId, assignment: &Assignment) -> Value {
-    let mut cache: HashMap<TermId, Value> = HashMap::new();
-    eval_rec(bank, term, assignment, &mut cache)
+    eval_memo(bank, term, assignment, &mut HashMap::new())
 }
 
-fn eval_rec(
+/// [`eval`] that reads and extends `memo`, the values of terms already
+/// evaluated under the same `assignment`, so a caller evaluating many
+/// terms under one assignment visits each node once.
+///
+/// The walk is iterative, so deep terms cannot overflow the stack, and
+/// lazy: `and`/`or` stop at the first deciding operand and `ite`
+/// evaluates only the branch its condition takes.
+///
+/// # Panics
+///
+/// Panics if the term DAG is ill-sorted, or if `memo` holds values from a
+/// different assignment or bank.
+pub fn eval_memo(
     bank: &TermBank,
     term: TermId,
-    asg: &Assignment,
-    cache: &mut HashMap<TermId, Value>,
+    assignment: &Assignment,
+    memo: &mut HashMap<TermId, Value>,
 ) -> Value {
-    if let Some(v) = cache.get(&term) {
-        return v.clone();
+    let mut stack = vec![term];
+    while let Some(&t) = stack.last() {
+        if memo.contains_key(&t) {
+            stack.pop();
+            continue;
+        }
+        match eval_node(bank, t, assignment, memo) {
+            Ok(value) => {
+                memo.insert(t, value);
+                stack.pop();
+            }
+            Err(operand) => stack.push(operand),
+        }
     }
-    let node = bank.node(term);
-    let arg = |i: usize, cache: &mut HashMap<TermId, Value>| -> Value {
-        eval_rec(bank, node.args[i], asg, cache)
+    memo[&term].clone()
+}
+
+/// The value of `t` when `memo` holds every operand it needs, else the
+/// first operand still missing.
+fn eval_node(
+    bank: &TermBank,
+    t: TermId,
+    asg: &Assignment,
+    memo: &HashMap<TermId, Value>,
+) -> Result<Value, TermId> {
+    let node = bank.node(t);
+    let arg = |i: usize| memo.get(&node.args[i]).ok_or(node.args[i]);
+    let bv = |i: usize| arg(i).map(Value::as_bv);
+    let bin = |f: fn(u32, u128, u128) -> u128| -> Result<Value, TermId> {
+        let ((w, x), (_, y)) = (bv(0)?, bv(1)?);
+        Ok(Value::bv(w, f(w, x, y)))
     };
-    let value = match node.op {
+    let cmp = |f: fn(u32, u128, u128) -> bool| -> Result<Value, TermId> {
+        let ((w, x), (_, y)) = (bv(0)?, bv(1)?);
+        Ok(Value::Bool(f(w, x, y)))
+    };
+    Ok(match node.op {
         Op::BoolConst(b) => Value::Bool(b),
         Op::BvConst { width, value } => Value::bv(width, value),
-        Op::Var(v) => asg
-            .get(v)
-            .cloned()
-            .unwrap_or_else(|| Assignment::default_for(node.sort)),
-        Op::Not => Value::Bool(!arg(0, cache).as_bool()),
-        Op::And => Value::Bool(
-            node.args
-                .clone()
-                .iter()
-                .all(|&a| eval_rec(bank, a, asg, cache).as_bool()),
-        ),
-        Op::Or => Value::Bool(
-            node.args
-                .clone()
-                .iter()
-                .any(|&a| eval_rec(bank, a, asg, cache).as_bool()),
-        ),
-        Op::Xor => Value::Bool(arg(0, cache).as_bool() ^ arg(1, cache).as_bool()),
-        Op::Eq => {
-            let a = arg(0, cache);
-            let b = arg(1, cache);
-            Value::Bool(a == b)
-        }
-        Op::Ite => {
-            if arg(0, cache).as_bool() {
-                arg(1, cache)
-            } else {
-                arg(2, cache)
+        Op::Var(v) => asg.get(v).cloned().unwrap_or_else(|| Assignment::default_for(node.sort)),
+        Op::Not => Value::Bool(!arg(0)?.as_bool()),
+        Op::And | Op::Or => {
+            // The value that decides the connective on its own.
+            let decisive = node.op == Op::Or;
+            for &a in &node.args {
+                match memo.get(&a) {
+                    Some(v) if v.as_bool() == decisive => return Ok(Value::Bool(decisive)),
+                    Some(_) => {}
+                    None => return Err(a),
+                }
             }
+            Value::Bool(!decisive)
         }
+        Op::Xor => Value::Bool(arg(0)?.as_bool() ^ arg(1)?.as_bool()),
+        Op::Eq => Value::Bool(arg(0)? == arg(1)?),
+        Op::Ite => arg(if arg(0)?.as_bool() { 1 } else { 2 })?.clone(),
         Op::BvNot => {
-            let (w, x) = arg(0, cache).as_bv();
+            let (w, x) = bv(0)?;
             Value::bv(w, !x)
         }
         Op::BvNeg => {
-            let (w, x) = arg(0, cache).as_bv();
+            let (w, x) = bv(0)?;
             Value::bv(w, x.wrapping_neg())
         }
-        Op::BvAdd => bv2(arg(0, cache), arg(1, cache), |w, x, y| {
-            mask(w, x.wrapping_add(y))
-        }),
-        Op::BvSub => bv2(arg(0, cache), arg(1, cache), |w, x, y| {
-            mask(w, x.wrapping_sub(y))
-        }),
-        Op::BvMul => bv2(arg(0, cache), arg(1, cache), |w, x, y| {
-            mask(w, x.wrapping_mul(y))
-        }),
-        Op::BvUdiv => bv2(arg(0, cache), arg(1, cache), |w, x, y| {
-            x.checked_div(y).unwrap_or(mask(w, u128::MAX))
-        }),
-        Op::BvUrem => bv2(arg(0, cache), arg(1, cache), |_, x, y| {
-            if y == 0 {
-                x
-            } else {
-                x % y
-            }
-        }),
-        Op::BvSdiv => bv2(arg(0, cache), arg(1, cache), |w, x, y| {
+        Op::BvAdd => bin(|w, x, y| mask(w, x.wrapping_add(y)))?,
+        Op::BvSub => bin(|w, x, y| mask(w, x.wrapping_sub(y)))?,
+        Op::BvMul => bin(|w, x, y| mask(w, x.wrapping_mul(y)))?,
+        Op::BvUdiv => bin(|w, x, y| x.checked_div(y).unwrap_or(mask(w, u128::MAX)))?,
+        Op::BvUrem => bin(|_, x, y| if y == 0 { x } else { x % y })?,
+        Op::BvSdiv => bin(|w, x, y| {
             let xs = to_signed(w, x);
             let ys = to_signed(w, y);
             let r = if ys == 0 {
@@ -220,8 +241,8 @@ fn eval_rec(
                 xs.wrapping_div(ys)
             };
             mask(w, r as u128)
-        }),
-        Op::BvSrem => bv2(arg(0, cache), arg(1, cache), |w, x, y| {
+        })?,
+        Op::BvSrem => bin(|w, x, y| {
             let xs = to_signed(w, x);
             let ys = to_signed(w, y);
             let r = if ys == 0 {
@@ -232,82 +253,41 @@ fn eval_rec(
                 xs.wrapping_rem(ys)
             };
             mask(w, r as u128)
-        }),
-        Op::BvAnd => bv2(arg(0, cache), arg(1, cache), |_, x, y| x & y),
-        Op::BvOr => bv2(arg(0, cache), arg(1, cache), |_, x, y| x | y),
-        Op::BvXor => bv2(arg(0, cache), arg(1, cache), |_, x, y| x ^ y),
-        Op::BvShl => bv2(arg(0, cache), arg(1, cache), |w, x, k| {
-            if k >= u128::from(w) {
-                0
-            } else {
-                mask(w, x << k)
-            }
-        }),
-        Op::BvLshr => bv2(arg(0, cache), arg(1, cache), |w, x, k| {
-            if k >= u128::from(w) {
-                0
-            } else {
-                x >> k
-            }
-        }),
-        Op::BvAshr => bv2(arg(0, cache), arg(1, cache), |w, x, k| {
+        })?,
+        Op::BvAnd => bin(|_, x, y| x & y)?,
+        Op::BvOr => bin(|_, x, y| x | y)?,
+        Op::BvXor => bin(|_, x, y| x ^ y)?,
+        Op::BvShl => bin(|w, x, k| if k >= u128::from(w) { 0 } else { mask(w, x << k) })?,
+        Op::BvLshr => bin(|w, x, k| if k >= u128::from(w) { 0 } else { x >> k })?,
+        Op::BvAshr => bin(|w, x, k| {
             let xs = to_signed(w, x);
             let k = k.min(u128::from(w - 1)) as u32;
             mask(w, (xs >> k) as u128)
-        }),
-        Op::BvUlt => cmp2(arg(0, cache), arg(1, cache), |_, x, y| x < y),
-        Op::BvUle => cmp2(arg(0, cache), arg(1, cache), |_, x, y| x <= y),
-        Op::BvSlt => cmp2(arg(0, cache), arg(1, cache), |w, x, y| {
-            to_signed(w, x) < to_signed(w, y)
-        }),
-        Op::BvSle => cmp2(arg(0, cache), arg(1, cache), |w, x, y| {
-            to_signed(w, x) <= to_signed(w, y)
-        }),
-        Op::ZeroExt(to) => {
-            let (_, x) = arg(0, cache).as_bv();
-            Value::bv(to, x)
-        }
+        })?,
+        Op::BvUlt => cmp(|_, x, y| x < y)?,
+        Op::BvUle => cmp(|_, x, y| x <= y)?,
+        Op::BvSlt => cmp(|w, x, y| to_signed(w, x) < to_signed(w, y))?,
+        Op::BvSle => cmp(|w, x, y| to_signed(w, x) <= to_signed(w, y))?,
+        Op::ZeroExt(to) => Value::bv(to, bv(0)?.1),
         Op::SignExt(to) => {
-            let (w, x) = arg(0, cache).as_bv();
+            let (w, x) = bv(0)?;
             Value::bv(to, to_signed(w, x) as u128)
         }
-        Op::Extract { hi, lo } => {
-            let (_, x) = arg(0, cache).as_bv();
-            Value::bv(hi - lo + 1, x >> lo)
-        }
+        Op::Extract { hi, lo } => Value::bv(hi - lo + 1, bv(0)?.1 >> lo),
         Op::Concat => {
-            let (wh, xh) = arg(0, cache).as_bv();
-            let (wl, xl) = arg(1, cache).as_bv();
+            let ((wh, xh), (wl, xl)) = (bv(0)?, bv(1)?);
             Value::bv(wh + wl, (xh << wl) | xl)
         }
         Op::Select => {
-            let mem = arg(0, cache);
-            let (_, addr) = arg(1, cache).as_bv();
+            let (mem, (_, addr)) = (arg(0)?, bv(1)?);
             Value::bv(8, u128::from(mem.as_mem().read(addr as u64)))
         }
         Op::Store => {
-            let mem = arg(0, cache).as_mem().clone();
-            let (_, addr) = arg(1, cache).as_bv();
-            let (_, byte) = arg(2, cache).as_bv();
-            Value::Mem(mem.write(addr as u64, byte as u8))
+            let (mem, (_, addr), (_, byte)) = (arg(0)?, bv(1)?, bv(2)?);
+            Value::Mem(mem.as_mem().clone().write(addr as u64, byte as u8))
         }
-    };
-    cache.insert(term, value.clone());
-    value
+    })
 }
-
-fn bv2(a: Value, b: Value, f: impl FnOnce(u32, u128, u128) -> u128) -> Value {
-    let (w, x) = a.as_bv();
-    let (_, y) = b.as_bv();
-    Value::bv(w, f(w, x, y))
-}
-
-fn cmp2(a: Value, b: Value, f: impl FnOnce(u32, u128, u128) -> bool) -> Value {
-    let (w, x) = a.as_bv();
-    let (_, y) = b.as_bv();
-    Value::Bool(f(w, x, y))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -110,7 +110,10 @@ impl StoreIo for StdStoreIo {
 /// - 2: saturating obligation normalization ([`crate::rewrite`]) runs before
 ///   fingerprinting, so revision-1 fingerprints name pre-rewrite shapes and
 ///   must not be mixed with post-rewrite ones.
-pub const SEMANTICS_REVISION: u64 = 2;
+/// - 3: the rewriter turns the signed-add overflow check
+///   `sext(x) = sext(x + y) - sext(y)` into `(x + y <s y) = (x <s 0)`, so
+///   obligations containing it normalize, and fingerprint, differently.
+pub const SEMANTICS_REVISION: u64 = 3;
 
 /// On-disk container format version (layout of header/records, not the
 /// meaning of fingerprints — that is [`SEMANTICS_REVISION`]).

@@ -17,7 +17,8 @@
 //!   absorption, `0 - x`, shifts of zero, unsigned/signed comparison
 //!   bounds, multiplication by a power of two.
 //! * **cancel** — cancellation through one level of structure:
-//!   `a ⊕ (a ⊕ b)`, `(x + y) - x`, `x = x + y`, `a = ¬a`.
+//!   `a ⊕ (a ⊕ b)`, `(x + y) - x`, `x = x + y`, `a = ¬a`, and the
+//!   signed-overflow check `sext(x) = sext(x + y) - sext(y)`.
 //! * **width** — extension/extraction/concatenation collapsing:
 //!   `sext∘sext`, `sext∘zext`, extracts spanning an extension or
 //!   concatenation boundary, concatenation of adjacent slices.
@@ -691,10 +692,42 @@ fn cancel_laws(bank: &mut TermBank, t: TermId) -> Option<TermId> {
                     _ => {}
                 }
             }
-            None
+            [(a, b), (b, a)].into_iter().find_map(|(x, y)| no_signed_overflow(bank, x, y))
         }
         _ => None,
     }
+}
+
+/// `sext(x) = sext(x + y) - sext(y)` → `(x + y <s y) = (x <s 0)`, for
+/// either operand order of the sum and any extension of one bit or more;
+/// `None` when `lhs = rhs` has another shape.
+///
+/// The extended difference equals `sext(x)` exactly when `x + y` does not
+/// overflow as a signed sum, and that is exactly when the sum's order
+/// against `y` agrees with the sign of `x`. The right side shares its
+/// comparison with a path condition's own `x + y <s y`, where the left
+/// side would blast a subtractor one bit wider than the sum.
+fn no_signed_overflow(bank: &mut TermBank, lhs: TermId, rhs: TermId) -> Option<TermId> {
+    let is_sext = |bank: &TermBank, t: TermId| matches!(node_op(bank, t), Op::SignExt(_));
+    if !is_sext(bank, lhs) || node_op(bank, rhs) != Op::BvSub {
+        return None;
+    }
+    let (ext_sum, ext_y) = (arg(bank, rhs, 0), arg(bank, rhs, 1));
+    if !is_sext(bank, ext_sum) || !is_sext(bank, ext_y) {
+        return None;
+    }
+    let (x, sum, y) = (arg(bank, lhs, 0), arg(bank, ext_sum, 0), arg(bank, ext_y, 0));
+    if node_op(bank, sum) != Op::BvAdd {
+        return None;
+    }
+    let (p, q) = (arg(bank, sum, 0), arg(bank, sum, 1));
+    if (p, q) != (x, y) && (p, q) != (y, x) {
+        return None;
+    }
+    let zero = bank.mk_bv(bank.width(x), 0);
+    let wraps = bank.mk_bvslt(sum, y);
+    let negative = bank.mk_bvslt(x, zero);
+    Some(bank.mk_eq(wraps, negative))
 }
 
 /// Identity/absorption/annihilator laws beyond the binary constructors.
@@ -955,7 +988,9 @@ fn ite_laws(bank: &mut TermBank, t: TermId) -> Option<TermId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{eval, Assignment, Value};
+    use std::collections::HashMap;
+
+    use crate::eval::{eval, eval_memo, Assignment, Value};
     use crate::sort::Sort;
 
     fn normalize1(bank: &mut TermBank, t: TermId) -> TermId {
@@ -1233,6 +1268,47 @@ mod tests {
         token.cancel();
         let mut rw = Rewriter::new();
         assert!(rw.normalize(&mut bank, &[t], Some(&token)).is_none());
+    }
+
+    #[test]
+    fn signed_add_overflow_check_takes_its_comparison_form() {
+        // `x` as either operand of the sum, extensions of 1, 2 and 5 bits,
+        // and every 8-bit operand pair (the pairs cover both orders, so
+        // the law is evaluated for the first).
+        let mut bank = TermBank::new();
+        let x = bank.mk_var("x", Sort::BitVec(8));
+        let y = bank.mk_var("y", Sort::BitVec(8));
+        let (Op::Var(vx_id), Op::Var(vy_id)) = (node_op(&bank, x), node_op(&bank, y)) else {
+            unreachable!("variables")
+        };
+        let sum = bank.mk_bvadd(x, y);
+        let zero = bank.mk_bv(8, 0);
+        for to in [9, 10, 13] {
+            for (a, b) in [(x, y), (y, x)] {
+                let (ea, esum, eb) =
+                    (bank.mk_sext(a, to), bank.mk_sext(sum, to), bank.mk_sext(b, to));
+                let diff = bank.mk_bvsub(esum, eb);
+                let check = bank.mk_eq(ea, diff);
+                let (wraps, negative) = (bank.mk_bvslt(sum, b), bank.mk_bvslt(a, zero));
+                let expected = bank.mk_eq(wraps, negative);
+                assert_eq!(normalize1(&mut bank, check), expected, "sext to {to}");
+                if a == y {
+                    continue;
+                }
+                let law = bank.mk_eq(check, expected);
+                let (mut asg, mut memo) = (Assignment::new(), HashMap::new());
+                for (vx, vy) in (0..256u128).flat_map(|vx| (0..256u128).map(move |vy| (vx, vy))) {
+                    asg.set(vx_id, Value::bv(8, vx));
+                    asg.set(vy_id, Value::bv(8, vy));
+                    memo.clear();
+                    assert_eq!(
+                        eval_memo(&bank, law, &asg, &mut memo),
+                        Value::Bool(true),
+                        "sext to {to}, x = {vx}, y = {vy}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,17 +15,25 @@
 //! model must actually satisfy its own query — checked modulo assignment
 //! (different search orders pick different models) by re-asserting the
 //! model's `name = value` bindings next to the query in a fresh solver and
-//! demanding Sat. A final leg pins the fault-injection contract: under an
+//! demanding Sat. A mixed leg interleaves feasibility queries (which a
+//! session may answer from an earlier model), model-needing queries and
+//! proofs over a byte pinned in memory, and checks each against a scratch
+//! `check_sat`. A final leg pins the fault-injection contract: under an
 //! installed `ForceBudget` plan (the [`keq_smt::fault::FaultSite::SolverQuery`]
 //! site fires at every poll) both paths report the identical `Budget`
 //! outcome.
 
 use keq_prng::Prng;
 use keq_smt::fault::{self, FaultPlan, Rate};
-use keq_smt::{BudgetKind, CheckOutcome, Model, Solver, Sort, TermBank, TermId, Value};
+use keq_smt::{
+    BudgetKind, CheckOutcome, Model, ProofOutcome, Solver, Sort, TermBank, TermId, Value,
+};
 
 const WIDTH: u32 = 8;
 const TRIALS: u64 = 32;
+/// The mixed-query campaign runs more trials: a model that breaks a side
+/// condition only answers wrongly when the delta pins the new read.
+const MIXED_TRIALS: u64 = 128;
 
 /// The shared variable pool of one trial.
 struct Pool {
@@ -204,6 +212,97 @@ fn session_batches_agree_with_scratch_solvers() {
             }
         }
     }
+}
+
+/// One query of a mixed session batch.
+enum Query {
+    /// `is_feasible(delta)`: needs no model, so a session model may answer.
+    Feasible(Vec<TermId>),
+    /// `check_sat(delta)`: needs a model.
+    CheckSat(Vec<TermId>),
+    /// `prove_implies(hyps, goal)`: a refutation needs a countermodel.
+    Prove(Vec<TermId>, TermId),
+}
+
+/// Sessions that interleave feasibility queries, model-needing queries and
+/// proofs over memory reads must answer each like a scratch `check_sat`
+/// of the whole conjunction, whether the SAT core or one of the session's
+/// earlier models answered. The campaign must also take the model path.
+#[test]
+fn mixed_session_queries_agree_with_scratch_check_sat() {
+    let mut model_hits = 0;
+    for seed in 0..MIXED_TRIALS {
+        let mut rng = Prng::seed_from_u64(0x30de_1000 ^ seed);
+        let mut bank = TermBank::new();
+        let mut pool = Pool::new(&mut bank);
+        let prefix_len = rng.below(3);
+        let mut prefix = gen_assertions(&mut rng, &mut bank, &pool, prefix_len);
+        // A nonzero byte pinned in memory at `x0 = k`, and `k` in the
+        // operand pool: a model that leaves a later read at `k` at its
+        // default 0 breaks that read's Ackermann side condition.
+        let k = bank.mk_bv(WIDTH, rng.below(1 << WIDTH) as u128);
+        pool.bvs.push(k);
+        let at_k = bank.mk_eq(pool.bvs[0], k);
+        let addr = bank.mk_zext(pool.bvs[0], 64);
+        let read = bank.mk_select(pool.mem, addr);
+        let byte = bank.mk_bv(WIDTH, 1 + rng.below((1 << WIDTH) - 1) as u128);
+        prefix.push(at_k);
+        prefix.push(bank.mk_eq(read, byte));
+        let batch: Vec<Query> = (0..4 + rng.below(6))
+            .map(|_| {
+                let delta_len = 1 + rng.below(2);
+                let delta = gen_assertions(&mut rng, &mut bank, &pool, delta_len);
+                match rng.below(4) {
+                    0 => Query::CheckSat(delta),
+                    1 => Query::Prove(delta, gen_bool(&mut rng, &mut bank, &pool, 3)),
+                    _ => Query::Feasible(delta),
+                }
+            })
+            .collect();
+
+        let mut session_solver = Solver::new();
+        let mut session = session_solver.open_session(&prefix);
+        for (i, query) in batch.iter().enumerate() {
+            let who = format!("seed {seed} query {i}");
+            let mut full = prefix.clone();
+            let answer = match query {
+                Query::Feasible(delta) => {
+                    full.extend_from_slice(delta);
+                    match session.feasibility(&mut bank, delta) {
+                        Ok(true) => Kind::Sat,
+                        Ok(false) => Kind::Unsat,
+                        Err(k) => Kind::Budget(k),
+                    }
+                }
+                Query::CheckSat(delta) => {
+                    full.extend_from_slice(delta);
+                    let outcome = session.check_sat(&mut bank, delta);
+                    if let CheckOutcome::Sat(m) = &outcome {
+                        assert_model_satisfies(&mut bank, &full, m, &who);
+                    }
+                    kind(&outcome)
+                }
+                Query::Prove(hyps, goal) => {
+                    full.extend_from_slice(hyps);
+                    full.push(bank.mk_not(*goal));
+                    match session.prove_implies(&mut bank, hyps, *goal) {
+                        ProofOutcome::Proved => Kind::Unsat,
+                        ProofOutcome::Refuted(m) => {
+                            assert_model_satisfies(&mut bank, &full, &m, &who);
+                            Kind::Sat
+                        }
+                        ProofOutcome::Budget(k) => Kind::Budget(k),
+                    }
+                }
+            };
+            let scratch = Solver::new().check_sat(&mut bank, &full);
+            assert_eq!(answer, kind(&scratch), "{who}: session and scratch disagree");
+        }
+        drop(session);
+        model_hits += session_solver.stats().model_hits;
+    }
+    eprintln!("feasibility queries answered by a session model: {model_hits}");
+    assert!(model_hits > 0, "no feasibility query was answered by a session model");
 }
 
 /// The rewriter leg of the differential: the same seeded batches must

@@ -233,7 +233,13 @@ counter_table! {
         sat "sat" [] "Queries answered `Sat`.",
         unsat "unsat" [] "Queries answered `Unsat`.",
         budget "budget" [] "Queries that exhausted a budget, were cancelled, or were faulted.",
+        model_hits "model_hits" []
+            "Feasibility queries answered `Sat` by one of their session's earlier models, \
+             without bit-blasting the delta or running CDCL (also counted in `sat`).",
         conflicts "conflicts" [CdclConflicts] "Total CDCL conflicts.",
+        budget_conflicts "budget_conflicts" []
+            "CDCL conflicts spent in calls that ended in a budget outcome (also counted in \
+             `conflicts`).",
         restarts "restarts" [CdclRestarts] "Total CDCL restarts.",
         cache_hits "cache_hits" [] "Queries answered from the solver's local memo.",
         cache_evictions "cache_evictions" [] "Entries evicted from the bounded local memo.",

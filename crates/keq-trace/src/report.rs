@@ -35,8 +35,11 @@ use crate::json::{self, Json};
 /// corpus under ISel, regalloc, and GVN reports each pass's Fig. 6 row
 /// separately; v8 dropped the `server` section, which no run ever filled:
 /// a report describes a batch run, and a server's request counters travel
-/// live in the `stats` and `metrics` ops and its drain line.
-pub const REPORT_SCHEMA: &str = "keq-run-report/v8";
+/// live in the `stats` and `metrics` ops and its drain line; v9 added the
+/// solver counters `model_hits` (feasibility queries answered by a
+/// session's earlier model) and `budget_conflicts` (conflicts spent in
+/// calls that ended in a budget outcome).
+pub const REPORT_SCHEMA: &str = "keq-run-report/v9";
 
 impl OutcomeTable {
     /// Serializes the table as one compact JSON object (the form the bench
@@ -771,7 +774,9 @@ mod tests {
                 sat: 22,
                 unsat: 17,
                 budget: 1,
+                model_hits: 8,
                 conflicts: 90,
+                budget_conflicts: 40,
                 restarts: 3,
                 cache_hits: 6,
                 cache_evictions: 2,

@@ -68,7 +68,9 @@ fn golden_report() -> RunReport {
             sat: 22,
             unsat: 17,
             budget: 1,
+            model_hits: 8,
             conflicts: 90,
+            budget_conflicts: 40,
             restarts: 3,
             cache_hits: 6,
             cache_evictions: 2,
