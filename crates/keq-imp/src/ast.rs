@@ -115,67 +115,6 @@ impl ImpProgram {
         self.result.vars(&mut vars);
         vars
     }
-
-    /// Concrete reference semantics (for differential testing).
-    pub fn eval(&self, inputs: &[i32], fuel: &mut u64) -> Option<i32> {
-        use std::collections::BTreeMap;
-        let mut env: BTreeMap<String, i32> = BTreeMap::new();
-        for v in self.all_vars() {
-            env.insert(v, 0);
-        }
-        for (n, v) in self.inputs.iter().zip(inputs) {
-            env.insert(n.clone(), *v);
-        }
-        fn eexpr(e: &Expr, env: &std::collections::BTreeMap<String, i32>) -> i32 {
-            match e {
-                Expr::Var(v) => env[v],
-                Expr::Const(c) => *c,
-                Expr::Add(a, b) => eexpr(a, env).wrapping_add(eexpr(b, env)),
-                Expr::Sub(a, b) => eexpr(a, env).wrapping_sub(eexpr(b, env)),
-                Expr::Mul(a, b) => eexpr(a, env).wrapping_mul(eexpr(b, env)),
-                Expr::Lt(a, b) => {
-                    i32::from((eexpr(a, env) as u32) < (eexpr(b, env) as u32))
-                }
-            }
-        }
-        fn estmts(
-            stmts: &[Stmt],
-            env: &mut std::collections::BTreeMap<String, i32>,
-            fuel: &mut u64,
-        ) -> Option<()> {
-            for s in stmts {
-                if *fuel == 0 {
-                    return None;
-                }
-                *fuel -= 1;
-                match s {
-                    Stmt::Assign(x, e) => {
-                        let v = eexpr(e, env);
-                        env.insert(x.clone(), v);
-                    }
-                    Stmt::If(c, t, f) => {
-                        if eexpr(c, env) != 0 {
-                            estmts(t, env, fuel)?;
-                        } else {
-                            estmts(f, env, fuel)?;
-                        }
-                    }
-                    Stmt::While(c, b) => {
-                        while eexpr(c, env) != 0 {
-                            if *fuel == 0 {
-                                return None;
-                            }
-                            *fuel -= 1;
-                            estmts(b, env, fuel)?;
-                        }
-                    }
-                }
-            }
-            Some(())
-        }
-        estmts(&self.body, &mut env, fuel)?;
-        Some(eexpr(&self.result, &env))
-    }
 }
 
 impl fmt::Display for Expr {
@@ -194,6 +133,7 @@ impl fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use keq_semantics::Outcome;
 
     /// `sum = 0; i = 0; while (i < n) { sum = sum + i; i = i + 1 }; sum`.
     pub fn sum_to_n() -> ImpProgram {
@@ -215,12 +155,12 @@ mod tests {
     }
 
     #[test]
-    fn reference_semantics() {
-        let p = sum_to_n();
-        let mut fuel = 10_000;
-        assert_eq!(p.eval(&[5], &mut fuel), Some(10));
-        let mut fuel = 10_000;
-        assert_eq!(p.eval(&[0], &mut fuel), Some(0));
+    fn runs_concretely() {
+        let sem = crate::ImpSemantics::new(crate::compile::flatten(&sum_to_n()));
+        for (n, sum) in [(5, 10), (0, 0)] {
+            let out = sem.run(&[n], 10_000).expect("runs");
+            assert!(matches!(out, Outcome::Returned { ret: Some(r), .. } if r == sum), "{out:?}");
+        }
     }
 
     #[test]

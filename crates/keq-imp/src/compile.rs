@@ -210,57 +210,11 @@ fn compute_depths(ops: &[StackOp]) -> Vec<u32> {
     depth
 }
 
-/// Concrete stack-machine interpreter (for differential testing).
-pub fn run_stack(f: &StackFn, inputs: &[(String, i32)], fuel: &mut u64) -> Option<i32> {
-    use std::collections::BTreeMap;
-    let mut vars: BTreeMap<String, i32> = f.vars.iter().map(|v| (v.clone(), 0)).collect();
-    for (n, v) in inputs {
-        vars.insert(n.clone(), *v);
-    }
-    let mut stack: Vec<i32> = Vec::new();
-    let mut pc = 0usize;
-    loop {
-        if *fuel == 0 {
-            return None;
-        }
-        *fuel -= 1;
-        match &f.ops[pc] {
-            StackOp::Push(c) => stack.push(*c),
-            StackOp::Load(v) => stack.push(vars[v]),
-            StackOp::Store(v) => {
-                let t = stack.pop().expect("stack underflow");
-                vars.insert(v.clone(), t);
-            }
-            StackOp::Add => bin(&mut stack, i32::wrapping_add),
-            StackOp::Sub => bin(&mut stack, i32::wrapping_sub),
-            StackOp::Mul => bin(&mut stack, i32::wrapping_mul),
-            StackOp::Lt => bin(&mut stack, |a, b| i32::from((a as u32) < (b as u32))),
-            StackOp::Jz(t) => {
-                let c = stack.pop().expect("stack underflow");
-                if c == 0 {
-                    pc = *t;
-                    continue;
-                }
-            }
-            StackOp::Jmp(t) => {
-                pc = *t;
-                continue;
-            }
-            StackOp::Ret => return stack.pop(),
-        }
-        pc += 1;
-    }
-}
-
-fn bin(stack: &mut Vec<i32>, f: impl Fn(i32, i32) -> i32) {
-    let b = stack.pop().expect("stack underflow");
-    let a = stack.pop().expect("stack underflow");
-    stack.push(f(a, b));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ImpSemantics, StackSemantics};
+    use keq_semantics::Outcome;
 
     fn sum_to_n() -> ImpProgram {
         ImpProgram {
@@ -281,14 +235,13 @@ mod tests {
     }
 
     #[test]
-    fn compiled_code_agrees_with_reference() {
+    fn compiled_code_agrees_with_source() {
         let p = sum_to_n();
-        let sf = compile(&p);
+        let imp = ImpSemantics::new(flatten(&p));
+        let stack = StackSemantics::new(compile(&p));
         for n in 0..10 {
-            let mut fuel = 100_000;
-            let want = p.eval(&[n], &mut fuel);
-            let mut fuel = 100_000;
-            let got = run_stack(&sf, &[("n".into(), n)], &mut fuel);
+            let want = imp.run(&[n], 100_000).expect("runs");
+            let got = stack.run(&[("n".into(), n)], 100_000).expect("runs");
             assert_eq!(want, got, "n = {n}");
         }
     }
@@ -323,10 +276,10 @@ mod tests {
             )],
             result: Expr::var("y"),
         };
-        let sf = compile(&p);
-        let mut fuel = 1000;
-        assert_eq!(run_stack(&sf, &[("x".into(), 5)], &mut fuel), Some(1));
-        let mut fuel = 1000;
-        assert_eq!(run_stack(&sf, &[("x".into(), 50)], &mut fuel), Some(2));
+        let stack = StackSemantics::new(compile(&p));
+        for (x, y) in [(5, 1), (50, 2)] {
+            let out = stack.run(&[("x".into(), x)], 1000).expect("runs");
+            assert!(matches!(out, Outcome::Returned { ret: Some(r), .. } if r == y), "{out:?}");
+        }
     }
 }

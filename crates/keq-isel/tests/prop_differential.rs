@@ -1,8 +1,7 @@
 //! Randomized differential testing of the Instruction Selection pass: for
-//! seeded random generator configurations and random inputs, the LLVM
-//! interpreter and the Virtual x86 interpreter must agree on return value,
-//! final memory, and trap kind — and the same holds *after* register
-//! allocation.
+//! seeded random generator configurations and random inputs, the LLVM and
+//! Virtual x86 semantics, run concretely, must agree on return value and
+//! trap kind — and the same holds *after* register allocation.
 //!
 //! This is the independent oracle backing KEQ's verdicts: if ISel or the
 //! allocator were wrong in a way the sync points failed to expose, this
@@ -11,36 +10,26 @@
 use std::collections::BTreeMap;
 
 use keq_isel::{allocate, allocate_with_options, select, IselOptions, RaMap, RaOptions};
-use keq_llvm::interp::{default_ext_call, run_function, CValue};
-use keq_llvm::{Layout, Trap};
+use keq_llvm::{Layout, LlvmSemantics};
 use keq_prng::Prng;
-use keq_vx86::{run_vx_function, VxFunction, VxTrap};
+use keq_semantics::Outcome;
+use keq_vx86::{VxFunction, VxSemantics};
 use keq_workload::{generate_corpus, GenConfig};
 
-fn run_vx(func: &VxFunction, layout: &Layout, args: &[u128]) -> Result<Option<u128>, VxTrap> {
+fn run_vx(func: &VxFunction, layout: &Layout, args: &[u128]) -> Outcome {
     run_vx_spilled(func, layout, &RaMap::default(), args)
 }
 
 /// Runs allocated code whose address space includes the spill frame (when
 /// the allocation spilled).
-fn run_vx_spilled(
-    func: &VxFunction,
-    layout: &Layout,
-    map: &RaMap,
-    args: &[u128],
-) -> Result<Option<u128>, VxTrap> {
+fn run_vx_spilled(func: &VxFunction, layout: &Layout, map: &RaMap, args: &[u128]) -> Outcome {
     let globals: BTreeMap<String, u64> =
         layout.globals.iter().map(|(k, v)| (k.clone(), *v)).collect();
-    let ext = |callee: &str, args: &[u128]| {
-        let cvals: Vec<CValue> = args.iter().map(|&a| CValue::new(32, a)).collect();
-        default_ext_call(callee, &cvals)
-    };
     let mut mem_layout = layout.mem.clone();
     if let Some((base, size)) = map.spill_frame() {
         mem_layout.add_region("<spill>", base, size);
     }
-    let mut mem = keq_smt::MemValue::default();
-    run_vx_function(func, &mem_layout, &globals, args, &mut mem, 400_000, &ext)
+    VxSemantics::new(func, mem_layout, globals).run(args, 400_000).expect("runs")
 }
 
 #[test]
@@ -56,45 +45,31 @@ fn isel_and_regalloc_agree_with_source() {
         let Ok(out) = select(&module, f, &layout, IselOptions::default()) else {
             continue; // unsupported fragment
         };
-        let args: Vec<CValue> = f
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, _)| CValue::new(32, a + b * i as u128))
-            .collect();
-        let raw: Vec<u128> = args.iter().map(|x| x.bits).collect();
-        let mut lmem = keq_smt::MemValue::default();
-        let lres = run_function(&module, f, &layout, &args, &mut lmem, 200_000, &default_ext_call);
+        let raw: Vec<u128> =
+            (0..f.params.len()).map(|i| (a + b * i as u128) & 0xffff_ffff).collect();
+        let lres = LlvmSemantics::with_layout(&module, f, layout.clone())
+            .run(&raw, 200_000)
+            .expect("source runs");
         let rres = run_vx(&out.func, &layout, &raw);
         match (&lres, &rres) {
-            (Ok(lv), Ok(rv)) => {
-                assert_eq!(&lv.map(|v| v.bits), rv, "case {case}: isel return mismatch")
+            (Outcome::Returned { ret: l, .. }, Outcome::Returned { ret: r, .. }) => {
+                assert_eq!(l, r, "case {case}: isel return mismatch")
             }
-            (Err(Trap::DivByZero), Err(VxTrap::DivByZero)) => {}
-            (Err(Trap::OutOfBounds(_)), Err(VxTrap::OutOfBounds(_))) => {}
-            (Err(Trap::Fuel), Err(VxTrap::Fuel)) => continue,
+            (Outcome::Error(l), Outcome::Error(r)) if l == r => {}
+            (Outcome::OutOfFuel, Outcome::OutOfFuel) => continue,
             (l, r) => panic!("case {case}: isel diverged: {l:?} vs {r:?}"),
         }
         // Through register allocation, behavior is still identical.
         if let Ok((post, map)) = allocate(&out.func) {
             let pres = run_vx_spilled(&post, &layout, &map, &raw);
-            match (&rres, &pres) {
-                (Ok(x), Ok(y)) => assert_eq!(x, y, "case {case}: regalloc return mismatch"),
-                (Err(VxTrap::Fuel), _) | (_, Err(VxTrap::Fuel)) => {}
-                (Err(x), Err(y)) => assert_eq!(
-                    std::mem::discriminant(x),
-                    std::mem::discriminant(y),
-                    "case {case}: regalloc trap mismatch: {x:?} vs {y:?}"
-                ),
-                (l, r) => panic!("case {case}: regalloc diverged: {l:?} vs {r:?}"),
-            }
+            same_behaviour(&rres, &pres, &format!("case {case}: regalloc"));
         }
     }
 }
 
 /// Spilled and spill-free allocations of the same function are
 /// observationally identical: shrinking the colorer's pool to two registers
-/// forces heavy spilling, and the concrete interpreter must still agree
+/// forces heavy spilling, and concrete execution must still agree
 /// with the spill-free allocation on every seeded input.
 #[test]
 fn spilled_and_spill_free_allocations_agree() {
@@ -122,16 +97,20 @@ fn spilled_and_spill_free_allocations_agree() {
         }
         let fres = run_vx_spilled(&free, &layout, &free_map, &raw);
         let sres = run_vx_spilled(&spilled, &layout, &spill_map, &raw);
-        match (&fres, &sres) {
-            (Ok(x), Ok(y)) => assert_eq!(x, y, "case {case}: spill return mismatch"),
-            (Err(VxTrap::Fuel), _) | (_, Err(VxTrap::Fuel)) => {}
-            (Err(x), Err(y)) => assert_eq!(
-                std::mem::discriminant(x),
-                std::mem::discriminant(y),
-                "case {case}: spill trap mismatch: {x:?} vs {y:?}"
-            ),
-            (l, r) => panic!("case {case}: spill diverged: {l:?} vs {r:?}"),
-        }
+        same_behaviour(&fres, &sres, &format!("case {case}: spill"));
     }
     assert!(spilled_cases > 0, "the forced-spill leg never actually spilled");
+}
+
+/// Two runs of allocated code return the same value or reach the same
+/// error; a run out of fuel on either side compares nothing.
+fn same_behaviour(x: &Outcome, y: &Outcome, what: &str) {
+    match (x, y) {
+        (Outcome::Returned { ret: x, .. }, Outcome::Returned { ret: y, .. }) => {
+            assert_eq!(x, y, "{what} return mismatch")
+        }
+        (Outcome::OutOfFuel, _) | (_, Outcome::OutOfFuel) => {}
+        (Outcome::Error(x), Outcome::Error(y)) => assert_eq!(x, y, "{what} trap mismatch"),
+        (l, r) => panic!("{what} diverged: {l:?} vs {r:?}"),
+    }
 }

@@ -9,8 +9,10 @@
 use std::collections::BTreeMap;
 
 use keq_semantics::MemLayout;
+use keq_smt::sort::{mask, to_signed};
 
-use crate::ast::{Function, Instr, Module};
+use crate::ast::{Function, Instr, Module, Operand};
+use crate::types::Type;
 
 /// Base address of the first global.
 pub const GLOBAL_BASE: u64 = 0x0001_0000;
@@ -73,6 +75,37 @@ impl Layout {
     }
 }
 
+/// Byte offset of a `getelementptr` into `base_ty` whose indices are all
+/// integer constants, each sign-extended from its type, as LLVM does.
+///
+/// `None` when an index is not a constant, a struct index is out of range,
+/// or an index steps into a scalar.
+pub fn const_gep_offset(base_ty: &Type, indices: &[(Type, Operand)]) -> Option<i64> {
+    let mut offset = 0i64;
+    let mut cur = base_ty;
+    for (k, (ity, idx)) in indices.iter().enumerate() {
+        let Operand::Const(c) = idx else { return None };
+        let w = ity.value_bits();
+        let i = to_signed(w, mask(w, *c as u128)) as i64;
+        let step = match cur {
+            _ if k == 0 => cur.store_bytes() as i64 * i,
+            Type::Array(_, elem) => {
+                cur = elem;
+                elem.store_bytes() as i64 * i
+            }
+            Type::Struct(fields) => {
+                let fi = usize::try_from(i).ok().filter(|&fi| fi < fields.len())?;
+                let field = cur.field_offset(fi) as i64;
+                cur = &fields[fi];
+                field
+            }
+            _ => return None,
+        };
+        offset = offset.wrapping_add(step);
+    }
+    Some(offset)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,6 +135,38 @@ define void @f() {
         assert_eq!(y, FRAME_BASE + 8);
         assert_eq!(layout.frame_size, 24);
         assert_eq!(layout.mem.regions.len(), 3);
+    }
+
+    #[test]
+    fn const_gep_offsets_through_nested_arrays_and_structs() {
+        // [2 x {i8, [3 x i16], i32}]: elements of 11 bytes, the array field
+        // at byte 1, the i32 at byte 7.
+        let elem = Type::Struct(vec![Type::I8, Type::Array(3, Box::new(Type::I16)), Type::I32]);
+        let ty = Type::Array(2, Box::new(elem));
+        let gep = |idx: &[(Type, i128)]| {
+            let idx: Vec<(Type, Operand)> =
+                idx.iter().map(|(t, c)| (t.clone(), Operand::Const(*c))).collect();
+            const_gep_offset(&ty, &idx)
+        };
+        let (i64_, i32_) = (Type::I64, Type::I32);
+        assert_eq!(gep(&[(i64_.clone(), 0)]), Some(0));
+        assert_eq!(gep(&[(i64_.clone(), 2)]), Some(44), "whole arrays");
+        assert_eq!(gep(&[(i64_.clone(), 0), (i64_.clone(), 1)]), Some(11));
+        assert_eq!(
+            gep(&[(i64_.clone(), 0), (i64_.clone(), 1), (i32_.clone(), 1), (i64_.clone(), 2)]),
+            Some(11 + 1 + 4)
+        );
+        assert_eq!(gep(&[(i64_.clone(), 0), (i64_.clone(), 1), (i32_.clone(), 2)]), Some(18));
+        // Indices are sign-extended from their own width.
+        assert_eq!(gep(&[(i32_.clone(), 0xffff_ffff)]), Some(-22));
+        assert_eq!(gep(&[(i64_.clone(), 0), (i64_.clone(), -1), (i32_.clone(), 1)]), Some(-10));
+        // A struct index out of range, an index into a scalar, and a
+        // non-constant index have no constant offset.
+        assert_eq!(gep(&[(i64_.clone(), 0), (i64_.clone(), 0), (i32_.clone(), 3)]), None);
+        let scalar = [(i64_.clone(), 0), (i64_.clone(), 0), (i32_.clone(), 0), (i64_.clone(), 0)];
+        assert_eq!(gep(&scalar), None);
+        let local = [(i64_, Operand::Local("%i".into()))];
+        assert_eq!(const_gep_offset(&ty, &local), None);
     }
 
     #[test]

@@ -85,13 +85,15 @@ impl PhysReg {
         }
     }
 
+    /// Every general-purpose register.
+    pub const ALL: [PhysReg; 16] = {
+        use PhysReg::*;
+        [Rax, Rbx, Rcx, Rdx, Rsi, Rdi, Rbp, Rsp, R8, R9, R10, R11, R12, R13, R14, R15]
+    };
+
     /// Parses any view name back to `(reg, width)`.
     pub fn parse(name: &str) -> Option<(PhysReg, u32)> {
-        use PhysReg::*;
-        let all = [
-            Rax, Rbx, Rcx, Rdx, Rsi, Rdi, Rbp, Rsp, R8, R9, R10, R11, R12, R13, R14, R15,
-        ];
-        for r in all {
+        for r in PhysReg::ALL {
             for w in [64, 32, 16, 8] {
                 if r.view_name(w) == name {
                     return Some((r, w));
