@@ -26,11 +26,7 @@ fn main() {
         println!("--- {label} ---\n{}", out.isel.func);
         println!("verdict: {}\n", out.report.verdict);
         let buggy = opts.bug == BugInjection::WawStoreMerge;
-        assert_eq!(
-            out.report.verdict.is_validated(),
-            !buggy,
-            "{label}: wrong verdict"
-        );
+        assert_eq!(out.report.verdict.is_validated(), !buggy, "{label}: wrong verdict");
     }
     println!("as in the paper: the miscompilation cannot pass the system, the");
     println!("correct merge (and the unoptimized translation) validate.");

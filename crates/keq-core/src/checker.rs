@@ -130,8 +130,7 @@ impl<'a> Keq<'a> {
         }
         for point in startable {
             stats.start_points += 1;
-            if let Err(reason) = self.check_point(bank, solver, sync, point, deadline, &mut stats)
-            {
+            if let Err(reason) = self.check_point(bank, solver, sync, point, deadline, &mut stats) {
                 stats.solver = solver.stats().since(&stats_before);
                 trace_check_counters(&stats);
                 return KeqReport {
@@ -225,9 +224,8 @@ impl<'a> Keq<'a> {
             }
             fuel -= 1;
             stats.steps += 1;
-            let succs = lang
-                .step(&c, bank)
-                .map_err(|error| FailureReason::Semantics { side, error })?;
+            let succs =
+                lang.step(&c, bank).map_err(|error| FailureReason::Semantics { side, error })?;
             if succs.is_empty() {
                 return Err(FailureReason::Semantics {
                     side,
@@ -296,18 +294,16 @@ impl<'a> Keq<'a> {
             ErrorRelation::Unrelated => {
                 let _span = keq_trace::span(keq_trace::Phase::ErrorRule);
                 if self.intersection_feasible(bank, session, s1, s2)? {
-                    Err(FailureReason::UnmatchedPair {
-                        left: describe(s1),
-                        right: describe(s2),
-                    })
+                    Err(FailureReason::UnmatchedPair { left: describe(s1), right: describe(s2) })
                 } else {
                     Ok(())
                 }
             }
             ErrorRelation::NotErrors => {
-                let Some(target) = sync.iter().find(|p| {
-                    pattern_matches(&p.left, s1) && pattern_matches(&p.right, s2)
-                }) else {
+                let Some(target) = sync
+                    .iter()
+                    .find(|p| pattern_matches(&p.left, s1) && pattern_matches(&p.right, s2))
+                else {
                     return if self.intersection_feasible(bank, session, s1, s2)? {
                         Err(FailureReason::UnmatchedPair {
                             left: describe(s1),
@@ -354,20 +350,18 @@ impl<'a> Keq<'a> {
         hyps.extend(s2.path.iter().copied());
         let mut obligations: Vec<(String, TermId)> = Vec::new();
         for (e1, e2) in &target.equalities {
-            let t1 = resolve(bank, e1, s1).map_err(|constraint| {
-                FailureReason::ConstraintUnproved {
+            let t1 =
+                resolve(bank, e1, s1).map_err(|constraint| FailureReason::ConstraintUnproved {
                     target: target.name.clone(),
                     constraint,
                     countermodel: None,
-                }
-            })?;
-            let t2 = resolve(bank, e2, s2).map_err(|constraint| {
-                FailureReason::ConstraintUnproved {
+                })?;
+            let t2 =
+                resolve(bank, e2, s2).map_err(|constraint| FailureReason::ConstraintUnproved {
                     target: target.name.clone(),
                     constraint,
                     countermodel: None,
-                }
-            })?;
+                })?;
             let (t1, t2) = unify_widths(bank, t1, t2);
             let eq = bank.mk_eq(t1, t2);
             obligations.push((format!("{e1:?} = {e2:?}"), eq));
@@ -406,10 +400,7 @@ impl<'a> Keq<'a> {
 /// metrics registry (one flag branch each when both are disabled).
 fn trace_check_counters(stats: &KeqStats) {
     keq_trace::metrics::counter_add(keq_trace::CounterId::SyncPoints, stats.start_points);
-    keq_trace::metrics::counter_add(
-        keq_trace::CounterId::Obligations,
-        stats.obligations_proved,
-    );
+    keq_trace::metrics::counter_add(keq_trace::CounterId::Obligations, stats.obligations_proved);
     if !keq_trace::enabled() {
         return;
     }
@@ -464,10 +455,9 @@ fn pattern_matches(spec: &SideSpec, cfg: &SymConfig) -> bool {
                 }
         }
         (LocPattern::Exit, Status::Exited { .. }) => true,
-        (
-            LocPattern::BeforeCall { callee, nth },
-            Status::AtCall { callee: c, nth: n, .. },
-        ) => callee == c && nth == n,
+        (LocPattern::BeforeCall { callee, nth }, Status::AtCall { callee: c, nth: n, .. }) => {
+            callee == c && nth == n
+        }
         // Entry and AfterCall patterns are start-only.
         _ => false,
     }
@@ -594,10 +584,9 @@ fn resolve(bank: &mut TermBank, expr: &ValueExpr, cfg: &SymConfig) -> Result<Ter
             _ => Err("Ret used on a non-exited state".into()),
         },
         ValueExpr::Arg(i) => match &cfg.status {
-            Status::AtCall { args, .. } => args
-                .get(*i)
-                .copied()
-                .ok_or_else(|| format!("call has no argument {i}")),
+            Status::AtCall { args, .. } => {
+                args.get(*i).copied().ok_or_else(|| format!("call has no argument {i}"))
+            }
             _ => Err("Arg used on a non-call state".into()),
         },
         ValueExpr::Slot { addr, width } => {

@@ -457,8 +457,7 @@ mod tests {
     fn torn_tail_keeps_earlier_records_and_valid_prefix_drops_it() {
         let path = temp_path("torn");
         let _ = std::fs::remove_file(&path);
-        let records =
-            vec![rec(0, CorpusResult::Succeeded), rec(1, CorpusResult::Timeout)];
+        let records = vec![rec(0, CorpusResult::Succeeded), rec(1, CorpusResult::Timeout)];
         write_all(&path, 9, &records);
         let whole = std::fs::read(&path).expect("read back");
         // Kill mid-append: tear the final record.

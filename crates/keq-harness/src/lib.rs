@@ -47,15 +47,13 @@ pub use journal::{
     corpus_fingerprint, function_fingerprint, JournalLoad, JournalRecord, JournalWriter,
 };
 pub use panic_capture::PanicInfo;
-pub use report::{build_report, outcome_table, pass_sections};
-pub use result::{
-    AttemptRecord, CorpusResult, CorpusRow, CorpusSummary, ResultKind,
-};
-pub use run::{run_module, HarnessOptions, RetryPolicy};
 pub use protocol::{
     read_frame, write_frame, ClientRequest, FunctionVerdict, MetricsReport, ServerResponse,
     StatsSnapshot,
 };
+pub use report::{build_report, outcome_table, pass_sections};
+pub use result::{AttemptRecord, CorpusResult, CorpusRow, CorpusSummary, ResultKind};
+pub use run::{run_module, HarnessOptions, RetryPolicy};
 pub use scheduler::{
     ClientQuota, Completion, JournalConfig, MetricsConfig, Rejected, Request, Scheduler,
     SchedulerConfig, SchedulerFinal, Storage, Telemetry,

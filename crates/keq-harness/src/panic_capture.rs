@@ -51,9 +51,8 @@ pub fn install_hook() {
         panic::set_hook(Box::new(move |info| {
             if CAPTURING.with(Cell::get) {
                 let message = payload_message(info.payload());
-                let location = info
-                    .location()
-                    .map(|l| format!("{}:{}:{}", l.file(), l.line(), l.column()));
+                let location =
+                    info.location().map(|l| format!("{}:{}:{}", l.file(), l.line(), l.column()));
                 CAPTURED.with(|m| *m.borrow_mut() = Some(PanicInfo { message, location }));
             } else {
                 prev(info);

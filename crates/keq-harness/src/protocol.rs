@@ -175,11 +175,8 @@ impl ClientRequest {
             "validate" => {
                 let tag = doc.get("tag").and_then(Json::as_u64).ok_or("validate: missing tag")?;
                 let unit = doc.get("unit").and_then(Json::as_u64).unwrap_or(0);
-                let ir = doc
-                    .get("ir")
-                    .and_then(Json::as_str)
-                    .ok_or("validate: missing ir")?
-                    .to_string();
+                let ir =
+                    doc.get("ir").and_then(Json::as_str).ok_or("validate: missing ir")?.to_string();
                 let pass = match doc.get("pass").and_then(Json::as_str) {
                     None => keq_isel::PassId::Isel,
                     Some(name) => keq_isel::PassId::parse(name)
@@ -383,10 +380,7 @@ impl MetricsReport {
                 Json::Arr(self.shard_entries.iter().map(|&v| json::num(v)).collect()),
             ),
             ("series", self.series.clone()),
-            (
-                "slow",
-                Json::Arr(self.slow.iter().map(keq_trace::SlowObligation::to_json).collect()),
-            ),
+            ("slow", Json::Arr(self.slow.iter().map(keq_trace::SlowObligation::to_json).collect())),
             ("prometheus", Json::Str(self.prometheus.clone())),
         ]);
         json::obj(fields)
@@ -457,20 +451,16 @@ impl ServerResponse {
             ServerResponse::Validated { tag, results } => json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("tag", json::num(*tag)),
-                (
-                    "results",
-                    Json::Arr(results.iter().map(FunctionVerdict::to_json).collect()),
-                ),
+                ("results", Json::Arr(results.iter().map(FunctionVerdict::to_json).collect())),
             ]),
             ServerResponse::RejectedRequest { tag, reason } => json::obj(vec![
                 ("ok", Json::Bool(false)),
                 ("tag", json::num(*tag)),
                 ("rejected", Json::Str(reason.clone())),
             ]),
-            ServerResponse::Error { detail } => json::obj(vec![
-                ("ok", Json::Bool(false)),
-                ("error", Json::Str(detail.clone())),
-            ]),
+            ServerResponse::Error { detail } => {
+                json::obj(vec![("ok", Json::Bool(false)), ("error", Json::Str(detail.clone()))])
+            }
             ServerResponse::Stats(stats) => json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("stats", json::obj(stats.json_fields("depth"))),
@@ -511,8 +501,7 @@ impl ServerResponse {
             return Ok(ServerResponse::ShuttingDown);
         }
         if let Some(metrics) = doc.get("metrics") {
-            let report =
-                MetricsReport::from_json(metrics).ok_or("metrics: malformed report")?;
+            let report = MetricsReport::from_json(metrics).ok_or("metrics: malformed report")?;
             return Ok(ServerResponse::Metrics(Box::new(report)));
         }
         if let Some(stats) = doc.get("stats") {
@@ -644,14 +633,9 @@ mod tests {
     #[test]
     fn passless_validate_requests_default_to_isel() {
         // A v6 client that never heard of passes still validates ISel.
-        let req = ClientRequest::parse(
-            "{\"op\":\"validate\",\"tag\":1,\"ir\":\"\"}",
-        )
-        .expect("parses");
-        assert!(matches!(
-            req,
-            ClientRequest::Validate { pass: keq_isel::PassId::Isel, .. }
-        ));
+        let req =
+            ClientRequest::parse("{\"op\":\"validate\",\"tag\":1,\"ir\":\"\"}").expect("parses");
+        assert!(matches!(req, ClientRequest::Validate { pass: keq_isel::PassId::Isel, .. }));
         assert_eq!(
             ClientRequest::parse("{\"op\":\"validate\",\"tag\":1,\"ir\":\"\",\"pass\":\"warp\"}")
                 .unwrap_err(),
@@ -735,10 +719,7 @@ mod tests {
                 shard_entries: vec![3, 0, 7, 1],
                 series: Json::Arr(vec![json::obj(vec![
                     ("name", Json::Str("keq_queue_depth".into())),
-                    (
-                        "points",
-                        Json::Arr(vec![Json::Arr(vec![json::num(250), json::num(3)])]),
-                    ),
+                    ("points", Json::Arr(vec![Json::Arr(vec![json::num(250), json::num(3)])])),
                 ])]),
                 slow: vec![keq_trace::SlowObligation {
                     fingerprint: "00000000deadbeef".into(),
@@ -753,8 +734,7 @@ mod tests {
                     ],
                     solver: Default::default(),
                 }],
-                prometheus: "# HELP keq_requests_total Submissions accepted since boot.\n"
-                    .into(),
+                prometheus: "# HELP keq_requests_total Submissions accepted since boot.\n".into(),
             })),
             ServerResponse::Metrics(Box::default()),
             ServerResponse::ShuttingDown,

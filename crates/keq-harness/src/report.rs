@@ -128,8 +128,7 @@ pub fn build_report(summary: &CorpusSummary, ring: Option<&EventRing>, seed: u64
             let start_us = trace.and_then(|t| t.start_us).unwrap_or(0);
             // Abandoned attempts never emit an end marker; close their
             // window from the supervisor-observed wall time.
-            let end_us =
-                trace.and_then(|t| t.end_us).unwrap_or(start_us.saturating_add(wall_us));
+            let end_us = trace.and_then(|t| t.end_us).unwrap_or(start_us.saturating_add(wall_us));
             let (panic_message, panic_location) = match &rec.result {
                 CorpusResult::Crashed { message, location }
                 | CorpusResult::Quarantined { message, location } => {

@@ -108,8 +108,9 @@ impl AttemptRecord {
     /// field (distinct from the message).
     pub fn panic_location(&self) -> Option<&str> {
         match &self.result {
-            CorpusResult::Crashed { location, .. }
-            | CorpusResult::Quarantined { location, .. } => location.as_deref(),
+            CorpusResult::Crashed { location, .. } | CorpusResult::Quarantined { location, .. } => {
+                location.as_deref()
+            }
             _ => None,
         }
     }
@@ -257,9 +258,7 @@ impl CorpusSummary {
                 self.cache.flush_failures,
             ));
         } else if self.cache.persist_failed {
-            line.push_str(
-                " | WARNING: obligation store persist failed; proved verdicts not saved",
-            );
+            line.push_str(" | WARNING: obligation store persist failed; proved verdicts not saved");
         }
         line
     }
@@ -350,8 +349,7 @@ mod tests {
         let mut s =
             CorpusSummary { rows: vec![row(0, CorpusResult::Succeeded)], ..Default::default() };
         assert!(!s.summary_line().contains("resume:"), "quiet when not resuming");
-        s.resume =
-            keq_trace::ResumeSection { enabled: true, skipped: 3, recovered: 4, corrupt: 1 };
+        s.resume = keq_trace::ResumeSection { enabled: true, skipped: 3, recovered: 4, corrupt: 1 };
         s.cache.persist_failed = true;
         let line = s.summary_line();
         assert!(line.contains("resume: skipped 3 recovered 4 corrupt 1"), "{line}");
@@ -382,7 +380,8 @@ mod tests {
 
         // Attempt-less summaries (all rows recovered) skip the segment
         // rather than inventing numbers.
-        let quiet = CorpusSummary { rows: vec![row(0, CorpusResult::Succeeded)], ..Default::default() };
+        let quiet =
+            CorpusSummary { rows: vec![row(0, CorpusResult::Succeeded)], ..Default::default() };
         assert!(!quiet.summary_line().contains("latency:"), "{}", quiet.summary_line());
     }
 

@@ -51,11 +51,7 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            factor: 4,
-            retry_crashes: false,
-        }
+        RetryPolicy { max_attempts: 1, factor: 4, retry_crashes: false }
     }
 }
 
@@ -211,8 +207,7 @@ pub fn run_module(module: &Module, opts: &HarnessOptions) -> CorpusSummary {
     // Resume matches a record by function index *and* per-function
     // fingerprint (and the whole journal by corpus fingerprint), so a
     // changed corpus can never inherit stale verdicts.
-    let func_fps: Vec<u64> =
-        module.functions.iter().map(journal::function_fingerprint).collect();
+    let func_fps: Vec<u64> = module.functions.iter().map(journal::function_fingerprint).collect();
     let (storage, load) = Storage::open(opts, journal::fingerprint_of(&func_fps));
     let mut resume = ResumeSection {
         enabled: opts.resume && opts.journal_path.is_some(),

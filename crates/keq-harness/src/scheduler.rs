@@ -120,9 +120,7 @@ struct SlowTable {
 
 impl SlowTable {
     fn offer(&mut self, row: SlowObligation) {
-        if self.rows.len() >= SLOW_K
-            && row.wall_us <= self.rows.last().map_or(0, |r| r.wall_us)
-        {
+        if self.rows.len() >= SLOW_K && row.wall_us <= self.rows.last().map_or(0, |r| r.wall_us) {
             return;
         }
         let at = self.rows.partition_point(|r| r.wall_us >= row.wall_us);
@@ -212,11 +210,7 @@ impl Telemetry {
 
     /// The report-schema telemetry section of this scheduler's lifetime.
     pub fn section(&self) -> TelemetrySection {
-        TelemetrySection {
-            enabled: self.enabled,
-            samples: self.samples(),
-            slow: self.slow_rows(),
-        }
+        TelemetrySection { enabled: self.enabled, samples: self.samples(), slow: self.slow_rows() }
     }
 
     /// The whole registry plus the slow-obligation table in Prometheus
@@ -239,8 +233,7 @@ impl Telemetry {
             .collect();
         fams.push(PromMetric {
             name: "keq_slow_obligation_wall_us".to_string(),
-            help: "Total wall time of the slowest obligations (top-K), microseconds"
-                .to_string(),
+            help: "Total wall time of the slowest obligations (top-K), microseconds".to_string(),
             kind: PromKind::Gauge,
             samples,
         });
@@ -836,11 +829,7 @@ impl Scheduler {
     ///
     /// [`Rejected`] when the gate bounces the request: queue full, client
     /// over quota, or draining. Rejection leaves no scheduler state behind.
-    pub fn submit(
-        &self,
-        req: Request,
-        reply: mpsc::Sender<Completion>,
-    ) -> Result<u64, Rejected> {
+    pub fn submit(&self, req: Request, reply: mpsc::Sender<Completion>) -> Result<u64, Rejected> {
         let rejection = {
             let mut gate = self.gate.lock().expect("gate poisoned");
             if gate.draining {
@@ -1201,11 +1190,10 @@ fn supervise(
             reg.gauge_set(GaugeId::QueueDepth, depth);
             let busy = inflight.len() as u64;
             reg.gauge_set(GaugeId::WorkersBusy, busy);
-            let active =
-                pool.iter().filter(|w| !w.retired.load(Ordering::Acquire)).count() as u64;
+            let active = pool.iter().filter(|w| !w.retired.load(Ordering::Acquire)).count() as u64;
             reg.gauge_set(GaugeId::WorkersIdle, active.saturating_sub(busy));
-            let degraded = flusher.counts.degraded
-                || journal_writer.as_ref().is_some_and(|w| w.degraded);
+            let degraded =
+                flusher.counts.degraded || journal_writer.as_ref().is_some_and(|w| w.degraded);
             reg.gauge_set(GaugeId::StoreDegraded, u64::from(degraded));
             let entries = shared.stats().entries;
             reg.gauge_set(GaugeId::ObcacheEntries, entries);

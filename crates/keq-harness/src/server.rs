@@ -219,10 +219,8 @@ impl Server {
                 shared,
                 shutdown: AtomicBool::new(false),
                 wake: wake_addr,
-                sample_interval_ms: u64::try_from(
-                    opts.harness.metrics.sample_interval.as_millis(),
-                )
-                .unwrap_or(u64::MAX),
+                sample_interval_ms: u64::try_from(opts.harness.metrics.sample_interval.as_millis())
+                    .unwrap_or(u64::MAX),
             }),
         })
     }
@@ -231,9 +229,9 @@ impl Server {
     /// [`Server::bind`] accepts (resolves a port-0 TCP bind).
     pub fn local_addr(&self) -> String {
         match &self.listener {
-            Listener::Tcp(l) => l
-                .local_addr()
-                .map_or_else(|_| "<unknown>".to_string(), |a| a.to_string()),
+            Listener::Tcp(l) => {
+                l.local_addr().map_or_else(|_| "<unknown>".to_string(), |a| a.to_string())
+            }
             #[cfg(unix)]
             Listener::Unix(_, path) => format!("unix:{}", path.display()),
         }
@@ -311,10 +309,7 @@ enum FrameRead {
 /// (via the stream's read timeout) to check the shutdown flag, and
 /// partial bytes accumulate across those wake-ups instead of tearing the
 /// frame.
-fn read_frame_interruptible(
-    r: &mut impl Read,
-    shutdown: &AtomicBool,
-) -> io::Result<FrameRead> {
+fn read_frame_interruptible(r: &mut impl Read, shutdown: &AtomicBool) -> io::Result<FrameRead> {
     let mut len_buf = [0u8; 4];
     read_exact_interruptible(r, &mut len_buf, shutdown, true)?.map_or(
         Ok(FrameRead::Shutdown),
@@ -329,12 +324,10 @@ fn read_frame_interruptible(
             let mut buf = vec![0u8; len as usize];
             match read_exact_interruptible(r, &mut buf, shutdown, false)? {
                 None => Ok(FrameRead::Shutdown),
-                Some(true) => {
-                    Err(io::Error::new(io::ErrorKind::InvalidData, "EOF mid frame"))
-                }
-                Some(false) => String::from_utf8(buf).map(FrameRead::Frame).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8")
-                }),
+                Some(true) => Err(io::Error::new(io::ErrorKind::InvalidData, "EOF mid frame")),
+                Some(false) => String::from_utf8(buf)
+                    .map(FrameRead::Frame)
+                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8")),
             }
         },
     )
@@ -357,9 +350,7 @@ fn read_exact_interruptible(
             Ok(0) if at == 0 && clean_eof_ok => return Ok(Some(true)),
             Ok(0) => return Err(io::Error::new(io::ErrorKind::InvalidData, "EOF mid frame")),
             Ok(k) => at += k,
-            Err(e)
-                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
-            {
+            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
                 if shutdown.load(Ordering::Acquire) {
                     return Ok(None);
                 }
@@ -500,10 +491,9 @@ pub fn connect(addr: &str) -> io::Result<ClientConn> {
         #[cfg(unix)]
         Some(path) => UnixStream::connect(path).map(ClientConn::Unix),
         #[cfg(not(unix))]
-        Some(_) => Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "unix: addresses need a Unix platform",
-        )),
+        Some(_) => {
+            Err(io::Error::new(io::ErrorKind::Unsupported, "unix: addresses need a Unix platform"))
+        }
     }
 }
 
@@ -518,8 +508,7 @@ impl ClientConn {
         write_frame(self, &req.to_json_string())?;
         let payload = read_frame(self)?
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "server hung up"))?;
-        ServerResponse::parse(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+        ServerResponse::parse(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -564,8 +553,7 @@ mod tests {
     }
 
     fn corpus_ir(n: usize) -> String {
-        generate_corpus(GenConfig { seed: 11, calls: false, ..GenConfig::default() }, n)
-            .to_string()
+        generate_corpus(GenConfig { seed: 11, calls: false, ..GenConfig::default() }, n).to_string()
     }
 
     #[test]
@@ -669,11 +657,7 @@ mod tests {
             assert!(row.attempts >= 1);
         }
         assert!(!m.shard_entries.is_empty(), "shard occupancy reported");
-        assert!(
-            m.prometheus.contains("# TYPE keq_requests_total counter"),
-            "{}",
-            m.prometheus
-        );
+        assert!(m.prometheus.contains("# TYPE keq_requests_total counter"), "{}", m.prometheus);
         assert!(
             m.prometheus.contains("keq_slow_obligation_wall_us{fingerprint="),
             "{}",
@@ -774,8 +758,8 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn unix_socket_transport_serves_and_cleans_up() {
-        let path = std::env::temp_dir()
-            .join(format!("keq-server-test-{}.sock", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("keq-server-test-{}.sock", std::process::id()));
         let addr = format!("unix:{}", path.display());
         let server = Server::bind(&addr, &small_options()).expect("bind");
         assert_eq!(server.local_addr(), addr);

@@ -72,11 +72,7 @@ fn truncated_journal_resume_is_verdict_identical_to_a_clean_run() {
             force_terms: Rate { num: 1, den: 4 },
             ..FaultPlan::quiet(22)
         },
-        retry: RetryPolicy {
-            max_attempts: 2,
-            factor: 4,
-            retry_crashes: true,
-        },
+        retry: RetryPolicy { max_attempts: 2, factor: 4, retry_crashes: true },
         workers: 2,
         journal_path: Some(journal_path.clone()),
         resume,
@@ -142,10 +138,7 @@ fn truncated_journal_resume_is_verdict_identical_to_a_clean_run() {
             assert!(!row.attempts.is_empty(), "{}: replayed rows ran for real", row.name);
         }
     }
-    assert_eq!(
-        resumed.rows.iter().filter(|r| r.recovered).count() as u64,
-        resumed.resume.skipped
-    );
+    assert_eq!(resumed.rows.iter().filter(|r| r.recovered).count() as u64, resumed.resume.skipped);
     let line = resumed.summary_line();
     assert!(line.contains("resume:"), "summary line must surface the recovery: {line}");
     // Skipping the recovered functions must pay off in wall time (absolute
@@ -200,17 +193,13 @@ fn storage_faults_trip_the_breaker_and_degrade_to_memory_only() {
 
     let events = trace.snapshot();
     assert!(
-        events.iter().any(|ev| matches!(
-            &ev.event,
-            Event::StoreError { target: "store", .. }
-        )),
+        events.iter().any(|ev| matches!(&ev.event, Event::StoreError { target: "store", .. })),
         "each failed flush traces a StoreError"
     );
     assert!(
-        events.iter().any(|ev| matches!(
-            &ev.event,
-            Event::StoreDegraded { target: "store", failures: 3 }
-        )),
+        events
+            .iter()
+            .any(|ev| matches!(&ev.event, Event::StoreDegraded { target: "store", failures: 3 })),
         "tripping traces a StoreDegraded"
     );
     assert!(!cache_path.exists(), "nothing may have reached the faulted path");
@@ -342,11 +331,7 @@ fn chaos_opts(journal: Option<PathBuf>, resume: bool) -> HarnessOptions {
             torn_write: Rate { num: 1, den: 16 },
             ..FaultPlan::quiet(11)
         },
-        retry: RetryPolicy {
-            max_attempts: 2,
-            factor: 4,
-            retry_crashes: true,
-        },
+        retry: RetryPolicy { max_attempts: 2, factor: 4, retry_crashes: true },
         workers: 2,
         journal_path: journal,
         resume,
@@ -413,11 +398,7 @@ fn abort_resume_loop_is_verdict_identical_to_one_clean_run() {
     // The merge run: recover whatever the children decided, replay the
     // rest, and the table must match the clean run record for record.
     let merged = run_module(&module, &chaos_opts(Some(journal_path.clone()), true));
-    assert_eq!(
-        kinds(&merged),
-        reference,
-        "verdicts diverged after {kills} mid-run aborts"
-    );
+    assert_eq!(kinds(&merged), reference, "verdicts diverged after {kills} mid-run aborts");
     assert!(merged.resume.enabled);
     let _ = std::fs::remove_file(&journal_path);
 }
@@ -443,10 +424,7 @@ fn torn_trace_chaos_child() {
     let module = small_corpus(6);
     let _ = run_module(
         &module,
-        &HarnessOptions {
-            trace: Some(TraceSink::from(Arc::new(sink))),
-            ..chaos_opts(None, false)
-        },
+        &HarnessOptions { trace: Some(TraceSink::from(Arc::new(sink))), ..chaos_opts(None, false) },
     );
 }
 
@@ -496,16 +474,12 @@ fn aborted_trace_stream_never_tears_a_line() {
             None => "",
         };
         for line in complete.lines() {
-            Json::parse(line).unwrap_or_else(|e| {
-                panic!("cycle {cycle}: torn trace line {line:?}: {e:?}")
-            });
+            Json::parse(line)
+                .unwrap_or_else(|e| panic!("cycle {cycle}: torn trace line {line:?}: {e:?}"));
             parsed_lines += 1;
         }
     }
-    assert!(
-        parsed_lines > 0,
-        "the campaign must observe real trace traffic to prove anything"
-    );
+    assert!(parsed_lines > 0, "the campaign must observe real trace traffic to prove anything");
     let _ = std::fs::remove_file(&trace_path);
 }
 
@@ -540,8 +514,7 @@ fn journaling_a_clean_run_leaves_rows_and_counters_unaffected() {
     assert!(journal_path.exists());
 
     // And the journal on disk decides every function.
-    let loaded =
-        journal::load(&journal_path, corpus_fingerprint(&module), &StdStoreIo);
+    let loaded = journal::load(&journal_path, corpus_fingerprint(&module), &StdStoreIo);
     assert_eq!(loaded.records.len(), 4);
     assert_eq!(loaded.corrupt, 0);
     let _ = std::fs::remove_file(&journal_path);

@@ -51,11 +51,7 @@ fn injected_fault_campaign_classifies_identically_through_both_front_ends() {
             force_terms: Rate { num: 1, den: 4 },
             ..FaultPlan::quiet(9)
         },
-        retry: RetryPolicy {
-            max_attempts: 2,
-            factor: 4,
-            retry_crashes: true,
-        },
+        retry: RetryPolicy { max_attempts: 2, factor: 4, retry_crashes: true },
         ..HarnessOptions::default()
     };
     let batch = batch_verdicts(&corpus, &opts);

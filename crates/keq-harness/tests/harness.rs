@@ -82,10 +82,8 @@ fn small_corpus(n: usize) -> Module {
 fn expired_deadline_times_out_without_stepping() {
     // Direct pipeline: an already-expired wall clock is noticed before the
     // first symbolic step.
-    let out = validate(
-        BRANCHY,
-        KeqOptions { time_limit: Some(Duration::ZERO), ..KeqOptions::default() },
-    );
+    let out =
+        validate(BRANCHY, KeqOptions { time_limit: Some(Duration::ZERO), ..KeqOptions::default() });
     let Verdict::NotValidated(fail) = &out.report.verdict else {
         panic!("expected a timeout, got {:?}", out.report.verdict);
     };
@@ -150,11 +148,7 @@ fn crash_retries_end_in_quarantine_not_crashed() {
     let opts = HarnessOptions {
         fault_plan: FaultPlan { panic: Rate { num: 1, den: 1 }, ..FaultPlan::quiet(3) },
         workers: 2,
-        retry: RetryPolicy {
-            max_attempts: 2,
-            factor: 4,
-            retry_crashes: true,
-        },
+        retry: RetryPolicy { max_attempts: 2, factor: 4, retry_crashes: true },
         ..HarnessOptions::default()
     };
     let summary = run_module(&module, &opts);
@@ -201,9 +195,7 @@ fn retry_escalation_rescues_a_fuel_limited_function() {
     // validates, then run the harness one step below it.
     let succeeds = |max_steps: u64| {
         matches!(
-            validate(BRANCHY, KeqOptions { max_steps, ..KeqOptions::default() })
-                .report
-                .verdict,
+            validate(BRANCHY, KeqOptions { max_steps, ..KeqOptions::default() }).report.verdict,
             Verdict::Equivalent | Verdict::Refines
         )
     };
@@ -272,13 +264,7 @@ fn fault_plan_predictions_match_the_result_table() {
             Some(InjectedFault::ForceBudget(BudgetKind::Terms)) => ResultKind::OutOfMemory,
             _ => ResultKind::Succeeded,
         };
-        assert_eq!(
-            row.result.kind(),
-            expected,
-            "{}: plan assigned {:?}",
-            row.name,
-            faults[i]
-        );
+        assert_eq!(row.result.kind(), expected, "{}: plan assigned {:?}", row.name, faults[i]);
     }
 }
 

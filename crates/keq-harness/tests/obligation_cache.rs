@@ -27,10 +27,7 @@ fn small_corpus(n: usize) -> keq_llvm::ast::Module {
 }
 
 fn temp_store(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "keq-harness-obcache-{tag}-{}.keqcache",
-        std::process::id()
-    ))
+    std::env::temp_dir().join(format!("keq-harness-obcache-{tag}-{}.keqcache", std::process::id()))
 }
 
 #[test]
@@ -38,11 +35,8 @@ fn second_run_warm_starts_from_the_persisted_store() {
     let store = temp_store("warm");
     let _ = std::fs::remove_file(&store);
     let module = small_corpus(6);
-    let opts = HarnessOptions {
-        workers: 1,
-        cache_path: Some(store.clone()),
-        ..HarnessOptions::default()
-    };
+    let opts =
+        HarnessOptions { workers: 1, cache_path: Some(store.clone()), ..HarnessOptions::default() };
 
     let cold = run_module(&module, &opts);
     assert_eq!(cold.count(ResultKind::Succeeded), 6, "{}", cold.summary_line());
@@ -62,9 +56,8 @@ fn second_run_warm_starts_from_the_persisted_store() {
         warm.summary_line()
     );
     // The cache must be invisible to verdicts.
-    let kinds = |s: &keq_harness::CorpusSummary| {
-        s.rows.iter().map(|r| r.result.kind()).collect::<Vec<_>>()
-    };
+    let kinds =
+        |s: &keq_harness::CorpusSummary| s.rows.iter().map(|r| r.result.kind()).collect::<Vec<_>>();
     assert_eq!(kinds(&cold), kinds(&warm));
     let _ = std::fs::remove_file(&store);
 }
@@ -74,11 +67,8 @@ fn garbage_store_degrades_to_a_cold_run_and_is_rewritten() {
     let store = temp_store("garbage");
     std::fs::write(&store, b"this is not a keq obligation store").expect("write garbage");
     let module = small_corpus(4);
-    let opts = HarnessOptions {
-        workers: 1,
-        cache_path: Some(store.clone()),
-        ..HarnessOptions::default()
-    };
+    let opts =
+        HarnessOptions { workers: 1, cache_path: Some(store.clone()), ..HarnessOptions::default() };
 
     let summary = run_module(&module, &opts);
     assert_eq!(summary.total(), 4, "the run must complete despite the garbage store");
@@ -105,10 +95,7 @@ fn faulted_runs_persist_only_proven_obligations() {
     let opts = HarnessOptions {
         workers: 1,
         cache_path: Some(store.clone()),
-        fault_plan: FaultPlan {
-            force_conflicts: Rate { num: 1, den: 1 },
-            ..FaultPlan::quiet(11)
-        },
+        fault_plan: FaultPlan { force_conflicts: Rate { num: 1, den: 1 }, ..FaultPlan::quiet(11) },
         ..HarnessOptions::default()
     };
 

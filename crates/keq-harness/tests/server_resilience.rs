@@ -235,8 +235,7 @@ fn tcp_client_vanishing_mid_request_leaves_the_server_serving() {
     // request's functions finalize, then revalidate and expect cache hits.
     let mut conn = connect(&addr).expect("reconnect");
     loop {
-        let ServerResponse::Stats(stats) =
-            conn.roundtrip(&ClientRequest::Stats).expect("stats")
+        let ServerResponse::Stats(stats) = conn.roundtrip(&ClientRequest::Stats).expect("stats")
         else {
             panic!("expected stats");
         };
@@ -259,8 +258,7 @@ fn tcp_client_vanishing_mid_request_leaves_the_server_serving() {
         panic!("expected verdicts, got {resp:?}");
     };
     assert_eq!(results.len(), 2);
-    let ServerResponse::Stats(stats) = conn.roundtrip(&ClientRequest::Stats).expect("stats")
-    else {
+    let ServerResponse::Stats(stats) = conn.roundtrip(&ClientRequest::Stats).expect("stats") else {
         panic!("expected stats");
     };
     assert_eq!(stats.server.requests, 4, "both requests' functions were admitted");
@@ -326,15 +324,15 @@ fn stats_metrics_prometheus_and_drain_agree() {
     let resp = validate(99, corpus.to_string());
     assert_eq!(resp, ServerResponse::RejectedRequest { tag: 99, reason: "quota".into() });
 
-    let ServerResponse::Stats(stats) = conn.roundtrip(&ClientRequest::Stats).expect("stats")
-    else {
+    let ServerResponse::Stats(stats) = conn.roundtrip(&ClientRequest::Stats).expect("stats") else {
         panic!("expected stats");
     };
-    let metrics = |conn: &mut keq_harness::ClientConn| {
-        match conn.roundtrip(&ClientRequest::Metrics).expect("metrics") {
-            ServerResponse::Metrics(m) => m,
-            other => panic!("expected metrics, got {other:?}"),
-        }
+    let metrics = |conn: &mut keq_harness::ClientConn| match conn
+        .roundtrip(&ClientRequest::Metrics)
+        .expect("metrics")
+    {
+        ServerResponse::Metrics(m) => m,
+        other => panic!("expected metrics, got {other:?}"),
     };
     // Gauges are sampled, so wait for one sample taken after the last
     // request finished.

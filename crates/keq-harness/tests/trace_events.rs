@@ -53,10 +53,7 @@ fn injected_budget_faults_are_typed_events_with_the_right_attempt() {
     let module = small_corpus(2);
     let ring = Arc::new(EventRing::new(1 << 16));
     let opts = HarnessOptions {
-        fault_plan: FaultPlan {
-            force_conflicts: Rate { num: 1, den: 1 },
-            ..FaultPlan::quiet(5)
-        },
+        fault_plan: FaultPlan { force_conflicts: Rate { num: 1, den: 1 }, ..FaultPlan::quiet(5) },
         retry: RetryPolicy { max_attempts: 2, factor: 4, ..RetryPolicy::default() },
         workers: 2,
         trace: Some(TraceSink::from(Arc::clone(&ring))),
@@ -141,10 +138,7 @@ fn deadline_cancellation_and_abandonment_are_typed_events() {
     let events = ring.snapshot();
     assert!(
         events.iter().any(|ev| ev.attempt == Some(1)
-            && matches!(
-                ev.event,
-                Event::FaultInjected { site: "checker_step", fault: "hang" }
-            )),
+            && matches!(ev.event, Event::FaultInjected { site: "checker_step", fault: "hang" })),
         "the hang fault must be a typed trace event"
     );
     assert!(
@@ -193,10 +187,7 @@ fn isolated_panics_keep_message_and_location_as_separate_fields() {
         .expect("panic capture must be a typed trace event");
     assert_eq!((func, attempt), (0, 1));
     assert!(message.contains("injected fault"), "message: {message}");
-    assert!(
-        location.as_deref().is_some_and(|l| l.contains("fault.rs")),
-        "location: {location:?}"
-    );
+    assert!(location.as_deref().is_some_and(|l| l.contains("fault.rs")), "location: {location:?}");
 
     // The same split fields reach the report row.
     let report = build_report(&summary, Some(&ring), 3);

@@ -18,11 +18,11 @@ pub mod ra_vcgen;
 pub mod regalloc;
 pub mod vcgen;
 
-pub use isel::{
-    cc_of, loop_headers, merge_stores, select, x86_width, BugInjection, Hints,
-    IselError, IselOptions, IselOutput,
-};
 pub use gvn_vcgen::gvn_sync_points;
+pub use isel::{
+    cc_of, loop_headers, merge_stores, select, x86_width, BugInjection, Hints, IselError,
+    IselOptions, IselOutput,
+};
 pub use keq_llvm::gvn::{GvnBug, GvnOptions, GvnOutput};
 pub use liveness::{phi_uses_from, predecessors, Cfg, Liveness};
 pub use pipeline::{

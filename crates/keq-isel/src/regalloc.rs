@@ -354,11 +354,7 @@ pub fn allocate_with_options(
         }
         for (pred, moves) in per_pred {
             let seq = sequentialize_parallel_moves(&moves);
-            let pb = func
-                .blocks
-                .iter_mut()
-                .find(|b| b.name == pred)
-                .expect("predecessor exists");
+            let pb = func.blocks.iter_mut().find(|b| b.name == pred).expect("predecessor exists");
             pb.instrs.extend(seq);
         }
         let b = func.blocks.iter_mut().find(|b| &b.name == name).expect("exists");
@@ -445,11 +441,7 @@ fn split_critical_edges(func: &mut VxFunction) {
     func.blocks.extend(new_blocks);
     // Retarget phi incomings along the split edges.
     for (pred, old_target, split) in renames {
-        let block = func
-            .blocks
-            .iter_mut()
-            .find(|b| b.name == old_target)
-            .expect("target exists");
+        let block = func.blocks.iter_mut().find(|b| b.name == old_target).expect("target exists");
         for i in &mut block.instrs {
             if let VxInstr::Phi { incomings, .. } = i {
                 for (_, p) in incomings.iter_mut() {
@@ -829,10 +821,7 @@ mod tests {
         let moves = vec![(r(PhysReg::Rbx), r(PhysReg::Rcx)), (r(PhysReg::Rcx), r(PhysReg::Rbx))];
         let seq = sequentialize_parallel_moves(&moves);
         assert_eq!(seq.len(), 3, "{seq:?}");
-        assert!(
-            matches!(seq[0], VxInstr::Copy { dst: Reg::Phys(SCRATCH, _), .. }),
-            "{seq:?}"
-        );
+        assert!(matches!(seq[0], VxInstr::Copy { dst: Reg::Phys(SCRATCH, _), .. }), "{seq:?}");
     }
 
     #[test]
@@ -868,9 +857,9 @@ mod tests {
         // must come last.
         let store_a_pos = seq
             .iter()
-            .position(|i| {
-                matches!(&i, VxInstr::Store { addr, .. } if spill_slot_addr(addr) == Some(a))
-            })
+            .position(
+                |i| matches!(&i, VxInstr::Store { addr, .. } if spill_slot_addr(addr) == Some(a)),
+            )
             .expect("store to slot a");
         assert_eq!(store_a_pos, seq.len() - 1, "{seq:?}");
     }

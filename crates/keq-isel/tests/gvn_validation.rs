@@ -11,14 +11,7 @@ fn validate_gvn(src: &str, bug: GvnBug) -> (keq_core::KeqReport, keq_llvm::gvn::
     let m = parse_module(src).expect("parses");
     let f = &m.functions[0];
     let mut ctx = ValidationContext::new();
-    validate_gvn_with_context(
-        &m,
-        f,
-        GvnOptions { bug },
-        KeqOptions::default(),
-        None,
-        &mut ctx,
-    )
+    validate_gvn_with_context(&m, f, GvnOptions { bug }, KeqOptions::default(), None, &mut ctx)
 }
 
 /// Redundant expressions across a diamond: the duplicated adds collapse to

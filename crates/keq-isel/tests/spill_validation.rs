@@ -124,10 +124,7 @@ fn clobbered_slot_bug_is_caught() {
 
 #[test]
 fn lost_reload_bug_is_caught() {
-    let ra = RaOptions {
-        bug: SpillBug::LostReload,
-        pool_limit: Some(1),
-    };
+    let ra = RaOptions { bug: SpillBug::LostReload, pool_limit: Some(1) };
     let (report, map) = validate_spilled(CALL_PRESSURE, ra);
     assert!(!map.spills.is_empty());
     assert!(

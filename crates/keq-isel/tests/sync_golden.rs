@@ -175,33 +175,96 @@ fn digests(sets: &[Option<SyncSet>]) -> Vec<u64> {
 }
 
 const ISEL_DIGESTS: [u64; CORPUS_LEN] = [
-    0x485b342242c4aca8, 0x703c88069b2d3295, 0xc3a4a093997216a6, 0x25819fb126645900,
-    0x3f2b3a9fef527567, 0x91cdeb49ab1779d0, 0xdd53657babd8a72c, 0x78d1fbf1c66d610d,
-    0x72483b9ec083f331, 0x14d40b7d1acf18d0, 0x485b342242c4aca8, 0x419838ef32cedf82,
-    0xa1923249efd262d0, 0x96319d6da993b15f, 0xc460dff2a6b3276d, 0xfd50f29e590c6daa,
-    0xc40b33a84f9a493c, 0x75b5578f15b68f38, 0x485b342242c4aca8, 0x057706a6cbdeafd4,
-    0x12c7016a0d5ef729, 0xcd0b4c791fb36f0c, 0x40a42cf0e9a34e7c, 0xe299ef7cf3b805df,
+    0x485b342242c4aca8,
+    0x703c88069b2d3295,
+    0xc3a4a093997216a6,
+    0x25819fb126645900,
+    0x3f2b3a9fef527567,
+    0x91cdeb49ab1779d0,
+    0xdd53657babd8a72c,
+    0x78d1fbf1c66d610d,
+    0x72483b9ec083f331,
+    0x14d40b7d1acf18d0,
+    0x485b342242c4aca8,
+    0x419838ef32cedf82,
+    0xa1923249efd262d0,
+    0x96319d6da993b15f,
+    0xc460dff2a6b3276d,
+    0xfd50f29e590c6daa,
+    0xc40b33a84f9a493c,
+    0x75b5578f15b68f38,
+    0x485b342242c4aca8,
+    0x057706a6cbdeafd4,
+    0x12c7016a0d5ef729,
+    0xcd0b4c791fb36f0c,
+    0x40a42cf0e9a34e7c,
+    0xe299ef7cf3b805df,
 ];
 const ISEL_IMPRECISE_DIGESTS: [u64; CORPUS_LEN] = [
-    0x485b342242c4aca8, 0xa2d7fc9d9fd64637, 0x8f917a15bf1cd16c, 0x25819fb126645900,
-    0x3373ba23806ebbf0, 0xa26a2d11bd608a23, 0x768dfc05757c5b7f, 0x8b454a62283d5bc4,
-    0xcb606e64b37d6c30, 0xb3f4b615b2af0b70, 0x485b342242c4aca8, 0x3fb47d31c380a759,
-    0x040fd8662d96cef0, 0x8ed6f3131f4f2682, 0xaf6d1dcb117cf214, 0x210835180928e86e,
-    0xd06d146eee2b7ba4, 0xb27c25f49d5fdd37, 0x485b342242c4aca8, 0xf1e72e0edb261858,
-    0xefd4a3f563026122, 0x52b9651a42d3f2b7, 0x81c5ed3ed22c0805, 0x875125fe4813dfd2,
+    0x485b342242c4aca8,
+    0xa2d7fc9d9fd64637,
+    0x8f917a15bf1cd16c,
+    0x25819fb126645900,
+    0x3373ba23806ebbf0,
+    0xa26a2d11bd608a23,
+    0x768dfc05757c5b7f,
+    0x8b454a62283d5bc4,
+    0xcb606e64b37d6c30,
+    0xb3f4b615b2af0b70,
+    0x485b342242c4aca8,
+    0x3fb47d31c380a759,
+    0x040fd8662d96cef0,
+    0x8ed6f3131f4f2682,
+    0xaf6d1dcb117cf214,
+    0x210835180928e86e,
+    0xd06d146eee2b7ba4,
+    0xb27c25f49d5fdd37,
+    0x485b342242c4aca8,
+    0xf1e72e0edb261858,
+    0xefd4a3f563026122,
+    0x52b9651a42d3f2b7,
+    0x81c5ed3ed22c0805,
+    0x875125fe4813dfd2,
 ];
 const GVN_DIGESTS: [u64; CORPUS_LEN] = [
-    0x457e666e226b3b2e, 0xcbaf790c79c23a27, 0x52ef5d7826417cd9, 0x868e119e515ed261,
-    0x95d4c1bb00c5416b, 0xe3d2da5cf70f97a4, 0x47d72a8c8e8c1d96, 0x49c51d282e5d4836,
-    0xb038b3f008946dd4, 0xfdbc5d7d54ec5d21, 0x457e666e226b3b2e, 0x53f42ac7ea8da0a3,
-    0x9fbbd9317687f46c, 0xa430ee4e79496dbf, 0xa866fc1da82f10ba, 0xca781a90807e4e5c,
-    0xe6683df51c2c23c3, 0x0511c39e730960fd, 0x457e666e226b3b2e, 0x1dadffab307ee7cb,
-    0x43207048a053b883, 0x1d1caa416ffa6731, 0xea131926cb346aff, 0xdbd723c922dd5e5b,
+    0x457e666e226b3b2e,
+    0xcbaf790c79c23a27,
+    0x52ef5d7826417cd9,
+    0x868e119e515ed261,
+    0x95d4c1bb00c5416b,
+    0xe3d2da5cf70f97a4,
+    0x47d72a8c8e8c1d96,
+    0x49c51d282e5d4836,
+    0xb038b3f008946dd4,
+    0xfdbc5d7d54ec5d21,
+    0x457e666e226b3b2e,
+    0x53f42ac7ea8da0a3,
+    0x9fbbd9317687f46c,
+    0xa430ee4e79496dbf,
+    0xa866fc1da82f10ba,
+    0xca781a90807e4e5c,
+    0xe6683df51c2c23c3,
+    0x0511c39e730960fd,
+    0x457e666e226b3b2e,
+    0x1dadffab307ee7cb,
+    0x43207048a053b883,
+    0x1d1caa416ffa6731,
+    0xea131926cb346aff,
+    0xdbd723c922dd5e5b,
 ];
 const REGALLOC_DIGESTS: [u64; PRESSURE_LEN] = [
-    0xe7f9dae816130107, 0xc9f7e8661557ddfc, 0x3b0c4ade307c3ec5, 0xef8f81447044c40a,
-    0x1acb8d99de35291f, 0xf3ef1fe4803b1788, 0xbeba1059e2b607bf, 0x6d6e4d04a3b45cf1,
-    0xbc716d724c97153e, 0xf9aa719242ffd14d, 0xff29093edaa79395, 0xb859aaec205b6ebd,
+    0xe7f9dae816130107,
+    0xc9f7e8661557ddfc,
+    0x3b0c4ade307c3ec5,
+    0xef8f81447044c40a,
+    0x1acb8d99de35291f,
+    0xf3ef1fe4803b1788,
+    0xbeba1059e2b607bf,
+    0x6d6e4d04a3b45cf1,
+    0xbc716d724c97153e,
+    0xf9aa719242ffd14d,
+    0xff29093edaa79395,
+    0xb859aaec205b6ebd,
 ];
 
 #[test]
@@ -223,13 +286,8 @@ fn corpus_sets_are_pinned() {
 #[test]
 fn corpus_exercises_every_point_shape() {
     let sets = corpus_sets();
-    let all: Vec<&SyncSet> = sets
-        .isel
-        .iter()
-        .flatten()
-        .chain(&sets.gvn)
-        .chain(sets.regalloc.iter().flatten())
-        .collect();
+    let all: Vec<&SyncSet> =
+        sets.isel.iter().flatten().chain(&sets.gvn).chain(sets.regalloc.iter().flatten()).collect();
     let equalities = || all.iter().flat_map(|s| s.iter()).flat_map(|p| &p.equalities);
     assert!(
         sets.regalloc
@@ -240,8 +298,9 @@ fn corpus_exercises_every_point_shape() {
         "no regalloc set relates a spill slot"
     );
     assert!(
-        equalities().any(|(l, r)| matches!(l, ValueExpr::Const { .. })
-            || matches!(r, ValueExpr::Const { .. })),
+        equalities()
+            .any(|(l, r)| matches!(l, ValueExpr::Const { .. })
+                || matches!(r, ValueExpr::Const { .. })),
         "no constant equality"
     );
     for (pass, sets) in [("isel", &sets.isel), ("regalloc", &sets.regalloc)] {

@@ -443,11 +443,8 @@ mod tests {
 
     #[test]
     fn terminator_successors() {
-        let t = Terminator::CondBr {
-            cond: Operand::local("%c"),
-            then_: "a".into(),
-            else_: "b".into(),
-        };
+        let t =
+            Terminator::CondBr { cond: Operand::local("%c"), then_: "a".into(), else_: "b".into() };
         assert_eq!(t.successors(), vec!["a", "b"]);
         assert!(Terminator::Ret { val: None }.successors().is_empty());
     }
@@ -463,11 +460,7 @@ mod tests {
             rhs: Operand::Const(1),
         };
         assert_eq!(i.dst(), Some("%x"));
-        let s = Instr::Store {
-            ty: Type::I32,
-            val: Operand::Const(0),
-            ptr: Operand::local("%p"),
-        };
+        let s = Instr::Store { ty: Type::I32, val: Operand::Const(0), ptr: Operand::local("%p") };
         assert_eq!(s.dst(), None);
     }
 

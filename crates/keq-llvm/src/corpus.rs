@@ -63,11 +63,9 @@ mod tests {
 
     #[test]
     fn all_fixtures_parse() {
-        for (name, src) in [
-            ("arithm_seq_sum", ARITHM_SEQ_SUM),
-            ("fig8", FIG8_WAW),
-            ("fig10", FIG10_LOAD_NARROW),
-        ] {
+        for (name, src) in
+            [("arithm_seq_sum", ARITHM_SEQ_SUM), ("fig8", FIG8_WAW), ("fig10", FIG10_LOAD_NARROW)]
+        {
             parse_module(src).unwrap_or_else(|e| panic!("{name} failed to parse: {e}"));
         }
     }

@@ -429,10 +429,8 @@ mod tests {
 
     #[test]
     fn nsw_overflow_is_not_folded() {
-        let out = gvn(
-            "define i32 @f() {\n %x = add nsw i32 2147483647, 1\n ret i32 %x\n}",
-            GvnBug::None,
-        );
+        let out =
+            gvn("define i32 @f() {\n %x = add nsw i32 2147483647, 1\n ret i32 %x\n}", GvnBug::None);
         assert!(out.eliminated.is_empty());
         assert_eq!(body_len(&out), 1);
     }
@@ -449,10 +447,7 @@ mod tests {
 
     #[test]
     fn trunc_folds() {
-        let out = gvn(
-            "define i8 @f() {\n %x = trunc i32 300 to i8\n ret i8 %x\n}",
-            GvnBug::None,
-        );
+        let out = gvn("define i8 @f() {\n %x = trunc i32 300 to i8\n ret i8 %x\n}", GvnBug::None);
         assert_eq!(out.eliminated.get("%x"), Some(&Operand::Const(44)));
     }
 }

@@ -106,11 +106,8 @@ fn tokenize(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
                 if name.len() == 1 {
                     return Err(ParseError { line, message: format!("dangling `{c}`") });
                 }
-                let tok = if c == '%' {
-                    Tok::Local(name)
-                } else {
-                    Tok::Global(name[1..].to_owned())
-                };
+                let tok =
+                    if c == '%' { Tok::Local(name) } else { Tok::Global(name[1..].to_owned()) };
                 out.push(SpannedTok { tok, line });
             }
             '-' | '0'..='9' => {
@@ -183,9 +180,7 @@ impl Parser {
     }
 
     fn line(&self) -> usize {
-        self.tokens
-            .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-            .map_or(0, |t| t.line)
+        self.tokens.get(self.pos.min(self.tokens.len().saturating_sub(1))).map_or(0, |t| t.line)
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
@@ -635,9 +630,8 @@ impl Parser {
         let base = match self.next()? {
             Tok::Word(w) if w == "void" => Type::Void,
             Tok::Word(w) if w.starts_with('i') && w[1..].chars().all(|c| c.is_ascii_digit()) => {
-                let bits: u32 = w[1..]
-                    .parse()
-                    .map_err(|_| self.err(format!("bad integer type `{w}`")))?;
+                let bits: u32 =
+                    w[1..].parse().map_err(|_| self.err(format!("bad integer type `{w}`")))?;
                 if !(1..=128).contains(&bits) {
                     return Err(self.err(format!("unsupported integer width {bits}")));
                 }
@@ -736,7 +730,6 @@ fn cast_of(w: &str) -> Option<CastKind> {
 mod tests {
     use super::*;
 
-
     #[test]
     fn parses_running_example() {
         let f = parse_function(crate::corpus::ARITHM_SEQ_SUM).expect("parses");
@@ -816,10 +809,7 @@ define i32 @caller(i32 %x) {
             &f.blocks[0].instrs[0],
             Instr::Call { dst: Some(_), callee, .. } if callee == "ext"
         ));
-        assert!(matches!(
-            &f.blocks[0].instrs[1],
-            Instr::Call { dst: None, .. }
-        ));
+        assert!(matches!(&f.blocks[0].instrs[1], Instr::Call { dst: None, .. }));
     }
 
     #[test]
@@ -875,9 +865,6 @@ define i64 @f(i64 %x) {
 }
 "#;
         let f = parse_function(src).expect("parses");
-        assert!(matches!(
-            &f.blocks[0].instrs[0],
-            Instr::Cast { kind: CastKind::IntToPtr, .. }
-        ));
+        assert!(matches!(&f.blocks[0].instrs[0], Instr::Cast { kind: CastKind::IntToPtr, .. }));
     }
 }

@@ -185,7 +185,8 @@ pos:
 "#;
         let m1 = parse_module(src).expect("parses");
         let printed = m1.to_string();
-        let m2 = parse_module(&printed).unwrap_or_else(|e| panic!("reparse failed: {e}\n{printed}"));
+        let m2 =
+            parse_module(&printed).unwrap_or_else(|e| panic!("reparse failed: {e}\n{printed}"));
         assert_eq!(m1, m2, "print/parse roundtrip");
     }
 

@@ -170,10 +170,7 @@ mod tests {
         assert_eq!(Type::I32.to_string(), "i32");
         assert_eq!(Type::I32.ptr_to().to_string(), "i32*");
         assert_eq!(Type::Array(4, Box::new(Type::I8)).to_string(), "[4 x i8]");
-        assert_eq!(
-            Type::Struct(vec![Type::I8, Type::I64]).to_string(),
-            "{i8, i64}"
-        );
+        assert_eq!(Type::Struct(vec![Type::I8, Type::I64]).to_string(), "{i8, i64}");
     }
 
     #[test]

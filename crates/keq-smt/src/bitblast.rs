@@ -273,13 +273,7 @@ impl<'a> BitBlaster<'a> {
             }
             Op::BvConst { width, value } => {
                 let out: Vec<Lit> = (0..width)
-                    .map(|i| {
-                        if (value >> i) & 1 == 1 {
-                            self.lit_true()
-                        } else {
-                            self.lit_false()
-                        }
-                    })
+                    .map(|i| if (value >> i) & 1 == 1 { self.lit_true() } else { self.lit_false() })
                     .collect();
                 bv.insert(t, out);
             }
@@ -519,12 +513,13 @@ impl<'a> BitBlaster<'a> {
         let (x, y) = (Lit::pos(a.var()), Lit::pos(b.var()));
         let key = pair_key(x, y);
         let cache = &mut *self.cache;
-        let g = hashed_gate(&mut cache.xor_gates, &mut cache.gates_reused, self.sat, key, |sat, g| {
-            sat.add_clause(&[g.negate(), x, y]);
-            sat.add_clause(&[g.negate(), x.negate(), y.negate()]);
-            sat.add_clause(&[g, x.negate(), y]);
-            sat.add_clause(&[g, x, y.negate()]);
-        });
+        let g =
+            hashed_gate(&mut cache.xor_gates, &mut cache.gates_reused, self.sat, key, |sat, g| {
+                sat.add_clause(&[g.negate(), x, y]);
+                sat.add_clause(&[g.negate(), x.negate(), y.negate()]);
+                sat.add_clause(&[g, x.negate(), y]);
+                sat.add_clause(&[g, x, y.negate()]);
+            });
         if a.is_pos() == b.is_pos() {
             g
         } else {
@@ -660,13 +655,7 @@ impl<'a> BitBlaster<'a> {
         // k = 96 at width 96 has no bit of weight >= 2^7), so compare
         // against the constant n directly.
         let n_bits: Vec<Lit> = (0..n)
-            .map(|i| {
-                if (n as u128 >> i) & 1 == 1 {
-                    self.lit_true()
-                } else {
-                    self.lit_false()
-                }
-            })
+            .map(|i| if (n as u128 >> i) & 1 == 1 { self.lit_true() } else { self.lit_false() })
             .collect();
         let in_range = self.gate_lt(k, &n_bits, false);
         let fill_vec = vec![fill; n];
@@ -692,11 +681,8 @@ impl<'a> BitBlaster<'a> {
 
     /// `g ↔ (a = b)` for bitvectors.
     fn gate_bv_eq(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
-        let xnors: Vec<Lit> = a
-            .iter()
-            .zip(b)
-            .map(|(&x, &y)| self.gate_xor(x, y).negate())
-            .collect();
+        let xnors: Vec<Lit> =
+            a.iter().zip(b).map(|(&x, &y)| self.gate_xor(x, y).negate()).collect();
         self.gate_and(&xnors)
     }
 }

@@ -619,8 +619,8 @@ mod tests {
     fn injected_panic_unwinds_with_message() {
         let plan = FaultPlan { panic: Rate { num: 1, den: 1 }, ..FaultPlan::quiet(2) };
         let _g = install(&plan, 0);
-        let err = std::panic::catch_unwind(|| poll(FaultSite::SolverQuery))
-            .expect_err("must panic");
+        let err =
+            std::panic::catch_unwind(|| poll(FaultSite::SolverQuery)).expect_err("must panic");
         let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
         assert!(msg.contains("injected fault"), "got: {msg}");
     }

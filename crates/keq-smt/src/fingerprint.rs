@@ -263,7 +263,15 @@ fn op_code(op: &Op) -> u64 {
 fn commutative(op: &Op) -> bool {
     matches!(
         op,
-        Op::And | Op::Or | Op::Xor | Op::Eq | Op::BvAdd | Op::BvMul | Op::BvAnd | Op::BvOr | Op::BvXor
+        Op::And
+            | Op::Or
+            | Op::Xor
+            | Op::Eq
+            | Op::BvAdd
+            | Op::BvMul
+            | Op::BvAnd
+            | Op::BvOr
+            | Op::BvXor
     )
 }
 
@@ -575,10 +583,7 @@ mod tests {
         assert_eq!(fp(&b1, &[a1, a2]), fp(&b2, &[b_a1, b_a2]));
         // Split into prefix+delta and reordered conjuncts: same obligation.
         let mut memo = ShapeMemo::default();
-        assert_eq!(
-            fingerprint_obligation(&b1, &mut memo, &[&[a2], &[a1]]),
-            fp(&b1, &[a1, a2])
-        );
+        assert_eq!(fingerprint_obligation(&b1, &mut memo, &[&[a2], &[a1]]), fp(&b1, &[a1, a2]));
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub use fault::{
 pub use fingerprint::{fingerprint_obligation, ObligationFingerprint, ShapeMemo};
 pub use lower::{lower, Lowered, Lowerer, TermBudgetExceeded};
 pub use obcache::{
-    fnv1a32, CachedVerdict, LoadOutcome, PersistOutcome,
-    SharedObligationCache, StdStoreIo, StoreIo, SEMANTICS_REVISION,
+    fnv1a32, CachedVerdict, LoadOutcome, PersistOutcome, SharedObligationCache, StdStoreIo,
+    StoreIo, SEMANTICS_REVISION,
 };
 pub use rewrite::{RewriteStats, Rewriter, RuleFamily};
 pub use sat::SatBudget;

@@ -391,23 +391,17 @@ mod tests {
         let mut lw = Lowerer::new();
         let g0 = bank.mk_eq(reads[0], zero);
         let g1 = bank.mk_eq(reads[1], zero);
-        let first = lw
-            .lower_incremental(&mut bank, &[g0, g1], 1_000_000)
-            .expect("within budget");
+        let first = lw.lower_incremental(&mut bank, &[g0, g1], 1_000_000).expect("within budget");
         assert_eq!(first.side_conditions.len(), 1, "two reads → one pair");
 
         // Re-lowering the same assertions introduces no reads and no pairs.
-        let again = lw
-            .lower_incremental(&mut bank, &[g0, g1], 1_000_000)
-            .expect("within budget");
+        let again = lw.lower_incremental(&mut bank, &[g0, g1], 1_000_000).expect("within budget");
         assert!(again.side_conditions.is_empty(), "no new reads, no new pairs");
         assert!(lw.cache_hits() > 0, "memo must have been reused");
 
         // A third read pairs against both existing ones.
         let g2 = bank.mk_eq(reads[2], zero);
-        let third = lw
-            .lower_incremental(&mut bank, &[g2], 1_000_000)
-            .expect("within budget");
+        let third = lw.lower_incremental(&mut bank, &[g2], 1_000_000).expect("within budget");
         assert_eq!(third.side_conditions.len(), 2, "new read pairs with both old reads");
 
         // Cumulative pairs match the one-shot closure over all three goals.

@@ -548,9 +548,7 @@ mod tests {
     /// rejected wholesale, not silently mixed with post-rewrite verdicts.
     #[test]
     fn pre_rewrite_store_is_rejected_wholesale() {
-        const {
-            assert!(SEMANTICS_REVISION >= 2, "revision must stay bumped past the pre-rewrite era")
-        };
+        const { assert!(SEMANTICS_REVISION >= 2, "revision must stay bumped past the pre-rewrite era") };
         let path = temp_path("prerewrite");
         let _ = std::fs::remove_file(&path);
         // Hand-write a revision-1 store carrying a verdict record.

@@ -777,11 +777,7 @@ fn algebraic_laws(bank: &mut TermBank, t: TermId) -> Option<TermId> {
             if retained.len() == args.len() {
                 return None;
             }
-            Some(if op == Op::And {
-                bank.mk_and(retained)
-            } else {
-                bank.mk_or(retained)
-            })
+            Some(if op == Op::And { bank.mk_and(retained) } else { bank.mk_or(retained) })
         }
         Op::BvSub => {
             let (a, b) = (arg(bank, t, 0), arg(bank, t, 1));
@@ -1250,7 +1246,12 @@ mod tests {
         let (out, delta) = rw.normalize(&mut bank, &[s], None).expect("not cancelled");
         assert_eq!(out[0], y);
         assert!(delta.total_fired() >= 1, "fired = {:?}", delta.fired);
-        assert!(delta.nodes_saved() >= 1, "before {} after {}", delta.nodes_before, delta.nodes_after);
+        assert!(
+            delta.nodes_saved() >= 1,
+            "before {} after {}",
+            delta.nodes_before,
+            delta.nodes_after
+        );
         assert_eq!(rw.stats(), delta);
     }
 

@@ -148,11 +148,9 @@ impl QueryKey {
 
 fn approx_outcome_bytes(outcome: &CheckOutcome) -> usize {
     match outcome {
-        CheckOutcome::Sat(m) => m
-            .entries
-            .iter()
-            .map(|(n, _)| n.len() + std::mem::size_of::<(String, Value)>())
-            .sum(),
+        CheckOutcome::Sat(m) => {
+            m.entries.iter().map(|(n, _)| n.len() + std::mem::size_of::<(String, Value)>()).sum()
+        }
         CheckOutcome::Unsat | CheckOutcome::Budget(_) => 0,
     }
 }
@@ -209,9 +207,8 @@ impl QueryCache {
         {
             let victim = self.order.pop_front().expect("nonempty");
             if let Some(out) = self.map.remove(&victim) {
-                self.bytes = self
-                    .bytes
-                    .saturating_sub(victim.approx_bytes() + approx_outcome_bytes(&out));
+                self.bytes =
+                    self.bytes.saturating_sub(victim.approx_bytes() + approx_outcome_bytes(&out));
                 *evictions += 1;
             }
         }
@@ -704,12 +701,7 @@ impl<'s> Session<'s> {
     /// obligation cache, and only then the SAT core. Every call is one
     /// counted query: it counts its outcome, adds its wall time to
     /// [`SolverStats::time`], and emits exactly one `SolverQuery` event.
-    fn ask(
-        &mut self,
-        bank: &mut TermBank,
-        delta: &[TermId],
-        needs_model: bool,
-    ) -> CheckOutcome {
+    fn ask(&mut self, bank: &mut TermBank, delta: &[TermId], needs_model: bool) -> CheckOutcome {
         let start = Instant::now();
         let before = self.solver.stats;
         let (outcome, cache_hit) = self.answer(bank, delta, needs_model);
@@ -1193,9 +1185,7 @@ mod tests {
         let sign_i = bank.mk_bvslt(i, zero);
         let sign_n = bank.mk_bvslt(n, zero);
         let same_sign = bank.mk_eq(sign_i, sign_n);
-        assert!(solver()
-            .prove_equiv(&mut bank, &[same_sign], lt, diff_neg)
-            .is_proved());
+        assert!(solver().prove_equiv(&mut bank, &[same_sign], lt, diff_neg).is_proved());
     }
 
     #[test]
@@ -1251,9 +1241,7 @@ mod tests {
         let phi1 = bank.mk_bvult(x, five);
         let phi2 = bank.mk_bvult(x, ten);
         let sibling = bank.mk_not(phi2);
-        assert!(solver()
-            .prove_implies_positive(&mut bank, &[phi1], &[sibling])
-            .is_proved());
+        assert!(solver().prove_implies_positive(&mut bank, &[phi1], &[sibling]).is_proved());
     }
 
     #[test]
@@ -1269,7 +1257,8 @@ mod tests {
         let one = bank.mk_bv(28, 1);
         let x_big = bank.mk_bvult(one, x);
         let y_big = bank.mk_bvult(one, y);
-        let mut s = Solver::with_budget(Budget { max_conflicts: 5, max_terms: 1_000_000, max_time: None });
+        let mut s =
+            Solver::with_budget(Budget { max_conflicts: 5, max_terms: 1_000_000, max_time: None });
         match s.check_sat(&mut bank, &[eq, x_big, y_big]) {
             CheckOutcome::Budget(BudgetKind::Conflicts) => {}
             CheckOutcome::Sat(_) => {} // found fast — acceptable on some orderings
@@ -1524,11 +1513,8 @@ mod tests {
         let one = bank.mk_bv(28, 1);
         let x_big = bank.mk_bvult(one, x);
         let y_big = bank.mk_bvult(one, y);
-        let mut s = Solver::with_budget(Budget {
-            max_conflicts: 5,
-            max_terms: 1_000_000,
-            max_time: None,
-        });
+        let mut s =
+            Solver::with_budget(Budget { max_conflicts: 5, max_terms: 1_000_000, max_time: None });
         let mut session = s.open_session(&[x_big, y_big]);
         let first = session.check_sat(&mut bank, &[eq]);
         drop(session);

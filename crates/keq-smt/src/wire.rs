@@ -221,10 +221,7 @@ mod tests {
         let mut scan = RecordScanner::new(&buf, 64);
         let recs: Vec<_> = scan.by_ref().collect();
         assert_eq!(recs.len(), 3, "framing-intact records all scan");
-        assert_eq!(
-            recs.iter().map(|r| r.crc_ok).collect::<Vec<_>>(),
-            vec![true, false, true],
-        );
+        assert_eq!(recs.iter().map(|r| r.crc_ok).collect::<Vec<_>>(), vec![true, false, true],);
         assert!(!scan.torn());
     }
 

@@ -65,12 +65,12 @@ fn gen_bool(rng: &mut Prng, depth: usize) -> BoolExpr {
     }
     match rng.random_range(0..3u32) {
         0 => BoolExpr::Not(Box::new(gen_bool(rng, depth - 1))),
-        1 => BoolExpr::And((0..rng.random_range(2..=3usize))
-            .map(|_| gen_bool(rng, depth - 1))
-            .collect()),
-        _ => BoolExpr::Or((0..rng.random_range(2..=3usize))
-            .map(|_| gen_bool(rng, depth - 1))
-            .collect()),
+        1 => BoolExpr::And(
+            (0..rng.random_range(2..=3usize)).map(|_| gen_bool(rng, depth - 1)).collect(),
+        ),
+        _ => BoolExpr::Or(
+            (0..rng.random_range(2..=3usize)).map(|_| gen_bool(rng, depth - 1)).collect(),
+        ),
     }
 }
 
@@ -288,12 +288,7 @@ fn memoized_and_fresh_shape_passes_agree() {
     let mut bank = TermBank::new();
     let names = base_names();
     let obligations: Vec<Vec<TermId>> = (0..20)
-        .map(|_| {
-            gen_roots(&mut rng)
-                .iter()
-                .map(|r| build_bool(&mut bank, r, &names, 32))
-                .collect()
-        })
+        .map(|_| gen_roots(&mut rng).iter().map(|r| build_bool(&mut bank, r, &names, 32)).collect())
         .collect();
     let mut shared_memo = ShapeMemo::default();
     for roots in &obligations {

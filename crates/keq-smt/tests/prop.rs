@@ -285,11 +285,8 @@ fn constructors_sound_vs_direct_eval() {
     let mut rng = Prng::seed_from_u64(0x5157_0001);
     for _ in 0..128 {
         let e = random_expr(&mut rng, 4);
-        let env: [u8; 3] = [
-            rng.random_range(0..=255u8),
-            rng.random_range(0..=255u8),
-            rng.random_range(0..=255u8),
-        ];
+        let env: [u8; 3] =
+            [rng.random_range(0..=255u8), rng.random_range(0..=255u8), rng.random_range(0..=255u8)];
         let mut bank = TermBank::new();
         let t = build(&mut bank, &e);
         let mut asg = Assignment::new();

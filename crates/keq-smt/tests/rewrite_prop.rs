@@ -18,8 +18,7 @@ use keq_prng::Prng;
 use keq_smt::eval::eval;
 use keq_smt::fault::{self, FaultPlan, Rate};
 use keq_smt::{
-    Assignment, BudgetKind, CheckOutcome, MemValue, Rewriter, Solver, Sort, TermBank, TermId,
-    Value,
+    Assignment, BudgetKind, CheckOutcome, MemValue, Rewriter, Solver, Sort, TermBank, TermId, Value,
 };
 
 const WIDTH: u32 = 8;

@@ -205,10 +205,20 @@ fn session_batches_agree_with_scratch_solvers() {
                 "seed {seed} query {i}: session and scratch disagree"
             );
             if let CheckOutcome::Sat(m) = session_outcome {
-                assert_model_satisfies(&mut bank, &full, m, &format!("seed {seed} query {i} session"));
+                assert_model_satisfies(
+                    &mut bank,
+                    &full,
+                    m,
+                    &format!("seed {seed} query {i} session"),
+                );
             }
             if let CheckOutcome::Sat(m) = &scratch_outcome {
-                assert_model_satisfies(&mut bank, &full, m, &format!("seed {seed} query {i} scratch"));
+                assert_model_satisfies(
+                    &mut bank,
+                    &full,
+                    m,
+                    &format!("seed {seed} query {i} scratch"),
+                );
             }
         }
     }

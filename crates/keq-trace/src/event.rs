@@ -87,12 +87,7 @@ impl Phase {
     pub fn is_top_level(self) -> bool {
         matches!(
             self,
-            Phase::Parse
-                | Phase::Isel
-                | Phase::Regalloc
-                | Phase::Gvn
-                | Phase::Vcgen
-                | Phase::Check
+            Phase::Parse | Phase::Isel | Phase::Regalloc | Phase::Gvn | Phase::Vcgen | Phase::Check
         )
     }
 

@@ -151,7 +151,7 @@ mod tests {
         }
         h.add(15.0); // bucket 10..20
         h.add(30.0); // bucket 20..40
-        // Rank 5 of 10 lands mid-bucket-0: 0 + 10 * (5/8).
+                     // Rank 5 of 10 lands mid-bucket-0: 0 + 10 * (5/8).
         assert_eq!(h.p50(), Some(6.25));
         // Rank 9 is the single sample of bucket 1: 10 + 10 * (1/1).
         assert_eq!(h.p90(), Some(20.0));

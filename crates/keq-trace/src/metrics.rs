@@ -142,21 +142,8 @@ metric_ids! {
 // ---------------------------------------------------------------------------
 
 /// Powers-of-4 µs bucket upper bounds, matching [`Histogram::log_us`].
-const BOUNDS: [u64; 13] = [
-    1,
-    4,
-    16,
-    64,
-    256,
-    1_024,
-    4_096,
-    16_384,
-    65_536,
-    262_144,
-    1_048_576,
-    4_194_304,
-    16_777_216,
-];
+const BOUNDS: [u64; 13] =
+    [1, 4, 16, 64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576, 4_194_304, 16_777_216];
 /// Bucket count including the overflow bucket.
 const BUCKETS: usize = BOUNDS.len() + 1;
 
@@ -457,11 +444,8 @@ impl Series {
     pub fn rate_per_sec(&self, window_ms: u64) -> f64 {
         let Some(&(t1, v1)) = self.points.back() else { return 0.0 };
         let cutoff = t1.saturating_sub(window_ms);
-        let Some(&(t0, v0)) = self
-            .points
-            .iter()
-            .find(|&&(t, _)| t >= cutoff)
-            .filter(|&&(t, _)| t < t1)
+        let Some(&(t0, v0)) =
+            self.points.iter().find(|&&(t, _)| t >= cutoff).filter(|&&(t, _)| t < t1)
         else {
             return 0.0;
         };
@@ -493,17 +477,11 @@ impl Collector {
     pub fn new(cap: usize) -> Self {
         Collector {
             samples: 0,
-            counter_series: CounterId::ALL
-                .iter()
-                .map(|c| Series::new(c.name(), cap))
-                .collect(),
+            counter_series: CounterId::ALL.iter().map(|c| Series::new(c.name(), cap)).collect(),
             gauge_series: GaugeId::ALL.iter().map(|g| Series::new(g.name(), cap)).collect(),
             quantile_series: HistId::ALL
                 .iter()
-                .map(|h| {
-                    QUANTILE_SUFFIXES
-                        .map(|q| Series::new(format!("{}_{q}", h.name()), cap))
-                })
+                .map(|h| QUANTILE_SUFFIXES.map(|q| Series::new(format!("{}_{q}", h.name()), cap)))
                 .collect(),
             last_hist: HistId::ALL.iter().map(|h| Histogram::log_us(h.name())).collect(),
             last_quantiles: vec![[0.0; 3]; HistId::ALL.len()],

@@ -125,9 +125,8 @@ thread_local! {
 #[must_use]
 pub fn install(sink: &TraceSink) -> TraceGuard {
     let epoch = sink.recorder().epoch();
-    let prev = ACTIVE.with(|a| {
-        a.borrow_mut().replace(Active { rec: Arc::clone(sink.recorder()), epoch })
-    });
+    let prev =
+        ACTIVE.with(|a| a.borrow_mut().replace(Active { rec: Arc::clone(sink.recorder()), epoch }));
     let prev_enabled = ENABLED.with(|e| e.replace(true));
     TraceGuard { prev, prev_enabled }
 }

@@ -64,10 +64,7 @@ pub struct PassSection {
 
 impl PassSection {
     fn to_json(&self) -> Json {
-        json::obj(vec![
-            ("pass", Json::Str(self.pass.clone())),
-            ("outcome", self.outcome.to_json()),
-        ])
+        json::obj(vec![("pass", Json::Str(self.pass.clone())), ("outcome", self.outcome.to_json())])
     }
 }
 
@@ -254,10 +251,7 @@ impl AttemptReport {
             ("abandoned", Json::Bool(self.abandoned)),
             ("panic_message", json::opt_str(&self.panic_message)),
             ("panic_location", json::opt_str(&self.panic_location)),
-            (
-                "faults",
-                Json::Arr(self.faults.iter().map(|f| Json::Str(f.clone())).collect()),
-            ),
+            ("faults", Json::Arr(self.faults.iter().map(|f| Json::Str(f.clone())).collect())),
             (
                 "phase_us",
                 Json::Obj(
@@ -357,10 +351,7 @@ impl RunReport {
             ("resume", self.resume.to_json()),
             ("telemetry", self.telemetry.to_json()),
             ("phases", Json::Arr(self.phases.iter().map(PhaseSummary::to_json).collect())),
-            (
-                "functions",
-                Json::Arr(self.functions.iter().map(FunctionReport::to_json).collect()),
-            ),
+            ("functions", Json::Arr(self.functions.iter().map(FunctionReport::to_json).collect())),
             ("events_recorded", json::num(self.events_recorded)),
             ("events_dropped", json::num(self.events_dropped)),
         ]);
@@ -481,8 +472,7 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
                     require_str(p, &path, "pass", &mut v);
                     if let Some(outcome) = require(p, &path, "outcome", &mut v) {
                         validate_outcome_table(outcome, &format!("{path}.outcome"), &mut v);
-                        pass_total +=
-                            outcome.get("total").and_then(Json::as_u64).unwrap_or(0);
+                        pass_total += outcome.get("total").and_then(Json::as_u64).unwrap_or(0);
                     }
                 }
                 // Per-pass tables must partition the merged one.
@@ -542,9 +532,9 @@ pub fn validate(doc: &Json) -> Result<(), Vec<Violation>> {
                             (Some(_), Some(_)) => v.push(format!(
                                 "{path}.histogram: counts must have bounds_us+1 entries"
                             )),
-                            _ => v.push(format!(
-                                "{path}.histogram: missing bounds_us/counts arrays"
-                            )),
+                            _ => {
+                                v.push(format!("{path}.histogram: missing bounds_us/counts arrays"))
+                            }
                         }
                     }
                 }
@@ -654,7 +644,9 @@ fn validate_function(f: &Json, i: usize, v: &mut Vec<Violation>) {
         require(a, &apath, "phase_us", v);
         if let Some(n) = n {
             if n <= prev_attempt {
-                v.push(format!("{apath}: attempt numbers must increase (got {n} after {prev_attempt})"));
+                v.push(format!(
+                    "{apath}: attempt numbers must increase (got {n} after {prev_attempt})"
+                ));
             }
             prev_attempt = n;
         }
@@ -701,9 +693,8 @@ pub fn check_phase_coverage(
         let name = f.get("name").and_then(Json::as_str).unwrap_or("?");
         let wall = f.get("wall_us").and_then(Json::as_u64).unwrap_or(0);
         let attempts = f.get("attempts").and_then(Json::as_arr).unwrap_or(&[]);
-        let abandoned = attempts
-            .iter()
-            .any(|a| a.get("abandoned").and_then(Json::as_bool).unwrap_or(false));
+        let abandoned =
+            attempts.iter().any(|a| a.get("abandoned").and_then(Json::as_bool).unwrap_or(false));
         // Recovered rows carry journal-recorded wall time but no observed
         // attempts (their spans happened in the killed run), so they have
         // nothing to account for.
@@ -966,13 +957,9 @@ mod tests {
         else {
             panic!("an object")
         };
-        cache.iter_mut().find(|(k, _)| k == "obligations").expect("obligations").1 =
-            json::num(35);
+        cache.iter_mut().find(|(k, _)| k == "obligations").expect("obligations").1 = json::num(35);
         let errs = validate(&doc).expect_err("must fail");
-        assert!(
-            errs.iter().any(|e| e.contains("disagree with obligations")),
-            "{errs:?}"
-        );
+        assert!(errs.iter().any(|e| e.contains("disagree with obligations")), "{errs:?}");
     }
 
     #[test]
@@ -1044,10 +1031,7 @@ mod tests {
         report.telemetry.slow.push(second);
         let doc = Json::parse(&report.to_json()).expect("parses");
         let errs = validate(&doc).expect_err("must fail");
-        assert!(
-            errs.iter().any(|e| e.contains("sorted by descending wall_us")),
-            "{errs:?}"
-        );
+        assert!(errs.iter().any(|e| e.contains("sorted by descending wall_us")), "{errs:?}");
     }
 
     #[test]

@@ -42,11 +42,7 @@ impl EventRing {
         EventRing {
             epoch: Instant::now(),
             cap: capacity.max(1),
-            inner: Mutex::new(RingInner {
-                events: VecDeque::new(),
-                recorded: 0,
-                dropped: 0,
-            }),
+            inner: Mutex::new(RingInner { events: VecDeque::new(), recorded: 0, dropped: 0 }),
         }
     }
 
@@ -252,9 +248,6 @@ mod tests {
         let sink = JsonlSink::new(buf);
         sink.record(ev(1));
         Recorder::flush(&sink);
-        assert_eq!(
-            String::from_utf8(flushed.lock().unwrap().clone()).unwrap().lines().count(),
-            1
-        );
+        assert_eq!(String::from_utf8(flushed.lock().unwrap().clone()).unwrap().lines().count(), 1);
     }
 }

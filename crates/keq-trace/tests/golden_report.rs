@@ -140,7 +140,12 @@ fn golden_report() -> RunReport {
                 },
             }],
         },
-        phases: vec![PhaseSummary { phase: Phase::Check, count: 2, total_us: 80_120, histogram: hist }],
+        phases: vec![PhaseSummary {
+            phase: Phase::Check,
+            count: 2,
+            total_us: 80_120,
+            histogram: hist,
+        }],
         functions: vec![
             FunctionReport {
                 name: "f0".into(),
@@ -215,9 +220,8 @@ fn report_matches_golden_file_and_round_trips() {
     if std::env::var("KEQ_BLESS_GOLDEN").is_ok() {
         std::fs::write(golden_path, &rendered).expect("bless golden file");
     }
-    let golden = std::fs::read_to_string(golden_path).expect(
-        "golden file missing — run with KEQ_BLESS_GOLDEN=1 once to create it",
-    );
+    let golden = std::fs::read_to_string(golden_path)
+        .expect("golden file missing — run with KEQ_BLESS_GOLDEN=1 once to create it");
     assert_eq!(
         rendered, golden,
         "RUN_REPORT.json drifted from the golden file; if the schema change is \

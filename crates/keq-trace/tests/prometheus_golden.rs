@@ -71,9 +71,8 @@ fn prometheus_exposition_matches_golden_file() {
     if std::env::var("KEQ_BLESS_GOLDEN").is_ok() {
         std::fs::write(golden_path, &rendered).expect("bless golden file");
     }
-    let golden = std::fs::read_to_string(golden_path).expect(
-        "golden file missing — run with KEQ_BLESS_GOLDEN=1 once to create it",
-    );
+    let golden = std::fs::read_to_string(golden_path)
+        .expect("golden file missing — run with KEQ_BLESS_GOLDEN=1 once to create it");
     assert_eq!(
         rendered, golden,
         "Prometheus exposition drifted from the golden file; if the format change \
@@ -97,9 +96,7 @@ fn prometheus_exposition_matches_golden_file() {
         let metric_name = name_part.split('{').next().unwrap();
         assert!(
             metric_name.starts_with("keq_")
-                && metric_name
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '_'),
+                && metric_name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
             "bad metric name in: {line}"
         );
         samples += 1;

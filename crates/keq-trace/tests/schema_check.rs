@@ -26,18 +26,13 @@ fn run_report_is_schema_valid() {
             return;
         }
     };
-    let raw = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let raw = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     let doc = Json::parse(&raw).unwrap_or_else(|e| panic!("{path}: not valid JSON: {e}"));
 
     if let Err(violations) = validate(&doc) {
         panic!(
             "{path}: schema violations:\n  {}",
-            violations
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("\n  ")
+            violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("\n  ")
         );
     }
     if let Err(violations) =
@@ -45,11 +40,7 @@ fn run_report_is_schema_valid() {
     {
         panic!(
             "{path}: phase coverage violations:\n  {}",
-            violations
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("\n  ")
+            violations.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("\n  ")
         );
     }
     eprintln!("{path}: schema and phase coverage OK");

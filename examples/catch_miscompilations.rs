@@ -26,7 +26,11 @@ fn check(title: &str, src: &str, bug: BugInjection) -> bool {
 
 fn main() {
     // PR25154-style write-after-write violation in store merging (Fig. 8/9).
-    let ok = check("Fig. 9 correct store merging", keq_repro::llvm::corpus::FIG8_WAW, BugInjection::None);
+    let ok = check(
+        "Fig. 9 correct store merging",
+        keq_repro::llvm::corpus::FIG8_WAW,
+        BugInjection::None,
+    );
     let bad = check(
         "Fig. 9(b) WAW-violating store merging",
         keq_repro::llvm::corpus::FIG8_WAW,

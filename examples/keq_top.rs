@@ -25,8 +25,8 @@
 
 use std::time::Duration;
 
-use keq_repro::harness::protocol::{ClientRequest, MetricsReport, ServerResponse};
 use keq_repro::harness::connect;
+use keq_repro::harness::protocol::{ClientRequest, MetricsReport, ServerResponse};
 use keq_repro::trace::Json;
 
 struct Cli {
@@ -67,10 +67,7 @@ fn series_values(series: &Json, name: &str) -> Vec<f64> {
     for entry in entries {
         if entry.get("name").and_then(Json::as_str) == Some(name) {
             let Some(points) = entry.get("points").and_then(Json::as_arr) else { break };
-            return points
-                .iter()
-                .filter_map(|p| p.as_arr()?.get(1)?.as_f64())
-                .collect();
+            return points.iter().filter_map(|p| p.as_arr()?.get(1)?.as_f64()).collect();
         }
     }
     Vec::new()

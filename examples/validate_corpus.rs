@@ -186,8 +186,7 @@ fn pass_list(cli: &Cli) -> String {
 /// The chaos campaign driver. Exits 1 on verdict divergence or store
 /// impurity, 0 on success.
 fn run_chaos(cli: &Cli, cycles: u32) {
-    let journal_path =
-        cli.journal.clone().unwrap_or_else(|| "chaos.keqwal".to_string());
+    let journal_path = cli.journal.clone().unwrap_or_else(|| "chaos.keqwal".to_string());
     let base = HarnessOptions {
         keq: base_keq_options(),
         fault_plan: chaos_plan(cli.seed),

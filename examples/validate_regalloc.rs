@@ -13,8 +13,8 @@
 
 use keq_repro::core::KeqOptions;
 use keq_repro::isel::{
-    allocate_with_options, select, validate_regalloc, validate_regalloc_with_context,
-    IselOptions, RaOptions, ValidationContext,
+    allocate_with_options, select, validate_regalloc, validate_regalloc_with_context, IselOptions,
+    RaOptions, ValidationContext,
 };
 use keq_repro::llvm::{parse_module, Layout};
 
@@ -77,8 +77,7 @@ fn main() {
             },
             ..Default::default()
         };
-        let (report, _) =
-            validate_regalloc(&out.func, &layout, keq).expect("uncancelled");
+        let (report, _) = validate_regalloc(&out.func, &layout, keq).expect("uncancelled");
         println!("{:<8} {:>2} spills  {}", f.name, map.spills.len(), report.verdict);
         if report.verdict.is_validated() {
             validated += 1;

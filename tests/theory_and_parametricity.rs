@@ -3,10 +3,12 @@
 //! IMP → stack-machine pair), plus the §4.6 refinement fallback.
 
 use keq_repro::core::{
-    algorithm1, algorithm1_simulation, fig4_example, is_cut_bisimulation,
-    is_strong_bisimulation, Keq, KeqOptions, Verdict,
+    algorithm1, algorithm1_simulation, fig4_example, is_cut_bisimulation, is_strong_bisimulation,
+    Keq, KeqOptions, Verdict,
 };
-use keq_repro::imp::{compile, imp_sync_points, Expr, ImpProgram, ImpSemantics, StackSemantics, Stmt};
+use keq_repro::imp::{
+    compile, imp_sync_points, Expr, ImpProgram, ImpSemantics, StackSemantics, Stmt,
+};
 use keq_repro::isel::{validate_function, IselOptions, VcOptions};
 use keq_repro::smt::TermBank;
 
@@ -74,11 +76,8 @@ fn sabotaged_stack_code_is_rejected_by_the_same_checker() {
     let flat = keq_repro::imp::compile::flatten(&p);
     let mut sf = compile(&p);
     // Swap the jump polarity of the first conditional: control flow lies.
-    let pos = sf
-        .ops
-        .iter()
-        .position(|o| matches!(o, keq_repro::imp::StackOp::Sub))
-        .expect("has sub");
+    let pos =
+        sf.ops.iter().position(|o| matches!(o, keq_repro::imp::StackOp::Sub)).expect("has sub");
     sf.ops[pos] = keq_repro::imp::StackOp::Add;
     let sync = imp_sync_points(&flat, &sf);
     let left = ImpSemantics::new(flat);
