@@ -5,8 +5,11 @@
 //! session's hard assertions and the query's delta), not against the
 //! original formula; (b) answering a session's feasibility queries from its
 //! earlier models, where the session keeps one [`eval_memo`] value memo
-//! per model for its lifetime; and (c) property tests that compare the symbolic
-//! machinery against ground truth.
+//! per model for its lifetime; (c) concrete execution of a language's
+//! symbolic semantics (`keq_semantics::exec`), which evaluates each step's
+//! path conjuncts and the final return value and memory under one memo per
+//! run; and (d) property tests that compare the symbolic machinery against
+//! ground truth.
 
 use std::collections::{BTreeMap, HashMap};
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Offline verification: build, test, lint and document the whole workspace,
-# and check that the benchmark still builds against it.
+# Offline verification: build, test, format-check, lint and document the
+# whole workspace, and check that the benchmark still builds against it.
 # No network access required — the workspace has zero external
 # dependencies (see DESIGN.md §5).
 set -euo pipefail
@@ -16,6 +16,12 @@ cargo check --manifest-path bench/Cargo.toml --all-targets
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+# One formatting configuration: the root rustfmt.toml matches
+# bench/rustfmt.toml, so both workspaces must already be formatted.
+echo "==> cargo fmt --all --check (workspace and bench)"
+cargo fmt --all --check
+cargo fmt --manifest-path bench/Cargo.toml --check
 
 if cargo clippy --version >/dev/null 2>&1; then
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
