@@ -21,8 +21,8 @@
 //! `[[(n1, n2)]] ⊆ [[P]]` of the paper's symbolic Algorithm 1.
 
 use keq_semantics::{
-    memory_equal_obligations_masked, read_bytes, Acceptability, CtrlLoc, ErrorRelation, Language,
-    LocPattern, Status, SymConfig,
+    memory_equal_obligations_masked, read_bytes, CtrlLoc, ErrorRelation, Language, LocPattern,
+    Status, SymConfig,
 };
 use keq_smt::fault::{self, FaultAction, FaultSite};
 use keq_smt::{
@@ -56,28 +56,15 @@ impl Default for KeqOptions {
 pub struct Keq<'a> {
     left: &'a dyn Language,
     right: &'a dyn Language,
-    accept: Acceptability,
     opts: KeqOptions,
     cancel: Option<CancelToken>,
 }
 
 impl<'a> Keq<'a> {
-    /// Creates a checker for the given language pair with the paper's
-    /// default acceptability policy.
+    /// Creates a checker for the given language pair under the paper's
+    /// acceptability policy (§4.6).
     pub fn new(left: &'a dyn Language, right: &'a dyn Language) -> Self {
-        Keq {
-            left,
-            right,
-            accept: Acceptability::default(),
-            opts: KeqOptions::default(),
-            cancel: None,
-        }
-    }
-
-    /// Overrides the acceptability policy.
-    pub fn with_acceptability(mut self, accept: Acceptability) -> Self {
-        self.accept = accept;
-        self
+        Keq { left, right, opts: KeqOptions::default(), cancel: None }
     }
 
     /// Overrides the options.
@@ -278,7 +265,7 @@ impl<'a> Keq<'a> {
         s2: &SymConfig,
         stats: &mut KeqStats,
     ) -> Result<(), FailureReason> {
-        match self.accept.relate(&s1.status, &s2.status) {
+        match keq_semantics::accept::relate(&s1.status, &s2.status) {
             ErrorRelation::LeftErrorAbsorbs => {
                 let _span = keq_trace::span(keq_trace::Phase::ErrorRule);
                 // Source-program UB: anything on the right is acceptable,

@@ -279,17 +279,67 @@ pub fn load(path: &Path, corpus_fp: u64, io: &dyn StoreIo) -> JournalLoad {
     out
 }
 
-/// The append half of the journal, with its own circuit breaker: after
-/// `threshold` consecutive append failures the writer degrades to a no-op
-/// (the run continues memory-only; only crash-recovery coverage is lost).
-/// Every failure emits a [`keq_trace::Event::StoreError`]; tripping emits
-/// [`keq_trace::Event::StoreDegraded`].
+/// Consecutive storage-write failures after which a target degrades to
+/// memory-only for the rest of the run.
+pub(crate) const STORE_BREAKER_THRESHOLD: u32 = 3;
+
+/// The circuit breaker of one storage target (the journal or the
+/// obligation store): every failed write emits a
+/// [`keq_trace::Event::StoreError`], and the [`STORE_BREAKER_THRESHOLD`]-th
+/// consecutive one trips it with a [`keq_trace::Event::StoreDegraded`],
+/// instead of hammering a sick disk once per finalization.
+#[derive(Debug)]
+pub(crate) struct Breaker {
+    target: &'static str,
+    consecutive: u32,
+}
+
+impl Breaker {
+    pub(crate) fn new(target: &'static str) -> Breaker {
+        Breaker { target, consecutive: 0 }
+    }
+
+    pub(crate) fn success(&mut self) {
+        self.consecutive = 0;
+    }
+
+    /// Counts one failed `op`; returns whether this failure tripped the
+    /// breaker.
+    pub(crate) fn failure(&mut self, op: &'static str, err: &std::io::Error) -> bool {
+        self.consecutive += 1;
+        if keq_trace::enabled() {
+            keq_trace::emit(keq_trace::Event::StoreError {
+                target: self.target,
+                op,
+                detail: err.to_string(),
+            });
+        }
+        let tripped = self.consecutive >= STORE_BREAKER_THRESHOLD;
+        if tripped {
+            self.trip();
+        }
+        tripped
+    }
+
+    /// Degrades the target now. Losing storage is exactly when buffered
+    /// trace lines must reach disk, so this flushes the sink.
+    pub(crate) fn trip(&self) {
+        keq_trace::emit(keq_trace::Event::StoreDegraded {
+            target: self.target,
+            failures: self.consecutive,
+        });
+        keq_trace::flush_sink();
+    }
+}
+
+/// The append half of the journal, behind its own circuit breaker: once it
+/// trips the writer degrades to a no-op (the run continues memory-only;
+/// only crash-recovery coverage is lost).
 #[derive(Debug)]
 pub struct JournalWriter {
     path: std::path::PathBuf,
     io: Arc<dyn StoreIo>,
-    threshold: u32,
-    consecutive: u32,
+    breaker: Breaker,
     /// Whether the breaker has tripped.
     pub degraded: bool,
     /// Records successfully appended by this writer.
@@ -310,13 +360,11 @@ impl JournalWriter {
         corpus_fp: u64,
         valid_prefix: Option<&[u8]>,
         io: Arc<dyn StoreIo>,
-        threshold: u32,
     ) -> JournalWriter {
         let mut writer = JournalWriter {
             path: path.to_path_buf(),
             io,
-            threshold: threshold.max(1),
-            consecutive: 0,
+            breaker: Breaker::new("journal"),
             degraded: false,
             appended: 0,
             failures: 0,
@@ -332,15 +380,8 @@ impl JournalWriter {
             writer.failures += 1;
             writer.degraded = true;
             keq_trace::metrics::counter_add(keq_trace::CounterId::JournalAppendFailures, 1);
-            if keq_trace::enabled() {
-                keq_trace::emit(keq_trace::Event::StoreError {
-                    target: "journal",
-                    op: "open",
-                    detail: err.to_string(),
-                });
-            }
-            keq_trace::emit(keq_trace::Event::StoreDegraded { target: "journal", failures: 1 });
-            keq_trace::flush_sink();
+            writer.breaker.failure("open", &err);
+            writer.breaker.trip();
         }
         writer
     }
@@ -354,31 +395,14 @@ impl JournalWriter {
         }
         match self.io.write(&self.path, &record.encode(), true) {
             Ok(()) => {
-                self.consecutive = 0;
+                self.breaker.success();
                 self.appended += 1;
                 keq_trace::metrics::counter_add(keq_trace::CounterId::JournalAppends, 1);
             }
             Err(err) => {
                 self.failures += 1;
-                self.consecutive += 1;
                 keq_trace::metrics::counter_add(keq_trace::CounterId::JournalAppendFailures, 1);
-                if keq_trace::enabled() {
-                    keq_trace::emit(keq_trace::Event::StoreError {
-                        target: "journal",
-                        op: "append",
-                        detail: err.to_string(),
-                    });
-                }
-                if self.consecutive >= self.threshold {
-                    self.degraded = true;
-                    keq_trace::emit(keq_trace::Event::StoreDegraded {
-                        target: "journal",
-                        failures: self.consecutive,
-                    });
-                    // Losing the journal is exactly when buffered trace
-                    // lines must reach disk: flush the sink now.
-                    keq_trace::flush_sink();
-                }
+                self.degraded = self.breaker.failure("append", &err);
             }
         }
     }
@@ -408,7 +432,7 @@ mod tests {
     }
 
     fn write_all(path: &Path, corpus_fp: u64, records: &[JournalRecord]) {
-        let mut w = JournalWriter::start(path, corpus_fp, None, Arc::new(StdStoreIo), 3);
+        let mut w = JournalWriter::start(path, corpus_fp, None, Arc::new(StdStoreIo));
         for r in records {
             w.append(r);
         }
@@ -469,8 +493,7 @@ mod tests {
 
         // Resume: rewrite to the valid prefix, then append; everything
         // re-loads cleanly.
-        let mut w =
-            JournalWriter::start(&path, 9, Some(&torn.valid_prefix), Arc::new(StdStoreIo), 3);
+        let mut w = JournalWriter::start(&path, 9, Some(&torn.valid_prefix), Arc::new(StdStoreIo));
         w.append(&rec(1, CorpusResult::Timeout));
         let healed = load(&path, 9, &StdStoreIo);
         assert_eq!(healed.records, records);
@@ -510,20 +533,23 @@ mod tests {
             torn_write: Rate::ZERO,
             enospc: Rate { num: 1, den: 1 },
         }));
-        let w = JournalWriter::start(&path, 1, None, io.clone(), 2);
+        let w = JournalWriter::start(&path, 1, None, io.clone());
         assert!(w.degraded, "header write already fails under always-ENOSPC");
 
         // Now a writer whose header lands but appends fail.
-        let mut w = JournalWriter::start(&path, 1, None, Arc::new(StdStoreIo), 2);
+        let mut w = JournalWriter::start(&path, 1, None, Arc::new(StdStoreIo));
         assert!(!w.degraded);
         w.io = io;
+        for func in 1..STORE_BREAKER_THRESHOLD {
+            w.append(&rec(func, CorpusResult::Succeeded));
+            assert!(!w.degraded, "{func} failures stay under the threshold");
+        }
         w.append(&rec(0, CorpusResult::Succeeded));
-        assert!(!w.degraded, "one failure under threshold 2");
-        w.append(&rec(1, CorpusResult::Succeeded));
-        assert!(w.degraded, "second consecutive failure trips the breaker");
-        assert_eq!(w.failures, 2);
-        w.append(&rec(2, CorpusResult::Succeeded));
-        assert_eq!(w.failures, 2, "degraded writer is a no-op");
+        assert!(w.degraded, "the threshold-th consecutive failure trips the breaker");
+        let threshold = u64::from(STORE_BREAKER_THRESHOLD);
+        assert_eq!(w.failures, threshold);
+        w.append(&rec(0, CorpusResult::Succeeded));
+        assert_eq!(w.failures, threshold, "degraded writer is a no-op");
         let _ = std::fs::remove_file(&path);
     }
 

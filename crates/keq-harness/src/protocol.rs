@@ -20,7 +20,7 @@
 //! fault plan exactly like a batch corpus index does, so a fault campaign
 //! lands on the same units regardless of front end; function `i` of the
 //! module gets `unit + i`. `deadline_ms`/`max_attempts` are optional
-//! per-request overrides (quota-clamped by the server).
+//! per-request overrides, clamped by the server's quota and retry policy.
 //!
 //! Responses (server → client):
 //!

@@ -137,12 +137,6 @@ pub struct HarnessOptions {
     /// finalizations (`0` = only the final shutdown flush). Incremental
     /// flushes are what make a kill lose batches, not the whole store.
     pub store_flush_every: u32,
-    /// Circuit breaker: after this many *consecutive* storage-write
-    /// failures (store flushes, journal appends — each breaker is
-    /// per-target) the target degrades to memory-only for the rest of the
-    /// run, with a `StoreDegraded` trace event, instead of hammering a sick
-    /// disk once per finalization.
-    pub store_breaker_threshold: u32,
     /// Live-telemetry configuration: the metrics registry, time-series
     /// collector, and slow-obligation profiler (disabled by default —
     /// probe sites then cost one thread-local flag read).
@@ -166,7 +160,6 @@ impl Default for HarnessOptions {
             journal_path: None,
             resume: false,
             store_flush_every: 8,
-            store_breaker_threshold: 3,
             metrics: MetricsConfig::default(),
         }
     }

@@ -20,8 +20,7 @@
 //!   depth; excess submissions are *rejected* ([`Rejected::QueueFull`]),
 //!   never silently queued without bound;
 //! * **per-client quotas** — a [`ClientQuota`] caps concurrent inflight
-//!   submissions per client and clamps per-request deadlines and retry
-//!   ladders;
+//!   submissions per client and clamps per-request deadlines;
 //! * **graceful drain** — [`Scheduler::drain`] stops admissions, lets
 //!   every accepted submission finish (the watchdog still bounds wedged
 //!   ones), then flushes the store and returns the final counters.
@@ -58,7 +57,7 @@ use keq_trace::{
     CacheCounters, LiveRequests, Phase, RequestCounters, SlowObligation, TelemetrySection,
 };
 
-use crate::journal::{self, JournalLoad, JournalRecord, JournalWriter};
+use crate::journal::{self, Breaker, JournalLoad, JournalRecord, JournalWriter};
 use crate::panic_capture;
 use crate::result::{AttemptRecord, CorpusResult};
 use crate::run::HarnessOptions;
@@ -76,9 +75,6 @@ pub struct ClientQuota {
     /// as their deadline (otherwise an unbounded request dodges the
     /// quota).
     pub max_deadline: Option<Duration>,
-    /// Upper clamp on the retry ladder length (0 = the scheduler's own
-    /// [`crate::RetryPolicy::max_attempts`]).
-    pub max_attempts: u32,
 }
 
 /// Live-telemetry configuration of a [`Scheduler`].
@@ -392,7 +388,8 @@ pub struct Request {
     pub tag: u64,
     /// Per-request deadline override (quota-clamped).
     pub deadline: Option<Duration>,
-    /// Per-request retry-ladder cap (quota-clamped).
+    /// Per-request retry-ladder cap (at most the run's
+    /// [`crate::RetryPolicy::max_attempts`]).
     pub max_attempts: Option<u32>,
 }
 
@@ -484,17 +481,16 @@ pub struct SchedulerFinal {
 /// finalization; every `every`-th tick persists the store's dirty verdicts
 /// through the injectable [`StoreIo`] (one append per batch — a mid-batch
 /// kill tears at most one batch, which the next load skips fail-soft).
-/// After `threshold` consecutive failures the breaker trips and the store
-/// degrades to memory-only: verdicts keep accumulating in memory and the
-/// run's *results* are unaffected; only the next run's warm start is lost.
+/// Once its [`Breaker`] trips the store degrades to memory-only: verdicts
+/// keep accumulating in memory and the run's *results* are unaffected;
+/// only the next run's warm start is lost.
 struct StoreFlusher {
     shared: Arc<SharedObligationCache>,
     path: Option<PathBuf>,
     io: Arc<dyn StoreIo>,
     every: u32,
-    threshold: u32,
     pending: u32,
-    consecutive: u32,
+    breaker: Breaker,
     /// Starts from the store load's counters; the flushes add theirs.
     counts: CacheCounters,
 }
@@ -505,19 +501,9 @@ impl StoreFlusher {
         path: Option<PathBuf>,
         io: Arc<dyn StoreIo>,
         every: u32,
-        threshold: u32,
         counts: CacheCounters,
     ) -> StoreFlusher {
-        StoreFlusher {
-            shared,
-            path,
-            io,
-            every,
-            threshold: threshold.max(1),
-            pending: 0,
-            consecutive: 0,
-            counts,
-        }
+        StoreFlusher { shared, path, io, every, pending: 0, breaker: Breaker::new("store"), counts }
     }
 
     /// One submission finalized; flush if the batch is full.
@@ -540,32 +526,15 @@ impl StoreFlusher {
         match self.shared.persist_with(&path, self.io.as_ref()) {
             Ok(persist) => {
                 self.counts.flushes += 1;
-                self.consecutive = 0;
+                self.breaker.success();
                 self.counts.disk_persisted += persist.written;
                 self.counts.disk_bytes = persist.file_bytes;
                 metrics::counter_add(CounterId::StoreFlushes, 1);
             }
             Err(err) => {
                 self.counts.flush_failures += 1;
-                self.consecutive += 1;
                 metrics::counter_add(CounterId::StoreFlushFailures, 1);
-                if keq_trace::enabled() {
-                    keq_trace::emit(keq_trace::Event::StoreError {
-                        target: "store",
-                        op,
-                        detail: err.to_string(),
-                    });
-                }
-                if self.consecutive >= self.threshold {
-                    self.counts.degraded = true;
-                    keq_trace::emit(keq_trace::Event::StoreDegraded {
-                        target: "store",
-                        failures: self.consecutive,
-                    });
-                    // The run just started losing its storage: push any
-                    // buffered trace lines out while we still can.
-                    keq_trace::flush_sink();
-                }
+                self.counts.degraded = self.breaker.failure(op, &err);
             }
         }
     }
@@ -770,7 +739,6 @@ impl Scheduler {
                 j.corpus_fp,
                 j.valid_prefix.take().as_deref(),
                 Arc::clone(&storage.io),
-                h.store_breaker_threshold,
             )
         });
         let flusher = StoreFlusher::new(
@@ -778,7 +746,6 @@ impl Scheduler {
             h.cache_path.clone(),
             Arc::clone(&storage.io),
             h.store_flush_every,
-            h.store_breaker_threshold,
             storage.cache,
         );
         let (tx, rx) = mpsc::channel::<Msg>();
@@ -946,14 +913,7 @@ impl Scheduler {
     }
 
     fn effective_attempts(&self, requested: Option<u32>) -> u32 {
-        let mut n = self.max_attempts;
-        if self.quota.max_attempts > 0 {
-            n = n.min(self.quota.max_attempts);
-        }
-        if let Some(r) = requested {
-            n = n.min(r);
-        }
-        n.max(1)
+        requested.unwrap_or(u32::MAX).min(self.max_attempts).max(1)
     }
 }
 

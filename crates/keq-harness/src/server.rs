@@ -298,75 +298,37 @@ impl Conn for TcpStream {}
 #[cfg(unix)]
 impl Conn for UnixStream {}
 
-/// What one interruptible frame read produced.
-enum FrameRead {
-    Frame(String),
-    Eof,
-    Shutdown,
+/// A connection stream read through its [`IDLE_TICK`] read timeout: a
+/// timed-out read is retried, so [`read_frame`] reads a frame split across
+/// idle wake-ups whole, until the shutdown flag is set; then the read
+/// reports EOF and the connection ends (abandoning any partial frame).
+struct IdleRead<'a, R> {
+    inner: R,
+    shutdown: &'a AtomicBool,
 }
 
-/// [`read_frame`], but the blocking read wakes up every [`IDLE_TICK`]
-/// (via the stream's read timeout) to check the shutdown flag, and
-/// partial bytes accumulate across those wake-ups instead of tearing the
-/// frame.
-fn read_frame_interruptible(r: &mut impl Read, shutdown: &AtomicBool) -> io::Result<FrameRead> {
-    let mut len_buf = [0u8; 4];
-    read_exact_interruptible(r, &mut len_buf, shutdown, true)?.map_or(
-        Ok(FrameRead::Shutdown),
-        |eof| {
-            if eof {
-                return Ok(FrameRead::Eof);
-            }
-            let len = u32::from_le_bytes(len_buf);
-            if len > crate::protocol::MAX_FRAME_LEN {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "frame length over bound"));
-            }
-            let mut buf = vec![0u8; len as usize];
-            match read_exact_interruptible(r, &mut buf, shutdown, false)? {
-                None => Ok(FrameRead::Shutdown),
-                Some(true) => Err(io::Error::new(io::ErrorKind::InvalidData, "EOF mid frame")),
-                Some(false) => String::from_utf8(buf)
-                    .map(FrameRead::Frame)
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8")),
-            }
-        },
-    )
-}
-
-/// Fills `buf`, tolerating read-timeout wake-ups. Returns `None` when the
-/// shutdown flag interrupted the read (the connection is being torn down —
-/// any partial frame is abandoned with it), `Some(true)` on EOF before the
-/// first byte (only accepted when `clean_eof_ok` — mid-frame EOF is an
-/// error), `Some(false)` when `buf` is full.
-fn read_exact_interruptible(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-    clean_eof_ok: bool,
-) -> io::Result<Option<bool>> {
-    let mut at = 0;
-    while at < buf.len() {
-        match r.read(&mut buf[at..]) {
-            Ok(0) if at == 0 && clean_eof_ok => return Ok(Some(true)),
-            Ok(0) => return Err(io::Error::new(io::ErrorKind::InvalidData, "EOF mid frame")),
-            Ok(k) => at += k,
-            Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                if shutdown.load(Ordering::Acquire) {
-                    return Ok(None);
+impl<R: Read> Read for IdleRead<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        loop {
+            match self.inner.read(buf) {
+                Err(e)
+                    if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                {
+                    if self.shutdown.load(Ordering::Acquire) {
+                        return Ok(0);
+                    }
                 }
+                read => return read,
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
     }
-    Ok(Some(false))
 }
 
 fn handle_connection(mut stream: Box<dyn Conn>, ctx: &ConnCtx, client: u64) -> io::Result<()> {
     loop {
-        let text = match read_frame_interruptible(&mut stream, &ctx.shutdown)? {
-            FrameRead::Eof | FrameRead::Shutdown => return Ok(()),
-            FrameRead::Frame(text) => text,
+        let Some(text) = read_frame(&mut IdleRead { inner: &mut stream, shutdown: &ctx.shutdown })?
+        else {
+            return Ok(());
         };
         let resp = match ClientRequest::parse(&text) {
             Err(detail) => ServerResponse::Error { detail },

@@ -173,7 +173,6 @@ fn storage_faults_trip_the_breaker_and_degrade_to_memory_only() {
         workers: 2,
         cache_path: Some(cache_path.clone()),
         store_flush_every: 1,
-        store_breaker_threshold: 3,
         trace: Some(TraceSink::from(Arc::clone(&trace))),
         ..HarnessOptions::default()
     };
@@ -283,7 +282,7 @@ fn resume_replays_a_function_the_killed_run_abandoned() {
     assert!(!loaded.reset);
     assert_eq!(loaded.records.len(), 2, "both finalizations were journaled");
     let io: Arc<dyn keq_smt::obcache::StoreIo> = Arc::new(StdStoreIo);
-    let mut rewriter = JournalWriter::start(&journal_path, corpus_fp, None, io, 3);
+    let mut rewriter = JournalWriter::start(&journal_path, corpus_fp, None, io);
     for rec in loaded.records.iter().filter(|r| r.func as usize != hung) {
         rewriter.append(rec);
     }

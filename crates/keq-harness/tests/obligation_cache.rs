@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use keq_harness::{run_module, HarnessOptions, ResultKind};
 use keq_smt::fault::{FaultPlan, Rate};
-use keq_smt::SharedObligationCache;
+use keq_smt::{SharedObligationCache, StdStoreIo};
 use keq_workload::{generate_corpus, GenConfig};
 
 /// Small all-supported corpus (no loops/calls/memory keeps validation
@@ -78,7 +78,7 @@ fn garbage_store_degrades_to_a_cold_run_and_is_rewritten() {
 
     // The rewritten store is valid: a fresh cache loads every record.
     let reload = SharedObligationCache::new();
-    let outcome = reload.load(&store);
+    let outcome = reload.load_with(&store, &StdStoreIo);
     assert_eq!(outcome.loaded, summary.cache.disk_persisted, "{outcome:?}");
     assert_eq!(outcome.rejected, 0, "{outcome:?}");
     let _ = std::fs::remove_file(&store);
@@ -111,7 +111,7 @@ fn faulted_runs_persist_only_proven_obligations() {
     // a wire encoding, so a full clean reload proves no faulted or
     // budgeted outcome leaked to disk.
     let reload = SharedObligationCache::new();
-    let outcome = reload.load(&store);
+    let outcome = reload.load_with(&store, &StdStoreIo);
     assert_eq!(outcome.loaded, summary.cache.disk_persisted, "{outcome:?}");
     assert_eq!(outcome.rejected, 0, "{outcome:?}");
     let _ = std::fs::remove_file(&store);

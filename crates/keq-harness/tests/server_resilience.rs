@@ -382,3 +382,45 @@ fn stats_metrics_prometheus_and_drain_agree() {
     );
     assert_eq!(scraped, live, "Prometheus vs stats");
 }
+
+/// A connection read wakes up every idle tick (250 ms) to check for
+/// shutdown. A frame whose header arrives before such a wake-up and whose
+/// payload arrives after it must still be read whole and answered once;
+/// and a second connection that stays idle throughout must not hold up
+/// `shutdown` and the drain.
+#[test]
+fn frame_split_across_an_idle_tick_is_answered_once() {
+    use std::io::Write;
+
+    let server = Server::bind("127.0.0.1:0", &ServerOptions::default()).expect("bind");
+    let addr = server.local_addr();
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(server.run());
+    });
+
+    let idle = connect(&addr).expect("idle connection");
+    let mut conn = connect(&addr).expect("connect");
+    let payload = ClientRequest::Stats.to_json_string();
+    let len = u32::try_from(payload.len()).expect("small frame");
+    conn.write_all(&len.to_le_bytes()).expect("send header");
+    conn.flush().expect("flush header");
+    std::thread::sleep(Duration::from_millis(400));
+    conn.write_all(payload.as_bytes()).expect("send payload");
+    conn.flush().expect("flush payload");
+    let text = keq_harness::read_frame(&mut conn).expect("read").expect("a response");
+    assert!(
+        matches!(ServerResponse::parse(&text), Ok(ServerResponse::Stats(_))),
+        "the split frame is one stats request: {text}"
+    );
+
+    // Had the split frame drawn a second response, this roundtrip would
+    // read it instead of the shutdown acknowledgement.
+    let resp = conn.roundtrip(&ClientRequest::Shutdown).expect("shutdown");
+    assert_eq!(resp, ServerResponse::ShuttingDown);
+    let summary = done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("an idle connection must not hold up shutdown and drain");
+    assert_eq!(summary.connections, 2);
+    drop(idle);
+}

@@ -52,13 +52,11 @@ pub struct IselOptions {
     pub bug: BugInjection,
     /// Enable the store-merging optimization.
     pub merge_stores: bool,
-    /// Enable the load-narrowing optimization.
-    pub narrow_loads: bool,
 }
 
 impl Default for IselOptions {
     fn default() -> Self {
-        IselOptions { bug: BugInjection::None, merge_stores: true, narrow_loads: true }
+        IselOptions { bug: BugInjection::None, merge_stores: true }
     }
 }
 
@@ -197,9 +195,6 @@ impl Lowerer<'_> {
     /// assigned registers; see [`Lowerer::try_narrow_load`]).
     fn narrowed_locals(&self) -> std::collections::HashSet<String> {
         let mut skip = std::collections::HashSet::new();
-        if !self.opts.narrow_loads {
-            return skip;
-        }
         for b in &self.func.blocks {
             for win in b.instrs.windows(3) {
                 if let [Instr::Load { dst: v, ty, .. }, Instr::Bin { op: BinOp::Lshr, dst: s, lhs, .. }, Instr::Cast { kind: CastKind::Trunc, val, .. }] =
@@ -352,8 +347,7 @@ impl Lowerer<'_> {
                 message: format!("wide load of {ty} outside narrowing pattern"),
             });
         };
-        let pattern_ok = self.opts.narrow_loads
-            && matches!(lhs, Operand::Local(l) if l == v)
+        let pattern_ok = matches!(lhs, Operand::Local(l) if l == v)
             && matches!(val, Operand::Local(l) if l == s)
             && self.use_counts.get(v).copied() == Some(1)
             && self.use_counts.get(s).copied() == Some(1)

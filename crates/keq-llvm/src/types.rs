@@ -54,16 +54,6 @@ impl Type {
         }
     }
 
-    /// `true` for integer types.
-    pub fn is_int(&self) -> bool {
-        matches!(self, Type::Int(_))
-    }
-
-    /// `true` for pointer types.
-    pub fn is_ptr(&self) -> bool {
-        matches!(self, Type::Ptr(_))
-    }
-
     /// The width in bits a value of this type occupies in a register:
     /// integers keep their width, pointers are 64 bits.
     ///

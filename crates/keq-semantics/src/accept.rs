@@ -15,7 +15,7 @@
 //!   caught exactly because the x86 side reaches an out-of-bounds error the
 //!   LLVM side cannot match.
 
-use crate::config::{ErrorKind, Status};
+use crate::config::Status;
 
 /// How two statuses relate under the acceptability policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,112 +30,45 @@ pub enum ErrorRelation {
     Unrelated,
 }
 
-/// The acceptability policy for error states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Acceptability {
-    /// If `true`, a left error state relates to any right state (the
-    /// paper's asymmetric rule for source-program UB).
-    pub left_error_absorbs: bool,
-    /// If `true`, right error states must match a left error of the same
-    /// kind; if `false`, right errors also absorb (symmetric policy, useful
-    /// for true bisimulation between equally-trusted semantics).
-    pub right_error_must_match: bool,
-}
-
-impl Default for Acceptability {
-    /// The paper's policy (§4.6).
-    fn default() -> Self {
-        Acceptability { left_error_absorbs: true, right_error_must_match: true }
-    }
-}
-
-impl Acceptability {
-    /// The paper's asymmetric policy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A fully symmetric policy: errors only relate to same-kind errors on
-    /// the other side.
-    pub fn strict() -> Self {
-        Acceptability { left_error_absorbs: false, right_error_must_match: true }
-    }
-
-    /// Classifies a pair of statuses.
-    pub fn relate(&self, left: &Status, right: &Status) -> ErrorRelation {
-        match (left, right) {
-            (Status::Error(lk), Status::Error(rk)) => {
-                if self.errors_compatible(*lk, *rk) {
-                    ErrorRelation::MatchedErrors
-                } else if self.left_error_absorbs {
-                    ErrorRelation::LeftErrorAbsorbs
-                } else {
-                    ErrorRelation::Unrelated
-                }
-            }
-            (Status::Error(_), _) => {
-                if self.left_error_absorbs {
-                    ErrorRelation::LeftErrorAbsorbs
-                } else {
-                    ErrorRelation::Unrelated
-                }
-            }
-            (_, Status::Error(_)) => {
-                if self.right_error_must_match {
-                    ErrorRelation::Unrelated
-                } else {
-                    ErrorRelation::MatchedErrors
-                }
-            }
-            _ => ErrorRelation::NotErrors,
-        }
-    }
-
-    /// Whether two error kinds are considered the same behavior.
-    pub fn errors_compatible(&self, left: ErrorKind, right: ErrorKind) -> bool {
-        left == right
+/// Classifies a pair of statuses under the paper's policy (§4.6): a left
+/// error absorbs any right state, and a right error relates only to a left
+/// error of the same kind.
+pub fn relate(left: &Status, right: &Status) -> ErrorRelation {
+    match (left, right) {
+        (Status::Error(lk), Status::Error(rk)) if lk == rk => ErrorRelation::MatchedErrors,
+        (Status::Error(_), _) => ErrorRelation::LeftErrorAbsorbs,
+        (_, Status::Error(_)) => ErrorRelation::Unrelated,
+        _ => ErrorRelation::NotErrors,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ErrorKind;
 
     #[test]
     fn paper_policy_left_error_absorbs_anything() {
-        let a = Acceptability::default();
         let err = Status::Error(ErrorKind::SignedOverflow);
         let run = Status::Running;
-        assert_eq!(a.relate(&err, &run), ErrorRelation::LeftErrorAbsorbs);
+        assert_eq!(relate(&err, &run), ErrorRelation::LeftErrorAbsorbs);
         let exited = Status::Exited { ret: None };
-        assert_eq!(a.relate(&err, &exited), ErrorRelation::LeftErrorAbsorbs);
+        assert_eq!(relate(&err, &exited), ErrorRelation::LeftErrorAbsorbs);
     }
 
     #[test]
     fn paper_policy_right_error_needs_same_kind() {
-        let a = Acceptability::default();
         let oob = Status::Error(ErrorKind::OutOfBounds);
         let run = Status::Running;
-        assert_eq!(a.relate(&run, &oob), ErrorRelation::Unrelated);
-        assert_eq!(a.relate(&oob, &oob), ErrorRelation::MatchedErrors);
+        assert_eq!(relate(&run, &oob), ErrorRelation::Unrelated);
+        assert_eq!(relate(&oob, &oob), ErrorRelation::MatchedErrors);
         let ovf = Status::Error(ErrorKind::SignedOverflow);
         // Mismatched kinds: left error still absorbs under the paper policy.
-        assert_eq!(a.relate(&ovf, &oob), ErrorRelation::LeftErrorAbsorbs);
-    }
-
-    #[test]
-    fn strict_policy_is_symmetric() {
-        let a = Acceptability::strict();
-        let err = Status::Error(ErrorKind::DivByZero);
-        let run = Status::Running;
-        assert_eq!(a.relate(&err, &run), ErrorRelation::Unrelated);
-        assert_eq!(a.relate(&run, &err), ErrorRelation::Unrelated);
-        assert_eq!(a.relate(&err, &err), ErrorRelation::MatchedErrors);
+        assert_eq!(relate(&ovf, &oob), ErrorRelation::LeftErrorAbsorbs);
     }
 
     #[test]
     fn non_error_pairs_fall_through() {
-        let a = Acceptability::default();
-        assert_eq!(a.relate(&Status::Running, &Status::Running), ErrorRelation::NotErrors);
+        assert_eq!(relate(&Status::Running, &Status::Running), ErrorRelation::NotErrors);
     }
 }

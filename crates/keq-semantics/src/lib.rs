@@ -14,7 +14,7 @@ pub mod exec;
 pub mod loc;
 pub mod mem;
 
-pub use accept::{Acceptability, ErrorRelation};
+pub use accept::ErrorRelation;
 pub use config::{ErrorKind, Language, SemanticsError, Status, SymConfig};
 pub use exec::{default_ext_call, Outcome};
 pub use loc::{CtrlLoc, LocPattern};

@@ -100,12 +100,6 @@ impl Lowerer {
         Self::default()
     }
 
-    /// Number of terms memoized so far.
-    #[must_use]
-    pub fn cached_terms(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Rewrite-memo hits accumulated across all calls.
     #[must_use]
     pub fn cache_hits(&self) -> u64 {

@@ -288,18 +288,12 @@ impl SharedObligationCache {
             .collect()
     }
 
-    /// Loads a persisted store. Fail-soft: any corruption is tolerated
-    /// record-by-record and an unusable store simply leaves the cache cold
-    /// (see the module docs for the exact rules). Loaded entries are not
-    /// dirty — persisting appends only verdicts proven this run.
-    pub fn load(&self, path: &Path) -> LoadOutcome {
-        self.load_with(path, &StdStoreIo)
-    }
-
-    /// [`Self::load`] through an injectable [`StoreIo`] backend. An
-    /// injected short read surfaces as a torn tail; a failed read leaves
-    /// the cache cold — both covered by the same fail-soft rules as real
-    /// corruption.
+    /// Loads a persisted store through an injectable [`StoreIo`] backend.
+    /// Fail-soft: any corruption is tolerated record-by-record and an
+    /// unusable store simply leaves the cache cold (see the module docs for
+    /// the exact rules). An injected short read surfaces as a torn tail; a
+    /// failed read leaves the cache cold. Loaded entries are not dirty —
+    /// persisting appends only verdicts proven this run.
     pub fn load_with(&self, path: &Path, io: &dyn StoreIo) -> LoadOutcome {
         let mut out = LoadOutcome::default();
         let buf = match io.read(path) {
@@ -345,21 +339,17 @@ impl SharedObligationCache {
         out
     }
 
-    /// Persists the store: appends this run's dirty verdicts to a valid
-    /// existing file, or rewrites the file (header + every live entry) when
-    /// the load found nothing usable. Clears the dirty sets on success.
+    /// Persists the store through an injectable [`StoreIo`] backend:
+    /// appends this run's dirty verdicts to a valid existing file, or
+    /// rewrites the file (header + every live entry) when the load found
+    /// nothing usable. Clears the dirty sets on success. The body is
+    /// written in one `write` call, so an injected torn write can cut at
+    /// most one batch — which the next load skips as a torn tail.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; the in-memory cache is unaffected either way
     /// (dirty entries are retained on failure so a retry can persist them).
-    pub fn persist(&self, path: &Path) -> std::io::Result<PersistOutcome> {
-        self.persist_with(path, &StdStoreIo)
-    }
-
-    /// [`Self::persist`] through an injectable [`StoreIo`] backend. The
-    /// body is written in one `write` call, so an injected torn write can
-    /// cut at most one batch — which the next load skips as a torn tail.
     pub fn persist_with(&self, path: &Path, io: &dyn StoreIo) -> std::io::Result<PersistOutcome> {
         let rewrite = self.needs_rewrite.load(Ordering::Relaxed) || !path.exists();
         let mut records: Vec<(u128, CachedVerdict)> = Vec::new();
@@ -440,24 +430,24 @@ mod tests {
         let path = temp_path("roundtrip");
         let _ = std::fs::remove_file(&path);
         let cache = SharedObligationCache::new();
-        assert!(cache.load(&path).reset, "missing file loads cold");
+        assert!(cache.load_with(&path, &StdStoreIo).reset, "missing file loads cold");
         for i in 0..100u128 {
             cache.insert(fp(((i * 0x1_0001) << 32) | i), CachedVerdict::Unsat);
         }
-        let persisted = cache.persist(&path).expect("persist");
+        let persisted = cache.persist_with(&path, &StdStoreIo).expect("persist");
         assert_eq!(persisted.written, 100);
 
         let warm = SharedObligationCache::new();
-        let loaded = warm.load(&path);
+        let loaded = warm.load_with(&path, &StdStoreIo);
         assert_eq!((loaded.loaded, loaded.rejected, loaded.reset), (100, 0, false));
         assert_eq!(warm.lookup(fp(0)), Some(CachedVerdict::Unsat));
 
         // Second run proves one more; persist appends exactly one record.
         warm.insert(fp(0xdead), CachedVerdict::Unsat);
-        let p2 = warm.persist(&path).expect("append");
+        let p2 = warm.persist_with(&path, &StdStoreIo).expect("append");
         assert_eq!(p2.written, 1);
         let warm2 = SharedObligationCache::new();
-        assert_eq!(warm2.load(&path).loaded, 101);
+        assert_eq!(warm2.load_with(&path, &StdStoreIo).loaded, 101);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -468,10 +458,10 @@ mod tests {
         let cache = SharedObligationCache::new();
         cache.insert(fp(1), CachedVerdict::Unsat);
         cache.insert(fp(2), CachedVerdict::Sat);
-        cache.persist(&path).expect("persist");
+        cache.persist_with(&path, &StdStoreIo).expect("persist");
 
         let warm = SharedObligationCache::new();
-        let loaded = warm.load(&path);
+        let loaded = warm.load_with(&path, &StdStoreIo);
         assert_eq!((loaded.loaded, loaded.rejected, loaded.reset), (2, 0, false));
         assert_eq!(warm.lookup(fp(1)), Some(CachedVerdict::Unsat));
         assert_eq!(warm.lookup(fp(2)), Some(CachedVerdict::Sat));
@@ -486,7 +476,7 @@ mod tests {
         for i in 1..=10u128 {
             cache.insert(fp(i), CachedVerdict::Unsat);
         }
-        cache.persist(&path).expect("persist");
+        cache.persist_with(&path, &StdStoreIo).expect("persist");
         let mut bytes = std::fs::read(&path).expect("read back");
         // Flip one bit inside the first record's checksum.
         let first_crc = wire::HEADER_LEN + 4 + PAYLOAD_LEN as usize;
@@ -494,7 +484,7 @@ mod tests {
         std::fs::write(&path, &bytes).expect("write corrupted");
 
         let warm = SharedObligationCache::new();
-        let loaded = warm.load(&path);
+        let loaded = warm.load_with(&path, &StdStoreIo);
         assert_eq!(loaded.rejected, 1, "{loaded:?}");
         assert_eq!(loaded.loaded, 9, "{loaded:?}");
         assert!(!loaded.reset);
@@ -509,12 +499,12 @@ mod tests {
         for i in 1..=5u128 {
             cache.insert(fp(i), CachedVerdict::Unsat);
         }
-        cache.persist(&path).expect("persist");
+        cache.persist_with(&path, &StdStoreIo).expect("persist");
         let bytes = std::fs::read(&path).expect("read back");
         std::fs::write(&path, &bytes[..bytes.len() - 7]).expect("tear tail");
 
         let warm = SharedObligationCache::new();
-        let loaded = warm.load(&path);
+        let loaded = warm.load_with(&path, &StdStoreIo);
         assert_eq!((loaded.loaded, loaded.rejected), (4, 1), "{loaded:?}");
         let _ = std::fs::remove_file(&path);
     }
@@ -531,14 +521,14 @@ mod tests {
         std::fs::write(&path, &bytes).expect("write stale store");
 
         let cache = SharedObligationCache::new();
-        let loaded = cache.load(&path);
+        let loaded = cache.load_with(&path, &StdStoreIo);
         assert!(loaded.reset, "{loaded:?}");
         assert_eq!(loaded.loaded, 0);
         cache.insert(fp(42), CachedVerdict::Unsat);
-        cache.persist(&path).expect("rewrite");
+        cache.persist_with(&path, &StdStoreIo).expect("rewrite");
 
         let warm = SharedObligationCache::new();
-        let reloaded = warm.load(&path);
+        let reloaded = warm.load_with(&path, &StdStoreIo);
         assert_eq!((reloaded.loaded, reloaded.reset), (1, false), "{reloaded:?}");
         let _ = std::fs::remove_file(&path);
     }
@@ -565,7 +555,7 @@ mod tests {
         std::fs::write(&path, &bytes).expect("write revision-1 store");
 
         let cache = SharedObligationCache::new();
-        let loaded = cache.load(&path);
+        let loaded = cache.load_with(&path, &StdStoreIo);
         assert!(loaded.reset, "{loaded:?}");
         assert_eq!(loaded.loaded, 0, "no revision-1 verdict may survive");
         assert_eq!(cache.lookup(fp(77)), None);
@@ -598,7 +588,7 @@ mod tests {
         std::fs::write(&path, &bytes).expect("write fixture");
 
         let cache = SharedObligationCache::new();
-        let loaded = cache.load(&path);
+        let loaded = cache.load_with(&path, &StdStoreIo);
         assert_eq!((loaded.loaded, loaded.rejected, loaded.reset), (3, 0, false), "{loaded:?}");
         for e in entries {
             assert_eq!(cache.lookup(fp(e)), Some(CachedVerdict::Unsat));
@@ -612,7 +602,7 @@ mod tests {
         for e in entries {
             fresh.insert(fp(e), CachedVerdict::Unsat);
         }
-        fresh.persist(&rewrite_path).expect("persist");
+        fresh.persist_with(&rewrite_path, &StdStoreIo).expect("persist");
         assert_eq!(std::fs::read(&rewrite_path).expect("read back"), bytes);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&rewrite_path);
@@ -623,7 +613,7 @@ mod tests {
         let path = temp_path("garbage");
         std::fs::write(&path, b"definitely not a cache store").expect("write garbage");
         let cache = SharedObligationCache::new();
-        let loaded = cache.load(&path);
+        let loaded = cache.load_with(&path, &StdStoreIo);
         assert!(loaded.reset);
         assert_eq!(cache.stats().entries, 0);
         let _ = std::fs::remove_file(&path);

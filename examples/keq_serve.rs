@@ -151,7 +151,6 @@ fn main() {
         quota: ClientQuota {
             max_inflight: cli.max_inflight,
             max_deadline: Some(Duration::from_secs(60)),
-            max_attempts: 0,
         },
     };
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Offline verification: build, test, format-check, lint and document the
-# whole workspace, and check that the benchmark still builds against it.
+# Offline verification: build, test, run the verdict-asserting examples,
+# format-check, lint and document the whole workspace, and check that the
+# benchmark still builds against it.
 # No network access required — the workspace has zero external
 # dependencies (see DESIGN.md §5).
 set -euo pipefail
@@ -16,6 +17,15 @@ cargo check --manifest-path bench/Cargo.toml --all-targets
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+# These four examples assert their own verdicts, and each drives one VC
+# generator end to end: quickstart and catch_miscompilations the ISel one,
+# cross_language the IMP one, validate_regalloc the regalloc one (spilled
+# and unspilled).
+for example in quickstart cross_language validate_regalloc catch_miscompilations; do
+    echo "==> cargo run --release --quiet --example $example"
+    cargo run --release --quiet --example "$example"
+done
 
 # One formatting configuration: the root rustfmt.toml matches
 # bench/rustfmt.toml, so both workspaces must already be formatted.
